@@ -23,14 +23,10 @@ from .circstats import (
     AngularSampleSet,
     KappaResult,
     VonMisesParams,
-    angular_distance,
-    bessel_i0_scaled,
-    bessel_i1_scaled,
     bessel_ratio,
     bessel_ratio_inv,
     estimate_kappa,
     estimate_kappa_pooled,
-    vm_pdf,
     vm_sample,
     wrap_angle,
     wrapped_gaussian_kappa,

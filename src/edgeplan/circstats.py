@@ -1,8 +1,8 @@
 """Circular-statistics kernel.
 
-Scaled Bessel evaluations, the concentration-ratio map ``A(k) = I1(k)/I0(k)``
-and its inverse, von Mises density and sampling, angular distance, and
-resultant-length concentration estimators.
+The concentration-ratio map ``A(k) = I1(k)/I0(k)`` and its inverse, von Mises
+sampling, the wrapped-Gaussian match, and resultant-length concentration
+estimators.
 
 All angles live on ``(-pi, pi]``; the representative of ``-pi`` is mapped to
 ``+pi``.  Every Bessel path uses exponentially scaled forms so concentrations
@@ -27,12 +27,8 @@ __all__ = [
     "VonMisesParams",
     "AngularSampleSet",
     "wrap_angle",
-    "angular_distance",
-    "bessel_i0_scaled",
-    "bessel_i1_scaled",
     "bessel_ratio",
     "bessel_ratio_inv",
-    "vm_pdf",
     "vm_sample",
     "sample_von_mises",
     "estimate_kappa",
@@ -89,28 +85,9 @@ def wrap_angle(theta):
     return out
 
 
-def angular_distance(b1, b2):
-    """Shortest distance on the circle, ``min(|b1-b2|, 2pi-|b1-b2|)`` in [0, pi]."""
-    d = np.abs(np.asarray(wrap_angle(b1)) - np.asarray(wrap_angle(b2)))
-    out = np.minimum(d, TWO_PI - d)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Bessel ratio map and inverse
 # ---------------------------------------------------------------------------
-
-
-def bessel_i0_scaled(x: float) -> float:
-    """``exp(-x) * I0(x)`` for x >= 0."""
-    return float(special.i0e(_check_nonneg("x", x)))
-
-
-def bessel_i1_scaled(x: float) -> float:
-    """``exp(-x) * I1(x)`` for x >= 0."""
-    return float(special.i1e(_check_nonneg("x", x)))
 
 
 def bessel_ratio(kappa: float) -> float:
@@ -178,7 +155,7 @@ def bessel_ratio_inv(r: float) -> KappaResult:
 
 
 # ---------------------------------------------------------------------------
-# von Mises density and sampling
+# von Mises sampling
 # ---------------------------------------------------------------------------
 
 
@@ -226,20 +203,6 @@ class AngularSampleSet:
 
     def __len__(self) -> int:
         return int(self.angles.size)
-
-
-def vm_pdf(theta, params: VonMisesParams):
-    """von Mises density ``exp(kappa cos(theta-mu)) / (2 pi I0(kappa))``.
-
-    Evaluated in scaled form ``exp(kappa (cos(theta-mu) - 1)) / (2 pi i0e)``
-    so it stays finite for any admissible kappa.
-    """
-    th = np.asarray(theta, dtype=float)
-    dens = np.exp(params.kappa * (np.cos(th - params.mu) - 1.0))
-    dens /= TWO_PI * special.i0e(params.kappa)
-    if dens.ndim == 0:
-        return float(dens)
-    return dens
 
 
 def sample_von_mises(rng: np.random.Generator, mu: float, kappa: float, n: int) -> np.ndarray:

@@ -266,7 +266,7 @@ def cmd_validate(
                 profile=config.profile,
                 seed=cell_seed,
             )
-            est = empirical_accuracy(noisy, config.profile, kappa_for_decision=1.0)
+            est = empirical_accuracy(noisy, config.profile)
             limit = 3.0 * np.sqrt(analytic * (1.0 - analytic) / est.n)
             gap = abs(est.value - analytic)
             ok = gap < limit

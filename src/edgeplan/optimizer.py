@@ -5,8 +5,11 @@ admits, then the shallowest depth that still clears the accuracy target at
 the resulting quantization distortion.  ``solve_cr`` keeps both knobs
 continuous (the theoretical ceiling), ``solve_discrete`` restricts them to
 the quantizer alphabet and the exit-layer set, and ``brute_force`` is the
-independent exhaustive oracle the tests hold the decomposition against.
-Everything is pure; instances may be solved in parallel without coordination.
+independent exhaustive oracle the tests hold the decomposition against.  All
+three differ only in how they search; each fills in its chosen ``(q, ell)``
+the same way, from :func:`~edgeplan.accuracy.accuracy_model` and the latency
+model, so their plans compare field by field.  Everything is pure; instances
+may be solved in parallel without coordination.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from typing import Tuple
 from .accuracy import (
     FeatureProfile,
     QuantizerSpec,
-    accuracy_of_kappa,
-    kappa_distorted,
+    accuracy_model,
     min_depth_for_accuracy,
     quant_variance,
 )
@@ -67,9 +69,9 @@ class Plan:
     """A (bit-width, depth) decision with its predicted operating point.
 
     ``t_comm`` never exceeds the air-latency budget.  An infeasible plan
-    (accuracy target unreachable) parks at the deepest exit with ``epr = 0``
-    but still reports the sub-target ``predicted_accuracy`` so sweeps can
-    plot it.
+    (accuracy target unreachable) parks at the deepest depth it may use with
+    ``epr = 0`` but still reports the sub-target ``predicted_accuracy`` so
+    sweeps can plot it.
     """
 
     q: float
@@ -88,6 +90,28 @@ def _check_exits(exits: ExitSet, profile: FeatureProfile) -> None:
         )
 
 
+def _plan(
+    q: float,
+    ell: float,
+    feasible: bool,
+    link: LinkState,
+    comp: ComputeProfile,
+    profile: FeatureProfile,
+    spec: QuantizerSpec,
+) -> Plan:
+    """The plan at ``(q, ell)``; an infeasible plan earns zero EPR."""
+    q, ell = float(q), float(ell)
+    return Plan(
+        q=q,
+        ell=ell,
+        predicted_accuracy=accuracy_model(q, ell, profile, spec),
+        t_comm=comm_latency(q, link),
+        t_comp=comp_latency(ell, comp),
+        epr=epr(q, ell, link, comp) if feasible else 0.0,
+        feasible=feasible,
+    )
+
+
 def solve_cr(
     link: LinkState,
     comp: ComputeProfile,
@@ -99,35 +123,14 @@ def solve_cr(
 
     The bit-width saturates the air-latency budget exactly; the depth is the
     bisected minimum meeting ``p0``.  The resulting EPR upper-bounds every
-    discrete plan for the same scenario.
+    discrete plan for the same scenario.  When no depth qualifies the plan
+    parks at the last model layer with zero EPR.
     """
     q_star = max_bitwidth_continuous(link)
-    sigma2 = quant_variance(q_star, spec)
-    ell_star = min_depth_for_accuracy(sigma2, p0, profile)
+    ell_star = min_depth_for_accuracy(quant_variance(q_star, spec), p0, profile)
     if ell_star is None:
-        ell = float(profile.n_layers)
-        return Plan(
-            q=q_star,
-            ell=ell,
-            predicted_accuracy=_accuracy_at(sigma2, ell, profile),
-            t_comm=comm_latency(q_star, link),
-            t_comp=comp_latency(ell, comp),
-            epr=0.0,
-            feasible=False,
-        )
-    return Plan(
-        q=q_star,
-        ell=ell_star,
-        predicted_accuracy=_accuracy_at(sigma2, ell_star, profile),
-        t_comm=comm_latency(q_star, link),
-        t_comp=comp_latency(ell_star, comp),
-        epr=epr(q_star, ell_star, link, comp),
-        feasible=True,
-    )
-
-
-def _accuracy_at(sigma2: float, ell: float, profile: FeatureProfile) -> float:
-    return accuracy_of_kappa(kappa_distorted(sigma2, ell, profile), profile.j_classes)
+        return _plan(q_star, profile.n_layers, False, link, comp, profile, spec)
+    return _plan(q_star, ell_star, True, link, comp, profile, spec)
 
 
 def solve_discrete(
@@ -149,8 +152,7 @@ def solve_discrete(
     """
     _check_exits(exits, profile)
     q_star = float(max_bitwidth_discrete(link, spec))
-    sigma2 = quant_variance(q_star, spec)
-    ell_plus = min_depth_for_accuracy(sigma2, p0, profile)
+    ell_plus = min_depth_for_accuracy(quant_variance(q_star, spec), p0, profile)
 
     idx = None
     if ell_plus is not None:
@@ -160,33 +162,16 @@ def solve_discrete(
         )
         if idx is not None:
             # float-boundary guard: trust direct evaluation over the bisection
-            if _accuracy_at(sigma2, float(exits.layers[idx]), profile) < p0:
+            if accuracy_model(q_star, float(exits.layers[idx]), profile, spec) < p0:
                 idx = idx + 1 if idx + 1 < len(exits.layers) else None
-            elif idx > 0 and _accuracy_at(sigma2, float(exits.layers[idx - 1]), profile) >= p0:
+            elif idx > 0 and accuracy_model(
+                q_star, float(exits.layers[idx - 1]), profile, spec
+            ) >= p0:
                 idx -= 1
 
     if idx is None:
-        ell = float(exits.deepest)
-        return Plan(
-            q=q_star,
-            ell=ell,
-            predicted_accuracy=_accuracy_at(sigma2, ell, profile),
-            t_comm=comm_latency(q_star, link),
-            t_comp=comp_latency(ell, comp),
-            epr=0.0,
-            feasible=False,
-        )
-
-    ell = float(exits.layers[idx])
-    return Plan(
-        q=q_star,
-        ell=ell,
-        predicted_accuracy=_accuracy_at(sigma2, ell, profile),
-        t_comm=comm_latency(q_star, link),
-        t_comp=comp_latency(ell, comp),
-        epr=epr(q_star, ell, link, comp),
-        feasible=True,
-    )
+        return _plan(q_star, exits.deepest, False, link, comp, profile, spec)
+    return _plan(q_star, exits.layers[idx], True, link, comp, profile, spec)
 
 
 def brute_force(
@@ -204,41 +189,18 @@ def brute_force(
     depth.  Shares the infeasible convention with :func:`solve_discrete`.
     """
     _check_exits(exits, profile)
-    best = None
     best_key = None
     for q in spec.bit_alphabet:
         if comm_latency(q, link) > link.t_max_s:
             continue
-        sigma2 = quant_variance(q, spec)
         for ell in exits.layers:
-            accuracy = _accuracy_at(sigma2, float(ell), profile)
-            if accuracy < p0:
+            if accuracy_model(q, float(ell), profile, spec) < p0:
                 continue
-            rate = epr(q, float(ell), link, comp)
-            key = (rate, q, -ell)
+            key = (epr(q, float(ell), link, comp), q, -ell)
             if best_key is None or key > best_key:
                 best_key = key
-                best = (float(q), float(ell), accuracy, rate)
-    if best is None:
-        q_star = float(max_bitwidth_discrete(link, spec))
-        sigma2 = quant_variance(q_star, spec)
-        ell = float(exits.deepest)
-        return Plan(
-            q=q_star,
-            ell=ell,
-            predicted_accuracy=_accuracy_at(sigma2, ell, profile),
-            t_comm=comm_latency(q_star, link),
-            t_comp=comp_latency(ell, comp),
-            epr=0.0,
-            feasible=False,
-        )
-    q, ell, accuracy, rate = best
-    return Plan(
-        q=q,
-        ell=ell,
-        predicted_accuracy=accuracy,
-        t_comm=comm_latency(q, link),
-        t_comp=comp_latency(ell, comp),
-        epr=rate,
-        feasible=True,
-    )
+    if best_key is None:
+        q_star = max_bitwidth_discrete(link, spec)
+        return _plan(q_star, exits.deepest, False, link, comp, profile, spec)
+    _, q, neg_ell = best_key
+    return _plan(q, -neg_ell, True, link, comp, profile, spec)

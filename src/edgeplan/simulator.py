@@ -61,7 +61,6 @@ class AngularDataset:
 
     depth: float
     samples: AngularSampleSet
-    seed: int
     distorted: bool = False
     sigma2_effective: float = 0.0
 
@@ -92,7 +91,6 @@ def generate_dataset(
     return AngularDataset(
         depth=float(ell),
         samples=AngularSampleSet(angles=angles, labels=labels),
-        seed=int(seed),
     )
 
 
@@ -120,24 +118,19 @@ def distort(
     return AngularDataset(
         depth=dataset.depth,
         samples=AngularSampleSet(angles=angles, labels=dataset.samples.labels),
-        seed=dataset.seed,
         distorted=True,
         sigma2_effective=sigma2_eff,
     )
 
 
-def classify_map(theta, profile: FeatureProfile, kappa: float):
+def classify_map(theta, profile: FeatureProfile):
     """MAP class of an angle under the equal-concentration mixture.
 
     With shared concentration and uniform priors the posterior argmax is the
     centroid nearest in angular distance, so the score reduces to
     ``cos(theta - centroid_j)``; ties resolve to the smallest class index.
-    Accepts scalars or arrays; ``kappa`` scales every class density equally
-    and therefore never changes the decision.
+    Accepts scalars or arrays.
     """
-    kappa = float(kappa)
-    if not math.isfinite(kappa) or kappa < 0.0:
-        raise ValueError(f"kappa must be a finite nonnegative real, got {kappa!r}")
     th = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(th)):
         raise ValueError("angles must be finite")
@@ -156,14 +149,12 @@ class AccuracyEstimate(NamedTuple):
     n: int
 
 
-def empirical_accuracy(
-    dataset: AngularDataset, profile: FeatureProfile, kappa_for_decision: float
-) -> AccuracyEstimate:
+def empirical_accuracy(dataset: AngularDataset, profile: FeatureProfile) -> AccuracyEstimate:
     """Fraction of dataset samples whose MAP class matches the label."""
     n = len(dataset.samples)
     if n == 0:
         raise ValueError("dataset is empty")
-    predicted = classify_map(dataset.samples.angles, profile, kappa_for_decision)
+    predicted = classify_map(dataset.samples.angles, profile)
     value = float(np.mean(predicted == dataset.samples.labels))
     half = _Z_95 * math.sqrt(value * (1.0 - value) / n)
     return AccuracyEstimate(value=value, ci_half_width=half, n=n)
@@ -224,7 +215,7 @@ def run_algorithm1(
         sigma2_eff = quant_variance(plan.q, spec) * grad_energy(plan.ell, profile)
         if sigma2_eff > 0.0:
             angles = angles + rng.normal(0.0, math.sqrt(sigma2_eff), size=tasks)
-        predicted = classify_map(wrap_angle(angles), profile, kappa)
+        predicted = classify_map(wrap_angle(angles), profile)
     else:
         predicted = rng.integers(1, j + 1, size=tasks)
 
@@ -280,9 +271,11 @@ def sweep(
 ) -> List[SweepRow]:
     """Evaluate every (exit set, target accuracy, SNR) operating point.
 
-    Each point solves the discrete and continuous plans and attaches a
-    Monte Carlo accuracy estimate from ``tasks`` simulated inferences, on a
-    stream derived from the grid indices so rows are order-independent.
+    Each point simulates ``tasks`` inferences under the discrete plan that
+    :func:`run_algorithm1` solves, reports that plan with its Monte Carlo
+    accuracy estimate, and adds the continuous ceiling's EPR.  Each point
+    draws from a stream derived from its grid indices, so rows are
+    order-independent.
     """
     if not list(snr_db_grid):
         raise ValueError("SNR grid must be nonempty")
@@ -294,12 +287,11 @@ def sweep(
         for pi, p0 in enumerate(p0_list):
             for si, snr_db in enumerate(snr_db_grid):
                 point = replace(link, snr=snr_db_to_linear(snr_db))
-                plan = solve_discrete(point, comp, profile, spec, exits, p0)
-                cr = solve_cr(point, comp, profile, spec, p0)
                 _, summary = run_algorithm1(
                     tasks, point, comp, profile, spec, exits, p0,
                     seed=_row_seed(seed, vi, pi, si),
                 )
+                plan = summary.plan
                 rows.append(
                     SweepRow(
                         snr_db=float(snr_db),
@@ -311,7 +303,7 @@ def sweep(
                         emp_acc=summary.empirical_accuracy,
                         emp_ci=summary.accuracy_ci_half_width,
                         epr_bits_per_s=plan.epr,
-                        epr_cr_bits_per_s=cr.epr,
+                        epr_cr_bits_per_s=solve_cr(point, comp, profile, spec, p0).epr,
                         feasible=plan.feasible,
                     )
                 )

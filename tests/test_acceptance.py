@@ -172,7 +172,7 @@ def test_criterion_06_accuracy_model_vs_monte_carlo():
             cell_seed = derive_seed(SEED, 601, qi, li)
             clean = generate_dataset(DEFAULT_PROFILE, ell, n_per_class, seed=cell_seed)
             noisy = distort(clean, quant_variance(q, DEFAULT_SPEC), DEFAULT_PROFILE, seed=cell_seed)
-            est = empirical_accuracy(noisy, DEFAULT_PROFILE, kappa_for_decision=1.0)
+            est = empirical_accuracy(noisy, DEFAULT_PROFILE)
             limit = 3.0 * math.sqrt(analytic * (1.0 - analytic) / est.n)
             crit.check(
                 abs(est.value - analytic) < limit,

@@ -10,13 +10,10 @@ from edgeplan.circstats import (
     KAPPA_MAX,
     AngularSampleSet,
     VonMisesParams,
-    angular_distance,
-    bessel_i0_scaled,
     bessel_ratio,
     bessel_ratio_inv,
     estimate_kappa,
     estimate_kappa_pooled,
-    vm_pdf,
     vm_sample,
     wrap_angle,
     wrapped_gaussian_kappa,
@@ -26,33 +23,8 @@ import oracles
 
 
 # ---------------------------------------------------------------------------
-# scaled Bessel and the ratio map
+# the ratio map
 # ---------------------------------------------------------------------------
-
-
-def test_bessel_i0_scaled_reference_values():
-    assert bessel_i0_scaled(0.0) == 1.0
-    # frozen from the 60-term power series oracle, times exp(-2)
-    assert bessel_i0_scaled(2.0) == pytest.approx(0.308508322553671, rel=1e-12)
-    # frozen from the scaled asymptotic expansion
-    assert bessel_i0_scaled(100.0) == pytest.approx(0.03994437929909668, rel=1e-12)
-    assert bessel_i0_scaled(2.0) == pytest.approx(oracles.i0_scaled(2.0), rel=1e-12)
-
-
-def test_bessel_i0_scaled_monotone_decreasing():
-    grid = np.geomspace(1e-3, 1e6, 40)
-    values = [bessel_i0_scaled(x) for x in grid]
-    assert all(b < a for a, b in zip(values, values[1:]))
-    assert all(v > 0.0 for v in values)
-
-
-def test_bessel_i0_scaled_domain_errors():
-    with pytest.raises(ValueError):
-        bessel_i0_scaled(-1.0)
-    with pytest.raises(ValueError):
-        bessel_i0_scaled(float("nan"))
-    with pytest.raises(ValueError):
-        bessel_i0_scaled(float("inf"))
 
 
 def test_bessel_ratio_reference_values():
@@ -112,29 +84,6 @@ def test_bessel_ratio_inv_saturation_and_domain():
 # ---------------------------------------------------------------------------
 
 
-def test_angular_distance_basic():
-    assert angular_distance(0.1, -0.1) == pytest.approx(0.2, abs=1e-15)
-    assert angular_distance(math.pi, -math.pi) == 0.0
-    assert angular_distance(3.0, -3.0) == pytest.approx(2.0 * math.pi - 6.0, rel=1e-12)
-
-
-def test_angular_distance_symmetric_and_bounded():
-    rng = np.random.default_rng(5)
-    a = rng.uniform(-10, 10, 200)
-    b = rng.uniform(-10, 10, 200)
-    d_ab = angular_distance(a, b)
-    d_ba = angular_distance(b, a)
-    assert np.allclose(d_ab, d_ba)
-    assert np.all(d_ab >= 0.0) and np.all(d_ab <= math.pi + 1e-15)
-
-
-def test_angular_distance_rejects_non_finite():
-    with pytest.raises(ValueError):
-        angular_distance(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        angular_distance(0.0, float("inf"))
-
-
 def test_wrap_angle_range_and_boundary():
     assert wrap_angle(math.pi) == math.pi
     assert wrap_angle(-math.pi) == math.pi
@@ -142,40 +91,6 @@ def test_wrap_angle_range_and_boundary():
     grid = np.linspace(-20.0, 20.0, 1001)
     wrapped = wrap_angle(grid)
     assert np.all(wrapped > -math.pi) and np.all(wrapped <= math.pi)
-
-
-# ---------------------------------------------------------------------------
-# von Mises density
-# ---------------------------------------------------------------------------
-
-
-def test_vm_pdf_uniform_case():
-    params = VonMisesParams(mu=0.7, kappa=0.0)
-    for theta in [-3.0, 0.0, 0.7, 3.1]:
-        assert vm_pdf(theta, params) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
-
-
-def test_vm_pdf_mode_value_from_series_oracle():
-    params = VonMisesParams(mu=0.3, kappa=2.0)
-    expected = math.exp(2.0) / (2.0 * math.pi * oracles.i0_series(2.0))
-    assert vm_pdf(0.3, params) == pytest.approx(expected, rel=1e-12)
-    assert vm_pdf(0.3, params) == pytest.approx(0.5158854120190137, rel=1e-12)
-
-
-def test_vm_pdf_even_symmetry_about_mode():
-    params = VonMisesParams(mu=-1.1, kappa=7.5)
-    for x in [0.1, 0.5, 1.0, 2.0]:
-        assert vm_pdf(params.mu + x, params) == pytest.approx(
-            vm_pdf(params.mu - x, params), rel=1e-14
-        )
-
-
-@pytest.mark.parametrize("kappa", [0.0, 1.0, 10.0, 100.0, 700.0])
-def test_vm_pdf_normalizes_on_circle(kappa):
-    params = VonMisesParams(mu=0.0, kappa=kappa)
-    grid = np.linspace(-math.pi, math.pi, 4097)
-    integral = np.trapezoid(vm_pdf(grid, params), grid)
-    assert integral == pytest.approx(1.0, abs=1e-6)
 
 
 def test_vm_params_validation():
@@ -194,14 +109,6 @@ def test_vm_params_validation():
 # ---------------------------------------------------------------------------
 
 
-def _vm_numeric_cdf(kappa: float):
-    grid = np.linspace(-np.pi, np.pi, 200_001)
-    pdf = vm_pdf(grid, VonMisesParams(0.0, kappa))
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))])
-    cdf /= cdf[-1]
-    return lambda x: np.interp(x, grid, cdf)
-
-
 def test_vm_sample_uniform_when_unconcentrated():
     samples = vm_sample(VonMisesParams(0.0, 0.0), 100_000, seed=101)
     ks = stats.kstest(samples.angles, lambda x: (x + np.pi) / (2 * np.pi))
@@ -217,7 +124,7 @@ def test_vm_sample_concentration_recovered():
 @pytest.mark.parametrize("kappa", [0.0, 1.0, 5.0, 50.0])
 def test_vm_sample_ks_against_density(kappa):
     samples = vm_sample(VonMisesParams(0.0, kappa), 100_000, seed=777)
-    ks = stats.kstest(samples.angles, _vm_numeric_cdf(kappa))
+    ks = stats.kstest(samples.angles, lambda x: oracles.von_mises_cdf(x, kappa))
     assert ks.pvalue > 0.01
 
 

@@ -136,6 +136,7 @@ def test_decomposition_matches_brute_force_on_random_instances():
         inst = random_instance(rng)
         plan = solve_discrete(**inst)
         oracle = brute_force(**inst)
+        assert plan == oracle
         assert plan.q == oracle.q
         assert plan.ell == oracle.ell
         assert plan.feasible == oracle.feasible

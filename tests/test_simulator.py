@@ -20,10 +20,9 @@ from edgeplan.circstats import (
     bessel_ratio,
     estimate_kappa,
     estimate_kappa_pooled,
-    vm_pdf,
     wrapped_gaussian_kappa,
 )
-from edgeplan.optimizer import ExitSet
+from edgeplan.optimizer import ExitSet, solve_discrete
 from edgeplan.simulator import (
     AngularDataset,
     classify_map,
@@ -143,7 +142,6 @@ def test_distorting_point_mass_recovers_wrapped_gaussian_kappa():
         samples=AngularSampleSet(
             angles=np.full(20_000, mu), labels=np.ones(20_000, dtype=int)
         ),
-        seed=0,
     )
     sigma2 = 5e-4
     out = distort(point, sigma2, PROFILE, seed=11)
@@ -159,40 +157,29 @@ def test_distorting_point_mass_recovers_wrapped_gaussian_kappa():
 
 def test_classify_map_centroids_and_ties():
     for j in range(1, 11):
-        assert classify_map(float(PROFILE.centroids[j - 1]), PROFILE, 5.0) == j
+        assert classify_map(float(PROFILE.centroids[j - 1]), PROFILE) == j
     # exact midpoint between classes 1 and 2 ties to the smaller index
     midpoint = -np.pi + 2.0 * np.pi / 10.0
-    assert classify_map(midpoint, PROFILE, 5.0) == 1
+    assert classify_map(midpoint, PROFILE) == 1
     # the wrap-around point ties classes 10 and 1; smaller index wins
-    assert classify_map(np.pi, PROFILE, 5.0) == 1
+    assert classify_map(np.pi, PROFILE) == 1
 
 
 def test_classify_map_matches_density_argmax():
-    from edgeplan.circstats import VonMisesParams
     from edgeplan.rng import make_rng
 
     rng = make_rng(606)
     thetas = rng.uniform(-np.pi, np.pi, 10_000)
+    labels = classify_map(thetas, PROFILE)
     for kappa in [1.0, 50.0]:
-        labels = classify_map(thetas, PROFILE, kappa)
+        # von Mises class densities in scaled form, normalized by the oracle I0
+        norm = 2.0 * np.pi * oracles.i0_scaled(kappa)
         densities = np.stack(
-            [
-                vm_pdf(thetas, VonMisesParams(float(mu), kappa))
-                for mu in PROFILE.centroids
-            ],
+            [np.exp(kappa * (np.cos(thetas - mu) - 1.0)) / norm for mu in PROFILE.centroids],
             axis=1,
         )
         oracle_labels = np.argmax(densities, axis=1) + 1
         assert np.array_equal(labels, oracle_labels)
-
-
-def test_classify_map_invariant_to_decision_kappa():
-    from edgeplan.rng import make_rng
-
-    thetas = make_rng(42).uniform(-np.pi, np.pi, 10_000)
-    assert np.array_equal(
-        classify_map(thetas, PROFILE, 1.0), classify_map(thetas, PROFILE, 50.0)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +190,7 @@ def test_classify_map_invariant_to_decision_kappa():
 def test_empirical_accuracy_saturated_is_perfect():
     spiky = FeatureProfile(j_classes=10, c1=1e9, c2=0.0, c3=1.0, c4=0.0, n_layers=39)
     ds = generate_dataset(spiky, 1.0, 200, seed=17)
-    est = empirical_accuracy(ds, spiky, kappa_for_decision=1.0)
+    est = empirical_accuracy(ds, spiky)
     assert est.value == 1.0
     assert est.n == 2000
 
@@ -211,7 +198,7 @@ def test_empirical_accuracy_saturated_is_perfect():
 def test_empirical_accuracy_uniform_is_chance():
     flat = FeatureProfile(j_classes=10, c1=1e-9, c2=0.0, c3=1.0, c4=0.0, n_layers=39)
     ds = generate_dataset(flat, 5.0, 20_000, seed=23)
-    est = empirical_accuracy(ds, flat, kappa_for_decision=1.0)
+    est = empirical_accuracy(ds, flat)
     assert abs(est.value - 0.1) <= max(est.ci_half_width, 3e-3)
 
 
@@ -221,7 +208,7 @@ def test_empirical_accuracy_tracks_analytic_model():
     q, ell = 8.0, 19.0
     ds = generate_dataset(PROFILE, ell, 5_000, seed=71)
     noisy = distort(ds, quant_variance(q, SPEC), PROFILE, seed=72)
-    est = empirical_accuracy(noisy, PROFILE, kappa_for_decision=1.0)
+    est = empirical_accuracy(noisy, PROFILE)
     analytic = accuracy_model(q, ell, PROFILE, SPEC)
     assert abs(est.value - analytic) < 3.0 * math.sqrt(analytic * (1 - analytic) / est.n)
 
@@ -234,7 +221,7 @@ def test_empirical_accuracy_agrees_with_exact_fourier_oracle():
     exact = oracles.noisy_mixture_accuracy(kappa_bar(ell, PROFILE), sigma2_eff, 10)
     ds = generate_dataset(PROFILE, ell, 20_000, seed=81)
     noisy = distort(ds, quant_variance(q, SPEC), PROFILE, seed=82)
-    est = empirical_accuracy(noisy, PROFILE, kappa_for_decision=1.0)
+    est = empirical_accuracy(noisy, PROFILE)
     assert abs(est.value - exact) < 3.0 * math.sqrt(exact * (1 - exact) / est.n)
 
 
@@ -291,6 +278,19 @@ def test_sweep_rows_and_qualitative_trends():
     small = by_variant[exit_set_label(variants[0])]
     big = by_variant[exit_set_label(variants[1])]
     assert all(b.epr_bits_per_s >= s.epr_bits_per_s for s, b in zip(small, big))
+
+
+def test_sweep_rows_report_a_fresh_discrete_plan():
+    grid = [-5.0, 10.0, 25.0]
+    rows = sweep(grid, LINK, COMP, STEEP, SPEC, [EXITS], [0.6, 0.999], tasks=50, seed=3)
+    assert len(rows) == 6
+    for row in rows:
+        point = replace(LINK, snr=snr_db_to_linear(row.snr_db))
+        plan = solve_discrete(point, COMP, STEEP, SPEC, EXITS, row.p0)
+        assert (row.q, row.ell, row.pred_acc, row.epr_bits_per_s, row.feasible) == (
+            plan.q, plan.ell, plan.predicted_accuracy, plan.epr, plan.feasible
+        )
+    assert any(row.feasible for row in rows) and not all(row.feasible for row in rows)
 
 
 def test_sweep_rejects_empty_grid():
