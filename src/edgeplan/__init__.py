@@ -7,6 +7,7 @@ Carlo simulator that validates the model end to end.
 
 from .accuracy import (
     FeatureProfile,
+    FieldError,
     QuantizerSpec,
     accuracy_erf_approx,
     accuracy_model,
@@ -58,7 +59,6 @@ from .system import (
     max_bitwidth_discrete,
     shannon_rate,
     snr_db_to_linear,
-    snr_linear_to_db,
 )
 
 __version__ = "0.1.0"

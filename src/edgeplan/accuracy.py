@@ -19,6 +19,7 @@ from scipy import special
 from .circstats import KAPPA_MAX, bessel_ratio, bessel_ratio_inv
 
 __all__ = [
+    "FieldError",
     "FeatureProfile",
     "QuantizerSpec",
     "quant_variance",
@@ -38,6 +39,15 @@ _ERF_SWITCH = 1.0e4
 _QUAD_REL_TOL = 1e-9
 _QUAD_MAX_NODES = 2**20
 _DEPTH_TOL = 1e-6
+
+
+class FieldError(ValueError):
+    """An invalid input value; ``path`` names its field so a caller can re-root it."""
+
+    def __init__(self, path: str, message: str) -> None:
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -60,23 +70,37 @@ class FeatureProfile:
 
     def __post_init__(self) -> None:
         if int(self.j_classes) != self.j_classes or self.j_classes < 2:
-            raise ValueError(f"j_classes must be an integer >= 2, got {self.j_classes!r}")
+            raise FieldError("j_classes", f"must be an integer >= 2, got {self.j_classes!r}")
         if int(self.n_layers) != self.n_layers or self.n_layers < 1:
-            raise ValueError(f"n_layers must be an integer >= 1, got {self.n_layers!r}")
+            raise FieldError("n_layers", f"must be an integer >= 1, got {self.n_layers!r}")
         for name in ("c1", "c2", "c3", "c4"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise FieldError(name, f"must be finite, got {value!r}")
         if self.c1 <= 0.0:
-            raise ValueError(f"c1 must be > 0, got {self.c1!r}")
-        if self.c1 * 1.0 + self.c2 <= 0.0:
-            raise ValueError("c1 + c2 must be > 0 so concentration stays positive")
+            raise FieldError("c1", f"must be > 0, got {self.c1!r}")
+        if self.c1 + self.c2 <= 0.0:
+            raise FieldError("c2", "c1 + c2 must be > 0 so concentration stays positive")
         if self.c3 <= 0.0:
-            raise ValueError(f"c3 must be > 0, got {self.c3!r}")
+            raise FieldError("c3", f"must be > 0, got {self.c3!r}")
         if self.c4 < 0.0:
-            raise ValueError(f"c4 must be >= 0, got {self.c4!r}")
+            raise FieldError("c4", f"must be >= 0, got {self.c4!r}")
         object.__setattr__(self, "j_classes", int(self.j_classes))
         object.__setattr__(self, "n_layers", int(self.n_layers))
+
+    def check_depth(self, ell: float) -> float:
+        """``ell`` as a float; a :class:`FieldError` unless it lies in [1, L]."""
+        depth = float(ell)
+        if not math.isfinite(depth) or depth < 1.0 or depth > self.n_layers:
+            raise FieldError("ell", f"depth must lie in [1, {self.n_layers}], got {ell}")
+        return depth
+
+    def check_target(self, p0: float) -> float:
+        """``p0`` as a float; a :class:`FieldError` unless it lies in (1/J, 1)."""
+        target = float(p0)
+        if not 1.0 / self.j_classes < target < 1.0:
+            raise FieldError("p0", f"must lie in (1/{self.j_classes}, 1) exclusive, got {p0}")
+        return target
 
     @property
     def centroids(self) -> np.ndarray:
@@ -99,26 +123,28 @@ class QuantizerSpec:
     bit_alphabet: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c_min) and math.isfinite(self.c_max)):
-            raise ValueError("quantization range bounds must be finite")
+        for name in ("c_min", "c_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise FieldError(name, f"must be finite, got {getattr(self, name)!r}")
         if not self.c_max > self.c_min:
-            raise ValueError(f"c_max must exceed c_min, got [{self.c_min!r}, {self.c_max!r}]")
+            raise FieldError("c_max", f"must exceed c_min ({self.c_min!r}), got {self.c_max!r}")
         if int(self.q_max) != self.q_max or self.q_max < 0:
-            raise ValueError(f"q_max must be a nonnegative integer, got {self.q_max!r}")
+            raise FieldError("q_max", f"must be a nonnegative integer, got {self.q_max!r}")
         object.__setattr__(self, "q_max", int(self.q_max))
         if self.bit_alphabet is None:
-            alphabet = tuple(range(self.q_max + 1))
-        else:
-            raw = tuple(self.bit_alphabet)
-            if not raw:
-                raise ValueError("bit_alphabet must be nonempty")
-            if any(int(b) != b for b in raw):
-                raise ValueError("bit_alphabet entries must be integers")
-            alphabet = tuple(int(b) for b in raw)
-        if list(alphabet) != sorted(set(alphabet)):
-            raise ValueError("bit_alphabet must be strictly increasing")
-        if alphabet[0] < 0 or alphabet[-1] > self.q_max:
-            raise ValueError(f"bit_alphabet must lie within [0, {self.q_max}]")
+            object.__setattr__(self, "bit_alphabet", tuple(range(self.q_max + 1)))
+            return
+        alphabet = tuple(self.bit_alphabet)
+        if not alphabet:
+            raise FieldError("bit_alphabet", "must be nonempty")
+        for i, b in enumerate(alphabet):
+            if int(b) != b or not 0 <= b <= self.q_max:
+                raise FieldError(
+                    f"bit_alphabet[{i}]", f"must be an integer in [0, {self.q_max}], got {b!r}"
+                )
+        alphabet = tuple(int(b) for b in alphabet)
+        if any(b <= a for a, b in zip(alphabet, alphabet[1:])):
+            raise FieldError("bit_alphabet", "must be strictly increasing")
         object.__setattr__(self, "bit_alphabet", alphabet)
 
     @property
@@ -145,22 +171,15 @@ def quant_variance(q: float, spec: QuantizerSpec) -> float:
     return (1.0 + 3.0 * alpha) / 4.0 * base
 
 
-def _check_depth(ell: float, profile: FeatureProfile) -> float:
-    ell = float(ell)
-    if not math.isfinite(ell) or ell < 1.0 or ell > profile.n_layers:
-        raise ValueError(f"depth must lie in [1, {profile.n_layers}], got {ell!r}")
-    return ell
-
-
 def kappa_bar(ell: float, profile: FeatureProfile) -> float:
     """Undistorted concentration at depth ell: ``c1 ell + c2``."""
-    ell = _check_depth(ell, profile)
+    ell = profile.check_depth(ell)
     return profile.c1 * ell + profile.c2
 
 
 def grad_energy(ell: float, profile: FeatureProfile) -> float:
     """Angular noise amplification at depth ell: ``c3 exp(-c4 ell)``."""
-    ell = _check_depth(ell, profile)
+    ell = profile.check_depth(ell)
     return profile.c3 * math.exp(-profile.c4 * ell)
 
 
@@ -267,11 +286,7 @@ def min_depth_for_accuracy(
     depth misses p0 -- infeasibility is a value the planner must handle, not
     an error.
     """
-    p0 = float(p0)
-    if not (1.0 / profile.j_classes < p0 < 1.0):
-        raise ValueError(
-            f"p0 must lie in (1/{profile.j_classes}, 1) exclusive, got {p0!r}"
-        )
+    p0 = profile.check_target(p0)
 
     def acc(ell: float) -> float:
         return accuracy_of_kappa(kappa_distorted(sigma2, ell, profile), profile.j_classes)

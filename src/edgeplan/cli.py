@@ -14,11 +14,11 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .accuracy import FeatureProfile, accuracy_model, quant_variance
+from .accuracy import FeatureProfile, FieldError, accuracy_model, quant_variance
 from .config import ConfigError, RunConfig, load_config
 from .fitting import DepthSeries, fit_affine, fit_exponential
 from .optimizer import ExitSet, Plan, solve_cr, solve_discrete
@@ -102,37 +102,38 @@ def _parse_exit_variants(text: str, profile: FeatureProfile) -> List[ExitSet]:
         clause = clause.strip()
         if not clause:
             raise ValueError("empty exit-set clause")
-        layers = tuple(int(tok) for tok in clause.split(","))
-        exits = ExitSet(layers=layers)
-        if exits.deepest > profile.n_layers:
-            raise ValueError(
-                f"exit layer {exits.deepest} exceeds the {profile.n_layers}-layer model"
-            )
+        exits = ExitSet(layers=tuple(int(tok) for tok in clause.split(",")))
+        exits.check_within(profile)
         variants.append(exits)
     return variants
 
 
 def _parse_p0_list(text: str, profile: FeatureProfile) -> List[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [profile.check_target(float(tok)) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError("empty p0 list")
-    floor = 1.0 / profile.j_classes
-    for v in values:
-        if not floor < v < 1.0:
-            raise ValueError(f"p0 must lie in ({floor:g}, 1) exclusive, got {v!r}")
     return values
 
 
-def _parse_validate_grid(text: str) -> Tuple[List[int], List[int]]:
+def _parse_validate_grid(text: str, profile: FeatureProfile) -> Tuple[List[int], List[int]]:
     try:
         q_text, ell_text = text.split("x")
         qs = [int(tok) for tok in q_text.split(",")]
         ells = [int(tok) for tok in ell_text.split(",")]
     except ValueError as exc:
         raise ValueError(f"expected Q1,Q2,...xL1,L2,..., got {text!r}") from exc
-    if not qs or not ells:
-        raise ValueError("validation grid must be nonempty on both axes")
+    for ell in ells:
+        profile.check_depth(ell)
     return qs, ells
+
+
+def _flag(flag: str, parse: Callable[..., Any], *args: Any) -> Any:
+    """``parse(*args)``, with any ValueError re-raised under the flag's name."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        detail = exc.message if isinstance(exc, FieldError) else exc
+        raise ValueError(f"{flag}: {detail}") from exc
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -385,26 +386,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_plan(load_config(args.config), show_cr=args.cr)
         if args.command == "sweep":
             config = load_config(args.config)
-            snr_grid = _parse_snr_grid(args.snr_db)
+            snr_grid = _flag("--snr-db", _parse_snr_grid, args.snr_db)
             variants = (
-                _parse_exit_variants(args.exits_variants, config.profile)
+                _flag("--exits-variants", _parse_exit_variants, args.exits_variants, config.profile)
                 if args.exits_variants
                 else [config.exits]
             )
             p0_list = (
-                _parse_p0_list(args.p0_list, config.profile)
+                _flag("--p0-list", _parse_p0_list, args.p0_list, config.profile)
                 if args.p0_list
                 else [config.target_accuracy]
             )
             return cmd_sweep(config, snr_grid, variants, p0_list, args.out)
         if args.command == "validate":
             config = load_config(args.config)
-            qs, ells = _parse_validate_grid(args.grid)
-            for ell in ells:
-                if ell < 1 or ell > config.profile.n_layers:
-                    raise ValueError(
-                        f"grid depth {ell} outside [1, {config.profile.n_layers}]"
-                    )
+            qs, ells = _flag("--grid", _parse_validate_grid, args.grid, config.profile)
             return cmd_validate(config, qs, ells, args.perturb, args.out)
         if args.command == "fit":
             return cmd_fit(args.input, args.kind, args.out)

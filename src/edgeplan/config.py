@@ -1,8 +1,11 @@
 """Run configuration: JSON schema, loading, and validation.
 
-Every invariant violation is reported as a :class:`ConfigError` whose message
-starts with the exact field path (``link.bandwidth_hz: ...``), so a bad
-config is diagnosable without reading this module.
+This module checks only the JSON shape: objects, known and required keys,
+number and integer types, finiteness and lists.  Range and order rules live
+in the dataclasses the values build; their :class:`FieldError` is re-raised
+as a :class:`ConfigError` whose message starts with the exact JSON path
+(``link.bandwidth_hz: ...``), so a bad config is diagnosable without reading
+this module.
 """
 
 from __future__ import annotations
@@ -11,21 +14,17 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
-from .accuracy import FeatureProfile, QuantizerSpec
+from .accuracy import FeatureProfile, FieldError, QuantizerSpec
 from .optimizer import ExitSet
 from .system import ComputeProfile, LinkState, snr_db_to_linear
 
 __all__ = ["ConfigError", "MonteCarloConfig", "RunConfig", "load_config", "parse_config"]
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; ``path`` names the offending field."""
-
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{path}: {message}")
-        self.path = path
+class ConfigError(FieldError):
+    """Invalid configuration; ``path`` is the JSON path of the offending field."""
 
 
 @dataclass(frozen=True)
@@ -34,12 +33,11 @@ class MonteCarloConfig:
     tasks: int = 2000
 
     def __post_init__(self) -> None:
-        if int(self.n_per_class) != self.n_per_class or self.n_per_class < 1:
-            raise ValueError("n_per_class must be a positive integer")
-        if int(self.tasks) != self.tasks or self.tasks < 1:
-            raise ValueError("tasks must be a positive integer")
-        object.__setattr__(self, "n_per_class", int(self.n_per_class))
-        object.__setattr__(self, "tasks", int(self.tasks))
+        for name in ("n_per_class", "tasks"):
+            value = getattr(self, name)
+            if int(value) != value or value < 1:
+                raise FieldError(name, f"must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,20 @@ class RunConfig:
     monte_carlo: MonteCarloConfig
 
 
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _build(path: str, renames: Dict[str, str], make: Callable[..., Any], **kwargs: Any) -> Any:
+    """``make(**kwargs)``, re-rooting a FieldError's field (renamed by ``renames``) at ``path``."""
+    try:
+        return make(**kwargs)
+    except FieldError as exc:
+        field, bracket, index = exc.path.partition("[")
+        where = _join(path, renames.get(field, field)) + bracket + index
+        raise ConfigError(where, exc.message) from exc
+
+
 def _expect_mapping(raw: Any, path: str) -> Dict[str, Any]:
     if not isinstance(raw, dict):
         raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
@@ -63,67 +75,59 @@ def _expect_mapping(raw: Any, path: str) -> Dict[str, Any]:
 def _reject_unknown(raw: Dict[str, Any], path: str, known: List[str]) -> None:
     for key in raw:
         if key not in known:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(where, "unknown field")
+            raise ConfigError(_join(path, key), "unknown field")
 
 
 def _get(raw: Dict[str, Any], path: str, key: str) -> Any:
     if key not in raw:
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(where, "required field is missing")
+        raise ConfigError(_join(path, key), "required field is missing")
     return raw[key]
 
 
 def _number(raw: Dict[str, Any], path: str, key: str) -> float:
     value = _get(raw, path, key)
-    where = f"{path}.{key}" if path else key
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(where, f"expected a number, got {value!r}")
+        raise ConfigError(_join(path, key), f"expected a number, got {value!r}")
     if not math.isfinite(value):
-        raise ConfigError(where, f"must be finite, got {value!r}")
+        raise ConfigError(_join(path, key), f"must be finite, got {value!r}")
     return float(value)
 
 
-def _positive(raw: Dict[str, Any], path: str, key: str) -> float:
-    value = _number(raw, path, key)
-    if value <= 0.0:
-        raise ConfigError(f"{path}.{key}" if path else key, f"must be > 0, got {value!r}")
-    return value
+def _integer(raw: Dict[str, Any], path: str, key: str) -> int:
+    return _integer_at(_get(raw, path, key), _join(path, key))
 
 
-def _nonneg(raw: Dict[str, Any], path: str, key: str) -> float:
-    value = _number(raw, path, key)
-    if value < 0.0:
-        raise ConfigError(f"{path}.{key}" if path else key, f"must be >= 0, got {value!r}")
-    return value
-
-
-def _integer(raw: Dict[str, Any], path: str, key: str, minimum: int) -> int:
-    value = _get(raw, path, key)
-    where = f"{path}.{key}" if path else key
+def _integer_at(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(where, f"expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(where, f"must be >= {minimum}, got {value}")
     return value
+
+
+def _integer_list(raw: Dict[str, Any], path: str, key: str) -> List[int]:
+    value, where = _get(raw, path, key), _join(path, key)
+    if not isinstance(value, list):
+        raise ConfigError(where, f"expected a list of integers, got {value!r}")
+    return [_integer_at(entry, f"{where}[{i}]") for i, entry in enumerate(value)]
 
 
 def _parse_link(raw: Any) -> LinkState:
     raw = _expect_mapping(raw, "link")
     _reject_unknown(raw, "link", ["bandwidth_hz", "snr_db", "snr_linear", "t_max_s", "d"])
     has_db = "snr_db" in raw
-    has_linear = "snr_linear" in raw
-    if has_db == has_linear:
+    if has_db == ("snr_linear" in raw):
         raise ConfigError("link", "provide exactly one of snr_db or snr_linear")
     if has_db:
-        snr = snr_db_to_linear(_number(raw, "link", "snr_db"))
+        snr_key, snr = "snr_db", snr_db_to_linear(_number(raw, "link", "snr_db"))
     else:
-        snr = _positive(raw, "link", "snr_linear")
-    return LinkState(
-        bandwidth_hz=_positive(raw, "link", "bandwidth_hz"),
+        snr_key, snr = "snr_linear", _number(raw, "link", "snr_linear")
+    return _build(
+        "link",
+        {"snr": snr_key},
+        LinkState,
+        bandwidth_hz=_number(raw, "link", "bandwidth_hz"),
         snr=snr,
-        t_max_s=_positive(raw, "link", "t_max_s"),
-        d=_integer(raw, "link", "d", minimum=1),
+        t_max_s=_number(raw, "link", "t_max_s"),
+        d=_integer(raw, "link", "d"),
     )
 
 
@@ -138,16 +142,19 @@ def _parse_compute(raw: Any) -> ComputeProfile:
     if affine and flops:
         raise ConfigError("compute", "provide either b1_s/b2_s or the FLOPs block, not both")
     if affine:
-        return ComputeProfile(
-            b1=_nonneg(raw, "compute", "b1_s"),
-            b2=_nonneg(raw, "compute", "b2_s"),
+        return _build(
+            "compute",
+            {"b1": "b1_s", "b2": "b2_s"},
+            ComputeProfile,
+            b1=_number(raw, "compute", "b1_s"),
+            b2=_number(raw, "compute", "b2_s"),
         )
     if flops:
-        return ComputeProfile.from_flops(
-            device_flops=_nonneg(raw, "compute", "device_flops"),
-            per_layer_flops=_nonneg(raw, "compute", "per_layer_flops"),
-            device_flops_per_s=_positive(raw, "compute", "device_flops_per_s"),
-            server_flops_per_s=_positive(raw, "compute", "server_flops_per_s"),
+        return _build(
+            "compute",
+            {"b1": "per_layer_flops", "b2": "device_flops"},
+            ComputeProfile.from_flops,
+            **{key: _number(raw, "compute", key) for key in _FLOPS_KEYS},
         )
     raise ConfigError("compute", "provide either b1_s/b2_s or the FLOPs block")
 
@@ -155,69 +162,41 @@ def _parse_compute(raw: Any) -> ComputeProfile:
 def _parse_profile(raw: Any) -> FeatureProfile:
     raw = _expect_mapping(raw, "feature_profile")
     _reject_unknown(raw, "feature_profile", ["J", "c1", "c2", "c3", "c4", "L"])
-    j = _integer(raw, "feature_profile", "J", minimum=2)
-    n_layers = _integer(raw, "feature_profile", "L", minimum=1)
-    c1 = _positive(raw, "feature_profile", "c1")
-    c2 = _number(raw, "feature_profile", "c2")
-    c3 = _positive(raw, "feature_profile", "c3")
-    c4 = _nonneg(raw, "feature_profile", "c4")
-    if c1 + c2 <= 0.0:
-        raise ConfigError("feature_profile.c2", "c1 + c2 must be > 0 at the first layer")
-    return FeatureProfile(j_classes=j, c1=c1, c2=c2, c3=c3, c4=c4, n_layers=n_layers)
+    return _build(
+        "feature_profile",
+        {"j_classes": "J", "n_layers": "L"},
+        FeatureProfile,
+        j_classes=_integer(raw, "feature_profile", "J"),
+        n_layers=_integer(raw, "feature_profile", "L"),
+        **{key: _number(raw, "feature_profile", key) for key in ("c1", "c2", "c3", "c4")},
+    )
 
 
 def _parse_quantizer(raw: Any) -> QuantizerSpec:
     raw = _expect_mapping(raw, "quantizer")
     _reject_unknown(raw, "quantizer", ["c_min", "c_max", "q_max", "bit_alphabet"])
-    c_min = _number(raw, "quantizer", "c_min")
-    c_max = _number(raw, "quantizer", "c_max")
-    if c_max <= c_min:
-        raise ConfigError("quantizer.c_max", f"must exceed c_min ({c_min!r}), got {c_max!r}")
-    q_max = _integer(raw, "quantizer", "q_max", minimum=0)
-    alphabet = None
+    alphabet: Optional[List[int]] = None
     if "bit_alphabet" in raw:
-        entries = raw["bit_alphabet"]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError("quantizer.bit_alphabet", "expected a nonempty list of integers")
-        parsed = []
-        for i, entry in enumerate(entries):
-            if isinstance(entry, bool) or not isinstance(entry, int):
-                raise ConfigError(f"quantizer.bit_alphabet[{i}]", f"expected an integer, got {entry!r}")
-            if entry < 0 or entry > q_max:
-                raise ConfigError(
-                    f"quantizer.bit_alphabet[{i}]", f"must lie within [0, {q_max}], got {entry}"
-                )
-            parsed.append(entry)
-        if parsed != sorted(set(parsed)):
-            raise ConfigError("quantizer.bit_alphabet", "must be strictly increasing")
-        alphabet = tuple(parsed)
-    return QuantizerSpec(c_min=c_min, c_max=c_max, q_max=q_max, bit_alphabet=alphabet)
-
-
-def _parse_exits(raw: Any, profile: FeatureProfile) -> ExitSet:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("exits", "expected a nonempty list of layer indices")
-    for i, entry in enumerate(raw):
-        if isinstance(entry, bool) or not isinstance(entry, int):
-            raise ConfigError(f"exits[{i}]", f"expected an integer, got {entry!r}")
-        if entry < 1 or entry > profile.n_layers:
-            raise ConfigError(f"exits[{i}]", f"must lie within [1, {profile.n_layers}], got {entry}")
-    if list(raw) != sorted(set(raw)):
-        raise ConfigError("exits", "must be strictly increasing")
-    return ExitSet(layers=tuple(raw))
+        alphabet = _integer_list(raw, "quantizer", "bit_alphabet")
+    return _build(
+        "quantizer",
+        {},
+        QuantizerSpec,
+        c_min=_number(raw, "quantizer", "c_min"),
+        c_max=_number(raw, "quantizer", "c_max"),
+        q_max=_integer(raw, "quantizer", "q_max"),
+        bit_alphabet=alphabet,
+    )
 
 
 def _parse_monte_carlo(raw: Any) -> MonteCarloConfig:
     if raw is None:
         return MonteCarloConfig()
     raw = _expect_mapping(raw, "monte_carlo")
-    _reject_unknown(raw, "monte_carlo", ["n_per_class", "tasks"])
-    kwargs = {}
-    if "n_per_class" in raw:
-        kwargs["n_per_class"] = _integer(raw, "monte_carlo", "n_per_class", minimum=1)
-    if "tasks" in raw:
-        kwargs["tasks"] = _integer(raw, "monte_carlo", "tasks", minimum=1)
-    return MonteCarloConfig(**kwargs)
+    keys = ["n_per_class", "tasks"]
+    _reject_unknown(raw, "monte_carlo", keys)
+    kwargs = {key: _integer(raw, "monte_carlo", key) for key in keys if key in raw}
+    return _build("monte_carlo", {}, MonteCarloConfig, **kwargs)
 
 
 _TOP_LEVEL = [
@@ -240,16 +219,12 @@ def parse_config(raw: Any) -> RunConfig:
     link = _parse_link(_get(raw, "", "link"))
     compute = _parse_compute(_get(raw, "", "compute"))
     quantizer = _parse_quantizer(_get(raw, "", "quantizer"))
-    exits = _parse_exits(_get(raw, "", "exits"), profile)
+    exit_keys = {"layers": "exits"}
+    exits = _build("", exit_keys, ExitSet, layers=_integer_list(raw, "", "exits"))
+    _build("", exit_keys, exits.check_within, profile=profile)
     target = _number(raw, "", "target_accuracy")
-    if not 1.0 / profile.j_classes < target < 1.0:
-        raise ConfigError(
-            "target_accuracy",
-            f"must lie in (1/{profile.j_classes}, 1) exclusive, got {target!r}",
-        )
-    seed = _get(raw, "", "seed")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed", f"expected an integer, got {seed!r}")
+    _build("", {"p0": "target_accuracy"}, profile.check_target, p0=target)
+    seed = _integer(raw, "", "seed")
     monte_carlo = _parse_monte_carlo(raw.get("monte_carlo"))
     return RunConfig(
         link=link,

@@ -19,6 +19,7 @@ from typing import Tuple
 
 from .accuracy import (
     FeatureProfile,
+    FieldError,
     QuantizerSpec,
     accuracy_model,
     min_depth_for_accuracy,
@@ -49,19 +50,28 @@ class ExitSet:
     def __post_init__(self) -> None:
         layers = tuple(self.layers)
         if not layers:
-            raise ValueError("exit set must be nonempty")
+            raise FieldError("layers", "exit set must be nonempty")
         if any(int(l) != l for l in layers):
-            raise ValueError("exit layers must be integers")
+            raise FieldError("layers", "exit layers must be integers")
         layers = tuple(int(l) for l in layers)
         if any(b <= a for a, b in zip(layers, layers[1:])):
-            raise ValueError("exit layers must be strictly increasing")
+            raise FieldError("layers", "exit layers must be strictly increasing")
         if layers[0] < 1:
-            raise ValueError("exit layers must be >= 1")
+            raise FieldError("layers[0]", f"exit layer must be >= 1, got {layers[0]}")
         object.__setattr__(self, "layers", layers)
 
     @property
     def deepest(self) -> int:
         return self.layers[-1]
+
+    def check_within(self, profile: FeatureProfile) -> None:
+        """A :class:`FieldError` naming the first exit beyond the model's last layer."""
+        if self.deepest > profile.n_layers:
+            i = next(i for i, l in enumerate(self.layers) if l > profile.n_layers)
+            raise FieldError(
+                f"layers[{i}]",
+                f"exit layer {self.layers[i]} exceeds the {profile.n_layers}-layer model",
+            )
 
 
 @dataclass(frozen=True)
@@ -81,13 +91,6 @@ class Plan:
     t_comp: float
     epr: float
     feasible: bool
-
-
-def _check_exits(exits: ExitSet, profile: FeatureProfile) -> None:
-    if exits.deepest > profile.n_layers:
-        raise ValueError(
-            f"exit layer {exits.deepest} exceeds the {profile.n_layers}-layer model"
-        )
 
 
 def _plan(
@@ -150,7 +153,7 @@ def solve_discrete(
     result to the exact constrained optimum.  When no exit qualifies the
     plan parks at the deepest exit with zero EPR.
     """
-    _check_exits(exits, profile)
+    exits.check_within(profile)
     q_star = float(max_bitwidth_discrete(link, spec))
     ell_plus = min_depth_for_accuracy(quant_variance(q_star, spec), p0, profile)
 
@@ -188,7 +191,7 @@ def brute_force(
     EPR maximizer, breaking ties toward larger bit-width and then shallower
     depth.  Shares the infeasible convention with :func:`solve_discrete`.
     """
-    _check_exits(exits, profile)
+    exits.check_within(profile)
     best_key = None
     for q in spec.bit_alphabet:
         if comm_latency(q, link) > link.t_max_s:

@@ -10,13 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .accuracy import QuantizerSpec
+from .accuracy import FieldError, QuantizerSpec
 
 __all__ = [
     "LinkState",
     "ComputeProfile",
     "snr_db_to_linear",
-    "snr_linear_to_db",
     "shannon_rate",
     "comm_latency",
     "comp_latency",
@@ -28,10 +27,6 @@ __all__ = [
 
 def snr_db_to_linear(snr_db: float) -> float:
     return 10.0 ** (float(snr_db) / 10.0)
-
-
-def snr_linear_to_db(snr: float) -> float:
-    return 10.0 * math.log10(float(snr))
 
 
 @dataclass(frozen=True)
@@ -53,9 +48,9 @@ class LinkState:
         for name in ("bandwidth_hz", "snr", "t_max_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+                raise FieldError(name, f"must be positive and finite, got {value!r}")
         if int(self.d) != self.d or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
+            raise FieldError("d", f"must be a positive integer, got {self.d!r}")
         object.__setattr__(self, "d", int(self.d))
 
 
@@ -74,7 +69,7 @@ class ComputeProfile:
         for name in ("b1", "b2"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+                raise FieldError(name, f"must be nonnegative and finite, got {value!r}")
 
     @classmethod
     def from_flops(
@@ -84,10 +79,15 @@ class ComputeProfile:
         device_flops_per_s: float,
         server_flops_per_s: float,
     ) -> "ComputeProfile":
-        if device_flops_per_s <= 0.0 or server_flops_per_s <= 0.0:
-            raise ValueError("computation speeds must be positive")
-        if device_flops < 0.0 or per_layer_flops < 0.0:
-            raise ValueError("FLOP counts must be nonnegative")
+        for name, value in (("device_flops", device_flops), ("per_layer_flops", per_layer_flops)):
+            if not value >= 0.0:
+                raise FieldError(name, f"must be >= 0, got {value!r}")
+        for name, value in (
+            ("device_flops_per_s", device_flops_per_s),
+            ("server_flops_per_s", server_flops_per_s),
+        ):
+            if not value > 0.0:
+                raise FieldError(name, f"must be > 0, got {value!r}")
         return cls(
             b1=per_layer_flops / server_flops_per_s,
             b2=device_flops / device_flops_per_s,
@@ -123,8 +123,6 @@ def epr(q: float, ell: float, link: LinkState, comp: ComputeProfile) -> float:
     positive, and approaches it as compute time vanishes.
     """
     q = float(q)
-    if not math.isfinite(q) or q < 0.0:
-        raise ValueError(f"q must be a finite nonnegative real, got {q!r}")
     if q == 0.0:
         return 0.0
     return link.d * q / (comm_latency(q, link) + comp_latency(ell, comp))
@@ -141,8 +139,6 @@ def max_bitwidth_discrete(link: LinkState, spec: QuantizerSpec) -> int:
     Falls back to 0 ("nothing transmitted this block") when even the smallest
     positive alphabet entry exceeds the budget.
     """
-    if not spec.bit_alphabet:
-        raise ValueError("bit alphabet must be nonempty")
     ceiling = max_bitwidth_continuous(link)
     feasible = [b for b in spec.bit_alphabet if b <= ceiling]
     if not feasible:

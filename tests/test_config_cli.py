@@ -74,10 +74,38 @@ MALFORMED = [
     (lambda c: c.__setitem__("seed", "abc"), "seed"),
     (lambda c: c["monte_carlo"].__setitem__("tasks", 0), "monte_carlo.tasks"),
     (lambda c: c["link"].__setitem__("bandwdith_hz", 1.0), "link.bandwdith_hz"),
+    # a third element is the test id of a case whose path an earlier case uses
+    (lambda c: c["feature_profile"].__setitem__("L", 0), "feature_profile.L"),
+    (lambda c: c["feature_profile"].__setitem__("c3", 0.0), "feature_profile.c3"),
+    (
+        lambda c: c["link"].update(snr_linear=-1.0) or c["link"].pop("snr_db"),
+        "link.snr_linear",
+    ),
+    (lambda c: c["link"].__setitem__("d", 1.5), "link.d", "link.d=1.5"),
+    (lambda c: c.__setitem__("compute", {"b1_s": 2e-4, "b2_s": -1.0}), "compute.b2_s"),
+    (lambda c: c["compute"].__setitem__("per_layer_flops", -1.0), "compute.per_layer_flops"),
+    (lambda c: c["quantizer"].__setitem__("q_max", -1), "quantizer.q_max"),
+    (
+        lambda c: c["quantizer"].__setitem__("bit_alphabet", [0, 1, 99]),
+        "quantizer.bit_alphabet[2]",
+    ),
+    (
+        lambda c: c["quantizer"].__setitem__("bit_alphabet", []),
+        "quantizer.bit_alphabet",
+        "quantizer.bit_alphabet=[]",
+    ),
+    (lambda c: c.__setitem__("exits", [0, 9]), "exits[0]"),
+    (lambda c: c.__setitem__("exits", [9, 9]), "exits", "exits=[9, 9]"),
+    (lambda c: c["monte_carlo"].__setitem__("n_per_class", 0), "monte_carlo.n_per_class"),
 ]
 
 
-@pytest.mark.parametrize("mutate,path", MALFORMED, ids=[p for _, p in MALFORMED])
+def _malformed_case(case):
+    mutate, path, *test_id = case
+    return pytest.param(mutate, path, id=test_id[0] if test_id else path)
+
+
+@pytest.mark.parametrize("mutate,path", [_malformed_case(case) for case in MALFORMED])
 def test_malformed_configs_name_the_field(mutate, path):
     raw = copy.deepcopy(_base_config())
     mutate(raw)
@@ -140,13 +168,18 @@ def test_usage_error_exit_one(capsys):
 
 
 def test_module_entry_point_runs_in_subprocess():
+    import os
     import subprocess
     import sys
 
+    # the child imports edgeplan from this checkout, as the test process does
+    path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
         [sys.executable, "-m", "edgeplan", "plan", str(DEFAULT_CONFIG)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "feasible           : yes" in result.stdout
@@ -245,6 +278,28 @@ def test_validate_perturbed_analytic_side_fails(tmp_path, capsys):
 def test_validate_rejects_depth_outside_model(tmp_path):
     path = _small_config(tmp_path)
     assert main(["validate", str(path), "--grid", "8x99", "--out", "x.csv"]) == 1
+
+
+FLAG_ERRORS = [
+    ("sweep", "--exits-variants", "9,40"),
+    ("sweep", "--exits-variants", "9,0"),
+    ("sweep", "--p0-list", "0.6,1.5"),
+    ("sweep", "--snr-db", "25:5:1"),
+    ("validate", "--grid", "8x99"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value", FLAG_ERRORS, ids=[f"{flag}={value}" for _, flag, value in FLAG_ERRORS]
+)
+def test_bad_flag_value_names_the_flag(tmp_path, capsys, command, flag, value):
+    path = _small_config(tmp_path)
+    argv = [command, str(path), f"{flag}={value}", "--out", str(tmp_path / "out.csv")]
+    if command == "sweep" and flag != "--snr-db":
+        argv.append("--snr-db=0:10:10")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: "), err
 
 
 # ---------------------------------------------------------------------------
