@@ -23,12 +23,10 @@ from .circstats import (
     KAPPA_MAX,
     AngularSampleSet,
     KappaResult,
-    VonMisesParams,
     bessel_ratio,
     bessel_ratio_inv,
     estimate_kappa,
     estimate_kappa_pooled,
-    vm_sample,
     wrap_angle,
     wrapped_gaussian_kappa,
 )
@@ -41,7 +39,6 @@ from .simulator import (
     AngularDataset,
     BatchSummary,
     SweepRow,
-    TaskRecord,
     classify_map,
     distort,
     empirical_accuracy,

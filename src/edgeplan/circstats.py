@@ -7,8 +7,9 @@ estimators.
 All angles live on ``(-pi, pi]``; the representative of ``-pi`` is mapped to
 ``+pi``.  Every Bessel path uses exponentially scaled forms so concentrations
 up to :data:`KAPPA_MAX` never overflow.  All functions are pure and reentrant;
-the sampler takes an explicit seed and owns no global state, so parallel
-callers only need distinct ``(seed, stream)`` pairs (see :mod:`edgeplan.rng`).
+the sampler draws from a generator the caller passes and owns no global
+state, so parallel callers only need distinct ``(seed, stream)`` pairs (see
+:mod:`edgeplan.rng`).
 """
 
 from __future__ import annotations
@@ -19,17 +20,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import special
 
-from .rng import make_rng
-
 __all__ = [
     "KAPPA_MAX",
     "KappaResult",
-    "VonMisesParams",
     "AngularSampleSet",
     "wrap_angle",
     "bessel_ratio",
     "bessel_ratio_inv",
-    "vm_sample",
     "sample_von_mises",
     "estimate_kappa",
     "estimate_kappa_pooled",
@@ -159,24 +156,6 @@ def bessel_ratio_inv(r: float) -> KappaResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VonMisesParams:
-    """Mean direction ``mu`` in (-pi, pi] and concentration ``kappa`` >= 0."""
-
-    mu: float
-    kappa: float
-
-    def __post_init__(self) -> None:
-        mu = _check_scalar("mu", self.mu)
-        kappa = _check_nonneg("kappa", self.kappa)
-        if not (-np.pi < mu <= np.pi):
-            raise ValueError(f"mu must lie in (-pi, pi], got {mu!r}")
-        if kappa > KAPPA_MAX:
-            raise ValueError(f"kappa exceeds KAPPA_MAX ({KAPPA_MAX:g}), got {kappa!r}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "kappa", kappa)
-
-
 @dataclass(frozen=True, eq=False)
 class AngularSampleSet:
     """Angles on (-pi, pi] with optional 1-based integer class labels."""
@@ -205,11 +184,15 @@ class AngularSampleSet:
         return int(self.angles.size)
 
 
-def sample_von_mises(rng: np.random.Generator, mu: float, kappa: float, n: int) -> np.ndarray:
+def sample_von_mises(
+    rng: np.random.Generator, mu: float | np.ndarray, kappa: float, n: int
+) -> np.ndarray:
     """Draw ``n`` von Mises angles on (-pi, pi] from an explicit generator.
 
-    Best-Fisher rejection sampling via numpy, with concentrations below
-    ``1e-8`` short-circuiting to the uniform distribution.
+    ``mu`` is one mean direction or an array of ``n``, one per draw.
+    ``kappa`` is clipped at :data:`KAPPA_MAX`.  Best-Fisher rejection sampling
+    via numpy, with concentrations below ``1e-8`` short-circuiting to the
+    uniform distribution.
     """
     kappa = min(_check_nonneg("kappa", kappa), KAPPA_MAX)
     if kappa < _KAPPA_UNIFORM:
@@ -218,15 +201,6 @@ def sample_von_mises(rng: np.random.Generator, mu: float, kappa: float, n: int) 
         angles = rng.vonmises(mu, kappa, size=n)
     # numpy reports the closed interval [-pi, pi]; remap the lone boundary point
     return np.where(angles <= -np.pi, np.pi, angles)
-
-
-def vm_sample(params: VonMisesParams, n: int, seed: int) -> AngularSampleSet:
-    """Draw ``n`` independent samples from ``vM(mu, kappa)``, deterministically."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    angles = sample_von_mises(make_rng(seed), params.mu, params.kappa, n)
-    return AngularSampleSet(angles=angles)
 
 
 # ---------------------------------------------------------------------------

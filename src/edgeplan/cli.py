@@ -29,6 +29,7 @@ from .simulator import (
     generate_dataset,
     sweep,
 )
+from .system import LinkState, snr_db_to_linear
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,7 +84,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_snr_grid(text: str) -> List[float]:
+def _parse_snr_grid(text: str, link: LinkState) -> List[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected FROM:TO:STEP, got {text!r}")
@@ -93,7 +94,14 @@ def _parse_snr_grid(text: str) -> List[float]:
     if stop < start:
         raise ValueError("SNR range end must be >= start")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(count)]
+    grid = [start + k * step for k in range(count)]
+    for snr_db in grid:
+        snr = snr_db_to_linear(snr_db)  # its FieldError already names the dB value
+        try:
+            replace(link, snr=snr)
+        except FieldError as exc:
+            raise ValueError(f"{snr_db:g} dB: {exc.message}") from exc
+    return grid
 
 
 def _parse_exit_variants(text: str, profile: FeatureProfile) -> List[ExitSet]:
@@ -386,7 +394,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_plan(load_config(args.config), show_cr=args.cr)
         if args.command == "sweep":
             config = load_config(args.config)
-            snr_grid = _flag("--snr-db", _parse_snr_grid, args.snr_db)
+            snr_grid = _flag("--snr-db", _parse_snr_grid, args.snr_db, config.link)
             variants = (
                 _flag("--exits-variants", _parse_exit_variants, args.exits_variants, config.profile)
                 if args.exits_variants

@@ -88,9 +88,13 @@ def _number(raw: Dict[str, Any], path: str, key: str) -> float:
     value = _get(raw, path, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(_join(path, key), f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(_join(path, key), f"must be finite, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(_join(path, key), f"must be finite, got {number!r}")
+    return number
 
 
 def _integer(raw: Dict[str, Any], path: str, key: str) -> int:
@@ -117,7 +121,8 @@ def _parse_link(raw: Any) -> LinkState:
     if has_db == ("snr_linear" in raw):
         raise ConfigError("link", "provide exactly one of snr_db or snr_linear")
     if has_db:
-        snr_key, snr = "snr_db", snr_db_to_linear(_number(raw, "link", "snr_db"))
+        snr_db = _number(raw, "link", "snr_db")
+        snr_key, snr = "snr_db", _build("link", {}, snr_db_to_linear, snr_db=snr_db)
     else:
         snr_key, snr = "snr_linear", _number(raw, "link", "snr_linear")
     return _build(

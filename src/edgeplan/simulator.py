@@ -1,15 +1,18 @@
 """Monte Carlo ground truth for the analytic accuracy model.
 
-Synthetic angular datasets drawn from the per-class von Mises mixture,
-angular-domain distortion injection, MAP classification, empirical accuracy
-with binomial intervals, batch task simulation, and SNR sweeps.  Noise is
-injected directly in the angular domain (a zero-mean Gaussian of variance
-``sigma2 * grad_energy(depth)``, wrapped), which is the process the analytic
-model describes.
+The simulated process has three stages, each implemented once: von Mises
+angles from :func:`~edgeplan.circstats.sample_von_mises`, wrapped Gaussian
+noise of variance ``sigma2 * grad_energy(depth)`` added in the angular
+domain (the process the analytic model describes), and MAP classification
+scored into an :class:`AccuracyEstimate` with a binomial interval.
+``validate`` runs them as :func:`generate_dataset` (one stream per class),
+:func:`distort` (one noise stream) and :func:`empirical_accuracy`;
+:func:`run_algorithm1` runs them on one stream per batch, angles before
+noise, and :func:`sweep` calls it once per operating point.
 
-Dataset generation and per-task simulation are embarrassingly parallel across
-(cell, shard) given distinct RNG streams; aggregation is associative.  No
-shared mutable state anywhere.
+Every stage draws from an explicit generator addressed by (seed, stream),
+so cells and rows are independent and reproduce bit for bit.  No shared
+mutable state anywhere.
 """
 
 from __future__ import annotations
@@ -20,21 +23,14 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .accuracy import (
-    FeatureProfile,
-    QuantizerSpec,
-    grad_energy,
-    kappa_bar,
-    quant_variance,
-)
-from .circstats import KAPPA_MAX, AngularSampleSet, sample_von_mises, wrap_angle
+from .accuracy import FeatureProfile, QuantizerSpec, grad_energy, kappa_bar, quant_variance
+from .circstats import AngularSampleSet, sample_von_mises, wrap_angle
 from .optimizer import ExitSet, Plan, solve_cr, solve_discrete
 from .rng import derive_seed, make_rng
 from .system import ComputeProfile, LinkState, snr_db_to_linear
 
 __all__ = [
     "AngularDataset",
-    "TaskRecord",
     "BatchSummary",
     "SweepRow",
     "generate_dataset",
@@ -57,16 +53,42 @@ _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 @dataclass(frozen=True, eq=False)
 class AngularDataset:
-    """Labeled angular samples generated at one traversal depth."""
+    """Labeled angular samples at one traversal depth."""
 
     depth: float
     samples: AngularSampleSet
-    distorted: bool = False
-    sigma2_effective: float = 0.0
 
     def __post_init__(self) -> None:
         if self.samples.labels is None:
             raise ValueError("dataset samples must be labeled")
+
+
+class AccuracyEstimate(NamedTuple):
+    """Empirical accuracy with a 95% binomial (Wald) half-width."""
+
+    value: float
+    ci_half_width: float
+    n: int
+
+
+def _add_noise(
+    angles: np.ndarray, sigma2: float, ell: float, profile: FeatureProfile, rng: np.random.Generator
+) -> np.ndarray:
+    """Add wrapped Gaussian noise of variance ``sigma2 * grad_energy(ell)``; none at variance 0."""
+    variance = sigma2 * grad_energy(ell, profile)
+    if variance == 0.0:
+        return angles
+    return wrap_angle(angles + rng.normal(0.0, math.sqrt(variance), size=angles.size))
+
+
+def _score(correct: np.ndarray) -> AccuracyEstimate:
+    """Accuracy of a boolean ``correct`` array with its 95% Wald half-width."""
+    n = int(correct.size)
+    if n == 0:
+        raise ValueError("nothing to score")
+    value = float(np.mean(correct))
+    half = _Z_95 * math.sqrt(value * (1.0 - value) / n)
+    return AccuracyEstimate(value=value, ci_half_width=half, n=n)
 
 
 def generate_dataset(
@@ -80,12 +102,11 @@ def generate_dataset(
     n_per_class = int(n_per_class)
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
-    kappa = min(kappa_bar(ell, profile), KAPPA_MAX)
-    centroids = profile.centroids
-    per_class = []
-    for j in range(1, profile.j_classes + 1):
-        rng = make_rng(seed, _STREAM_GENERATE, j)
-        per_class.append(sample_von_mises(rng, float(centroids[j - 1]), kappa, n_per_class))
+    kappa = kappa_bar(ell, profile)
+    per_class = [
+        sample_von_mises(make_rng(seed, _STREAM_GENERATE, j), float(mu), kappa, n_per_class)
+        for j, mu in enumerate(profile.centroids, start=1)
+    ]
     angles = np.concatenate(per_class)
     labels = np.repeat(np.arange(1, profile.j_classes + 1), n_per_class)
     return AngularDataset(
@@ -100,26 +121,16 @@ def distort(
     """Push a clean dataset through quantization noise of variance ``sigma2``.
 
     Each angle gains an independent Gaussian of variance
-    ``sigma2 * grad_energy(depth)``, wrapped back onto the circle.  The
-    effective variance is recorded on the result; distorting twice is a state
-    error.
+    ``sigma2 * grad_energy(depth)``, wrapped back onto the circle.
     """
-    if dataset.distorted:
-        raise RuntimeError("dataset is already distorted")
     sigma2 = float(sigma2)
     if not math.isfinite(sigma2) or sigma2 < 0.0:
         raise ValueError(f"sigma2 must be a finite nonnegative real, got {sigma2!r}")
-    if sigma2 == 0.0:
-        return replace(dataset, distorted=True, sigma2_effective=0.0)
-    sigma2_eff = sigma2 * grad_energy(dataset.depth, profile)
     rng = make_rng(seed, _STREAM_DISTORT)
-    noise = rng.normal(0.0, math.sqrt(sigma2_eff), size=len(dataset.samples))
-    angles = wrap_angle(dataset.samples.angles + noise)
+    angles = _add_noise(dataset.samples.angles, sigma2, dataset.depth, profile, rng)
     return AngularDataset(
         depth=dataset.depth,
         samples=AngularSampleSet(angles=angles, labels=dataset.samples.labels),
-        distorted=True,
-        sigma2_effective=sigma2_eff,
     )
 
 
@@ -141,43 +152,17 @@ def classify_map(theta, profile: FeatureProfile):
     return labels
 
 
-class AccuracyEstimate(NamedTuple):
-    """Empirical accuracy with a 95% binomial (Wald) half-width."""
-
-    value: float
-    ci_half_width: float
-    n: int
-
-
 def empirical_accuracy(dataset: AngularDataset, profile: FeatureProfile) -> AccuracyEstimate:
     """Fraction of dataset samples whose MAP class matches the label."""
-    n = len(dataset.samples)
-    if n == 0:
-        raise ValueError("dataset is empty")
-    predicted = classify_map(dataset.samples.angles, profile)
-    value = float(np.mean(predicted == dataset.samples.labels))
-    half = _Z_95 * math.sqrt(value * (1.0 - value) / n)
-    return AccuracyEstimate(value=value, ci_half_width=half, n=n)
-
-
-class TaskRecord(NamedTuple):
-    task: int
-    true_class: int
-    predicted_class: int
-    correct: bool
+    return _score(classify_map(dataset.samples.angles, profile) == dataset.samples.labels)
 
 
 @dataclass(frozen=True)
 class BatchSummary:
-    """Aggregate of a simulated task batch under one plan."""
+    """The plan a simulated task batch ran under, and its Monte Carlo accuracy."""
 
     plan: Plan
-    tasks: int
-    empirical_accuracy: float
-    accuracy_ci_half_width: float
-    mean_epr: float
-    mean_t_comm: float
-    mean_t_comp: float
+    accuracy: AccuracyEstimate
 
 
 def run_algorithm1(
@@ -189,7 +174,7 @@ def run_algorithm1(
     exits: ExitSet,
     p0: float,
     seed: int,
-) -> Tuple[List[TaskRecord], BatchSummary]:
+) -> Tuple[np.ndarray, BatchSummary]:
     """Simulate a batch of inference tasks under the channel-adaptive plan.
 
     The channel is constant across the batch, so the per-task decision is
@@ -198,7 +183,8 @@ def run_algorithm1(
     bit-width is simulated end to end: draw the clean angle, add the plan's
     quantization noise, classify at the chosen depth.  An infeasible or
     zero-bit plan transmits nothing, so those tasks are scored as uniform
-    random guesses.
+    random guesses.  Returns the per-task boolean ``correct`` array and the
+    batch summary.
     """
     tasks = int(tasks)
     if tasks < 1:
@@ -209,32 +195,15 @@ def run_algorithm1(
     rng = make_rng(seed, _STREAM_TASKS)
 
     if plan.feasible and plan.q > 0:
-        kappa = min(kappa_bar(plan.ell, profile), KAPPA_MAX)
         mu = profile.centroids[true_classes - 1]
-        angles = rng.vonmises(mu, kappa)
-        sigma2_eff = quant_variance(plan.q, spec) * grad_energy(plan.ell, profile)
-        if sigma2_eff > 0.0:
-            angles = angles + rng.normal(0.0, math.sqrt(sigma2_eff), size=tasks)
-        predicted = classify_map(wrap_angle(angles), profile)
+        angles = sample_von_mises(rng, mu, kappa_bar(plan.ell, profile), tasks)
+        angles = _add_noise(angles, quant_variance(plan.q, spec), plan.ell, profile, rng)
+        predicted = classify_map(angles, profile)
     else:
         predicted = rng.integers(1, j + 1, size=tasks)
 
     correct = predicted == true_classes
-    records = [
-        TaskRecord(i + 1, int(true_classes[i]), int(predicted[i]), bool(correct[i]))
-        for i in range(tasks)
-    ]
-    acc = float(np.mean(correct))
-    summary = BatchSummary(
-        plan=plan,
-        tasks=tasks,
-        empirical_accuracy=acc,
-        accuracy_ci_half_width=_Z_95 * math.sqrt(acc * (1.0 - acc) / tasks),
-        mean_epr=plan.epr,
-        mean_t_comm=plan.t_comm,
-        mean_t_comp=plan.t_comp,
-    )
-    return records, summary
+    return correct, BatchSummary(plan=plan, accuracy=_score(correct))
 
 
 def exit_set_label(exits: ExitSet) -> str:
@@ -300,8 +269,8 @@ def sweep(
                         q=plan.q,
                         ell=plan.ell,
                         pred_acc=plan.predicted_accuracy,
-                        emp_acc=summary.empirical_accuracy,
-                        emp_ci=summary.accuracy_ci_half_width,
+                        emp_acc=summary.accuracy.value,
+                        emp_ci=summary.accuracy.ci_half_width,
                         epr_bits_per_s=plan.epr,
                         epr_cr_bits_per_s=solve_cr(point, comp, profile, spec, p0).epr,
                         feasible=plan.feasible,

@@ -26,7 +26,10 @@ __all__ = [
 
 
 def snr_db_to_linear(snr_db: float) -> float:
-    return 10.0 ** (float(snr_db) / 10.0)
+    try:
+        return 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        raise FieldError("snr_db", f"overflows a float in linear units, got {snr_db!r}") from None
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,12 @@ from edgeplan.accuracy import (
     quant_variance,
 )
 from edgeplan.circstats import (
+    AngularSampleSet,
     bessel_ratio,
     bessel_ratio_inv,
     estimate_kappa,
     estimate_kappa_pooled,
-    vm_sample,
-    VonMisesParams,
+    sample_von_mises,
     wrap_angle,
     wrapped_gaussian_kappa,
 )
@@ -310,7 +310,7 @@ def test_criterion_11_error_scaling_window():
 def test_criterion_12_estimators_and_fits():
     crit = _Criterion(12, "concentration estimator within 2%; parameter fits within 5%", 30.0)
     for kappa in [1.0, 3.0, 10.0]:
-        samples = vm_sample(VonMisesParams(0.0, kappa), 100_000, seed=55)
+        samples = AngularSampleSet(angles=sample_von_mises(make_rng(55), 0.0, kappa, 100_000))
         est = estimate_kappa(samples).value
         crit.check(
             abs(est - kappa) / kappa < 0.02,

@@ -9,15 +9,15 @@ from scipy import stats
 from edgeplan.circstats import (
     KAPPA_MAX,
     AngularSampleSet,
-    VonMisesParams,
     bessel_ratio,
     bessel_ratio_inv,
     estimate_kappa,
     estimate_kappa_pooled,
-    vm_sample,
+    sample_von_mises,
     wrap_angle,
     wrapped_gaussian_kappa,
 )
+from edgeplan.rng import make_rng
 
 import oracles
 
@@ -93,53 +93,37 @@ def test_wrap_angle_range_and_boundary():
     assert np.all(wrapped > -math.pi) and np.all(wrapped <= math.pi)
 
 
-def test_vm_params_validation():
-    with pytest.raises(ValueError):
-        VonMisesParams(mu=4.0, kappa=1.0)
-    with pytest.raises(ValueError):
-        VonMisesParams(mu=-math.pi, kappa=1.0)
-    with pytest.raises(ValueError):
-        VonMisesParams(mu=0.0, kappa=-1.0)
-    with pytest.raises(ValueError):
-        VonMisesParams(mu=0.0, kappa=float("inf"))
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
 
 def test_vm_sample_uniform_when_unconcentrated():
-    samples = vm_sample(VonMisesParams(0.0, 0.0), 100_000, seed=101)
-    ks = stats.kstest(samples.angles, lambda x: (x + np.pi) / (2 * np.pi))
+    angles = sample_von_mises(make_rng(101), 0.0, 0.0, 100_000)
+    ks = stats.kstest(angles, lambda x: (x + np.pi) / (2 * np.pi))
     assert ks.statistic < 0.006  # KS critical value at n=1e5, alpha ~ 0.01
 
 
 def test_vm_sample_concentration_recovered():
-    samples = vm_sample(VonMisesParams(1.0, 3.0), 100_000, seed=2024)
+    samples = AngularSampleSet(angles=sample_von_mises(make_rng(2024), 1.0, 3.0, 100_000))
     est = estimate_kappa(samples)
     assert 2.94 <= est.value <= 3.06
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, 5.0, 50.0])
 def test_vm_sample_ks_against_density(kappa):
-    samples = vm_sample(VonMisesParams(0.0, kappa), 100_000, seed=777)
-    ks = stats.kstest(samples.angles, lambda x: oracles.von_mises_cdf(x, kappa))
+    angles = sample_von_mises(make_rng(777), 0.0, kappa, 100_000)
+    ks = stats.kstest(angles, lambda x: oracles.von_mises_cdf(x, kappa))
     assert ks.pvalue > 0.01
 
 
 def test_vm_sample_deterministic_and_in_range():
-    a = vm_sample(VonMisesParams(-2.0, 4.0), 5000, seed=42)
-    b = vm_sample(VonMisesParams(-2.0, 4.0), 5000, seed=42)
-    assert np.array_equal(a.angles, b.angles)
-    assert np.all(a.angles > -np.pi) and np.all(a.angles <= np.pi)
-    c = vm_sample(VonMisesParams(-2.0, 4.0), 5000, seed=43)
-    assert not np.array_equal(a.angles, c.angles)
-
-
-def test_vm_sample_rejects_zero_count():
-    with pytest.raises(ValueError):
-        vm_sample(VonMisesParams(0.0, 1.0), 0, seed=1)
+    a = sample_von_mises(make_rng(42), -2.0, 4.0, 5000)
+    b = sample_von_mises(make_rng(42), -2.0, 4.0, 5000)
+    assert np.array_equal(a, b)
+    assert np.all(a > -np.pi) and np.all(a <= np.pi)
+    c = sample_von_mises(make_rng(43), -2.0, 4.0, 5000)
+    assert not np.array_equal(a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +146,7 @@ def test_estimate_kappa_identical_samples_saturate():
 
 @pytest.mark.parametrize("kappa", [1.0, 3.0, 10.0])
 def test_estimate_kappa_consistency(kappa):
-    samples = vm_sample(VonMisesParams(0.0, kappa), 100_000, seed=55)
+    samples = AngularSampleSet(angles=sample_von_mises(make_rng(55), 0.0, kappa, 100_000))
     est = estimate_kappa(samples)
     assert abs(est.value - kappa) / kappa < 0.02
 
@@ -192,7 +176,7 @@ def test_estimate_kappa_pooled_is_mean_of_per_class():
 
 
 def test_estimate_kappa_pooled_single_class_matches_plain():
-    samples = vm_sample(VonMisesParams(0.5, 6.0), 5000, seed=8)
+    samples = AngularSampleSet(angles=sample_von_mises(make_rng(8), 0.5, 6.0, 5000))
     labeled = AngularSampleSet(angles=samples.angles, labels=np.ones(5000, dtype=int))
     assert estimate_kappa_pooled(labeled, 1).value == pytest.approx(
         estimate_kappa(samples).value, rel=1e-12
@@ -205,8 +189,7 @@ def test_estimate_kappa_pooled_shared_concentration_recovered():
     labels = []
     for j in range(1, 11):
         mu = wrap_angle(-np.pi + (2 * j - 1) * np.pi / 10)
-        s = vm_sample(VonMisesParams(mu, 5.0), 10_000, seed=900 + j)
-        rng_angles.append(s.angles)
+        rng_angles.append(sample_von_mises(make_rng(900 + j), mu, 5.0, 10_000))
         labels.append(np.full(10_000, j))
     pooled = estimate_kappa_pooled(
         AngularSampleSet(angles=np.concatenate(rng_angles), labels=np.concatenate(labels)),
@@ -259,8 +242,6 @@ def test_wrapped_gaussian_matches_von_mises_at_confirmed_level(sigma2, threshold
     # eps is the KS distance of the draws to their own wrapped law and D* the
     # exact CDF gap to the matched von Mises, so the KS to that von Mises must
     # lie in [D* - eps, D* + eps] (triangle inequality on sup norms)
-    from edgeplan.rng import make_rng
-
     rng = make_rng(4242, int(sigma2 * 10))
     wrapped = wrap_angle(rng.normal(0.0, math.sqrt(sigma2), size=100_000))
     kappa = wrapped_gaussian_kappa(sigma2).value
@@ -273,8 +254,6 @@ def test_wrapped_gaussian_matches_von_mises_at_confirmed_level(sigma2, threshold
 
 def test_wrapped_gaussian_sample_cdf_tracks_oracle_cdf():
     # the empirical CDF of wrapped draws should sit on the analytic wrapped CDF
-    from edgeplan.rng import make_rng
-
     rng = make_rng(1717)
     wrapped = np.sort(wrap_angle(rng.normal(0.0, math.sqrt(0.5), size=50_000)))
     ecdf = np.arange(1, wrapped.size + 1) / wrapped.size

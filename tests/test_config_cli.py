@@ -97,6 +97,13 @@ MALFORMED = [
     (lambda c: c.__setitem__("exits", [0, 9]), "exits[0]"),
     (lambda c: c.__setitem__("exits", [9, 9]), "exits", "exits=[9, 9]"),
     (lambda c: c["monte_carlo"].__setitem__("n_per_class", 0), "monte_carlo.n_per_class"),
+    # values whose float conversion overflows
+    (lambda c: c["link"].__setitem__("snr_db", 4000), "link.snr_db"),
+    (
+        lambda c: c["link"].__setitem__("bandwidth_hz", 10**400),
+        "link.bandwidth_hz",
+        "link.bandwidth_hz=10^400",
+    ),
 ]
 
 
@@ -285,6 +292,8 @@ FLAG_ERRORS = [
     ("sweep", "--exits-variants", "9,0"),
     ("sweep", "--p0-list", "0.6,1.5"),
     ("sweep", "--snr-db", "25:5:1"),
+    ("sweep", "--snr-db", "4000:4000:1"),
+    ("sweep", "--snr-db", "-4000:-3990:10"),
     ("validate", "--grid", "8x99"),
 ]
 

@@ -1,7 +1,9 @@
 """Tests for the Monte Carlo simulator against the analytic model."""
 
+import importlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,7 +60,6 @@ def test_generate_dataset_shape_and_determinism():
     assert len(a.samples) == 5000
     counts = np.bincount(a.samples.labels)[1:]
     assert np.all(counts == 500)
-    assert not a.distorted and a.sigma2_effective == 0.0
     c = generate_dataset(PROFILE, 12.0, 500, seed=8)
     assert not np.array_equal(a.samples.angles, c.samples.angles)
 
@@ -103,15 +104,7 @@ def test_generate_dataset_argument_errors():
 def test_distort_zero_noise_is_identity():
     ds = generate_dataset(PROFILE, 15.0, 200, seed=3)
     out = distort(ds, 0.0, PROFILE, seed=4)
-    assert out.distorted and out.sigma2_effective == 0.0
     assert np.array_equal(out.samples.angles, ds.samples.angles)
-
-
-def test_distort_twice_is_a_state_error():
-    ds = generate_dataset(PROFILE, 15.0, 50, seed=3)
-    out = distort(ds, 1e-3, PROFILE, seed=4)
-    with pytest.raises(RuntimeError):
-        distort(out, 1e-3, PROFILE, seed=5)
 
 
 def test_distort_records_effective_variance_and_is_deterministic():
@@ -119,9 +112,45 @@ def test_distort_records_effective_variance_and_is_deterministic():
     out1 = distort(ds, 1e-3, PROFILE, seed=4)
     out2 = distort(ds, 1e-3, PROFILE, seed=4)
     assert np.array_equal(out1.samples.angles, out2.samples.angles)
-    assert out1.sigma2_effective == pytest.approx(1e-3 * grad_energy(15.0, PROFILE), rel=1e-15)
+    noise = np.angle(np.exp(1j * (out1.samples.angles - ds.samples.angles)))
+    assert np.var(noise) == pytest.approx(1e-3 * grad_energy(15.0, PROFILE), rel=0.1)
     out3 = distort(ds, 1e-3, PROFILE, seed=5)
     assert not np.array_equal(out1.samples.angles, out3.samples.angles)
+
+
+def _philox(*entropy):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(entropy))))
+
+
+# class j of the ten-class profiles sits at -pi + (2j - 1) pi / 10
+CENTROIDS = -np.pi + (2 * np.arange(1, 11) - 1) * np.pi / 10
+
+
+def _nearest_centroid(angles):
+    # wrap onto the circle, then pick the class whose centroid is closest in
+    # angular distance (ties have probability zero for continuous draws)
+    wrapped = np.angle(np.exp(1j * angles))
+    distance = np.abs(np.angle(np.exp(1j * (wrapped[:, None] - CENTROIDS))))
+    return np.argmin(distance, axis=1) + 1
+
+
+def test_dataset_draws_match_a_numpy_resimulation():
+    # pins the validate stream layout: class j on [seed, 1, j], noise on [seed, 2]
+    seed, n, ell, sigma2 = 41, 300, 9.0, quant_variance(6.0, SPEC)
+    clean = generate_dataset(PROFILE, ell, n, seed=seed)
+    noisy = distort(clean, sigma2, PROFILE, seed=seed)
+    angles = np.concatenate(
+        [_philox(seed, 1, j).vonmises(CENTROIDS[j - 1], kappa_bar(ell, PROFILE), n)
+         for j in range(1, 11)]
+    )
+    assert np.array_equal(clean.samples.angles, angles)
+    noise = _philox(seed, 2).normal(0.0, math.sqrt(sigma2 * grad_energy(ell, PROFILE)), 10 * n)
+    labels = np.repeat(np.arange(1, 11), n)
+    expected = _nearest_centroid(angles + noise) == labels
+    correct = classify_map(noisy.samples.angles, PROFILE) == noisy.samples.labels
+    assert np.array_equal(correct, expected)
+    assert 0 < expected.sum() < expected.size
+    assert empirical_accuracy(noisy, PROFILE).value == np.mean(expected)
 
 
 def test_distorted_concentration_matches_propagation_model():
@@ -231,9 +260,9 @@ def test_empirical_accuracy_agrees_with_exact_fourier_oracle():
 
 
 def test_run_algorithm1_deterministic():
-    records1, summary1 = run_algorithm1(500, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
-    records2, summary2 = run_algorithm1(500, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
-    assert records1 == records2
+    correct1, summary1 = run_algorithm1(500, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
+    correct2, summary2 = run_algorithm1(500, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
+    assert np.array_equal(correct1, correct2)
     assert summary1 == summary2
 
 
@@ -241,21 +270,34 @@ def test_run_algorithm1_meets_target_when_feasible():
     _, summary = run_algorithm1(4000, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=6)
     assert summary.plan.feasible
     se = math.sqrt(0.7 * 0.3 / 4000)
-    assert summary.empirical_accuracy >= 0.7 - 3.0 * se
-    assert summary.mean_epr == summary.plan.epr > 0.0
+    assert summary.accuracy.value >= 0.7 - 3.0 * se
+    assert summary.plan.epr > 0.0
 
 
 def test_run_algorithm1_degenerates_to_chance_without_bits():
     starved = replace(LINK, snr=snr_db_to_linear(-40.0))
     _, summary = run_algorithm1(5000, starved, COMP, STEEP, SPEC, EXITS, 0.7, seed=8)
     assert summary.plan.q == 0.0
-    assert summary.mean_epr == 0.0
-    assert abs(summary.empirical_accuracy - 0.1) <= 3.0 * math.sqrt(0.1 * 0.9 / 5000)
+    assert summary.plan.epr == 0.0
+    assert abs(summary.accuracy.value - 0.1) <= 3.0 * math.sqrt(0.1 * 0.9 / 5000)
 
 
-def test_run_algorithm1_classes_cycle():
-    records, _ = run_algorithm1(25, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
-    assert [r.true_class for r in records[:12]] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1, 2]
+def test_run_algorithm1_draws_match_a_numpy_resimulation():
+    # pins the batch stream layout: one stream [seed, 3], classes cycling
+    # 1..J, all von Mises angles first, then all noise
+    seed, tasks = 5, 257
+    correct, summary = run_algorithm1(tasks, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=seed)
+    plan = summary.plan
+    assert plan.feasible and plan.q > 0
+    rng = _philox(seed, 3)
+    classes = np.arange(tasks) % 10 + 1
+    angles = rng.vonmises(CENTROIDS[classes - 1], kappa_bar(plan.ell, STEEP))
+    sigma2 = quant_variance(plan.q, SPEC) * grad_energy(plan.ell, STEEP)
+    angles = angles + rng.normal(0.0, math.sqrt(sigma2), tasks)
+    expected = _nearest_centroid(angles) == classes
+    assert correct.dtype == bool and np.array_equal(correct, expected)
+    assert 0 < expected.sum() < tasks
+    assert summary.accuracy.value == np.mean(expected) and summary.accuracy.n == tasks
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +333,17 @@ def test_sweep_rows_report_a_fresh_discrete_plan():
             plan.q, plan.ell, plan.predicted_accuracy, plan.epr, plan.feasible
         )
     assert any(row.feasible for row in rows) and not all(row.feasible for row in rows)
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these functions by name and counts the length
+    # of run_algorithm1's first result; read it without importing or caching
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    namespace = {"__name__": "tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    for module, func in namespace["TARGETS"]:
+        assert callable(getattr(importlib.import_module(f"edgeplan.{module}"), func, None)), func
+    assert len(run_algorithm1(25, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)[0]) == 25
 
 
 def test_sweep_rejects_empty_grid():
