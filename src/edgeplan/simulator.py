@@ -8,7 +8,8 @@ scored into an :class:`AccuracyEstimate` with a binomial interval.
 ``validate`` runs them as :func:`generate_dataset` (one stream per class),
 :func:`distort` (one noise stream) and :func:`empirical_accuracy`;
 :func:`run_algorithm1` runs them on one stream per batch, angles before
-noise, and :func:`sweep` calls it once per operating point.
+noise, and :func:`sweep` calls it once per operating point and solves the
+continuous ceiling, which ignores the exit set, once per (p0, SNR).
 
 Every stage draws from an explicit generator addressed by (seed, stream),
 so cells and rows are independent and reproduce bit for bit.  No shared
@@ -139,14 +140,25 @@ def classify_map(theta, profile: FeatureProfile):
 
     With shared concentration and uniform priors the posterior argmax is the
     centroid nearest in angular distance, so the score reduces to
-    ``cos(theta - centroid_j)``; ties resolve to the smallest class index.
-    Accepts scalars or arrays.
+    ``cos(theta - centroid_j)``; ties resolve to the smallest class index
+    (``theta = pi`` ties classes J and 1, and 1 wins).  The centroids are
+    equally spaced, so only the two on either side of each angle are scored:
+    every other one is at least ``pi / J`` farther, and a bin index off by
+    one still holds the nearest.  On (-pi, pi] the labels equal a full argmax
+    over all J bit for bit, in O(n) work and memory for n angles.  Accepts
+    scalars or arrays.
     """
     th = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(th)):
         raise ValueError("angles must be finite")
-    scores = np.cos(th[..., None] - profile.centroids)
-    labels = np.argmax(scores, axis=-1) + 1
+    j = profile.j_classes
+    centroids = profile.centroids
+    lo = np.floor((th + np.pi) * (j / (2.0 * np.pi)) - 0.5).astype(np.intp) % j
+    hi = (lo + 1) % j
+    # score the pair in class order, so a tie goes to the smaller index
+    first, second = np.minimum(lo, hi), np.maximum(lo, hi)
+    closer = np.cos(th - centroids[second]) > np.cos(th - centroids[first])
+    labels = np.where(closer, second, first) + 1
     if labels.ndim == 0:
         return int(labels)
     return labels
@@ -242,20 +254,22 @@ def sweep(
 
     Each point simulates ``tasks`` inferences under the discrete plan that
     :func:`run_algorithm1` solves, reports that plan with its Monte Carlo
-    accuracy estimate, and adds the continuous ceiling's EPR.  Each point
-    draws from a stream derived from its grid indices, so rows are
-    order-independent.
+    accuracy estimate, and adds the continuous ceiling's EPR, which is
+    solved once per (target accuracy, SNR) and shared by every exit set.
+    Each point draws from a stream derived from its grid indices, so rows
+    are order-independent.
     """
     if not list(snr_db_grid):
         raise ValueError("SNR grid must be nonempty")
     if not list(exit_variants) or not list(p0_list):
         raise ValueError("exit variants and p0 list must be nonempty")
+    points = [replace(link, snr=snr_db_to_linear(snr_db)) for snr_db in snr_db_grid]
+    ceilings = [[solve_cr(point, comp, profile, spec, p0).epr for point in points] for p0 in p0_list]
     rows: List[SweepRow] = []
     for vi, exits in enumerate(exit_variants):
         label = exit_set_label(exits)
         for pi, p0 in enumerate(p0_list):
-            for si, snr_db in enumerate(snr_db_grid):
-                point = replace(link, snr=snr_db_to_linear(snr_db))
+            for si, (snr_db, point) in enumerate(zip(snr_db_grid, points)):
                 _, summary = run_algorithm1(
                     tasks, point, comp, profile, spec, exits, p0,
                     seed=_row_seed(seed, vi, pi, si),
@@ -272,7 +286,7 @@ def sweep(
                         emp_acc=summary.accuracy.value,
                         emp_ci=summary.accuracy.ci_half_width,
                         epr_bits_per_s=plan.epr,
-                        epr_cr_bits_per_s=solve_cr(point, comp, profile, spec, p0).epr,
+                        epr_cr_bits_per_s=ceilings[pi][si],
                         feasible=plan.feasible,
                     )
                 )

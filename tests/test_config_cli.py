@@ -246,6 +246,20 @@ def test_sweep_rejects_bad_grid(tmp_path, capsys):
     assert main(["sweep", str(path), "--snr-db", "25:5:1", "--out", "x.csv"]) == 1
 
 
+@pytest.mark.parametrize("command, args", [
+    ("sweep", ["--snr-db=-5:25:1", "--exits-variants", "9,37;9,19,37;9,19,29,37;9,19,29,34,37",
+               "--p0-list", "0.6,0.7"]),
+    ("validate", []),
+], ids=["readme-sweep", "default-validate"])
+def test_shipped_commands_reproduce_reference_bytes(tmp_path, capsys, command, args):
+    # the README sweep and the default validate at the shipped seed must write
+    # the same bytes in every version; the reference files are only read here
+    out_csv = tmp_path / f"{command}.csv"
+    assert main([command, str(DEFAULT_CONFIG), *args, "--out", str(out_csv)]) == 0
+    reference = REPO_ROOT / "perfbench" / "reference" / f"{command}.csv"
+    assert out_csv.read_bytes() == reference.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # validate command
 # ---------------------------------------------------------------------------

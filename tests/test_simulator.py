@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from edgeplan.circstats import (
     estimate_kappa_pooled,
     wrapped_gaussian_kappa,
 )
-from edgeplan.optimizer import ExitSet, solve_discrete
+from edgeplan.optimizer import ExitSet, solve_cr, solve_discrete
 from edgeplan.simulator import (
     AngularDataset,
     classify_map,
@@ -211,6 +212,42 @@ def test_classify_map_matches_density_argmax():
         assert np.array_equal(labels, oracle_labels)
 
 
+@pytest.mark.parametrize("j_classes", [2, 3, 10, 100, 1000])
+def test_classify_map_matches_full_argmax_oracle(j_classes):
+    # centroids and the midpoints between them written out here, not taken from the profile
+    profile = replace(PROFILE, j_classes=j_classes)
+    k = np.arange(1, j_classes + 1, dtype=float)
+    centroids = -np.pi + (2.0 * k - 1.0) * np.pi / j_classes
+    midpoints = -np.pi + 2.0 * np.pi * (k - 1.0) / j_classes
+    edges = np.concatenate([centroids, midpoints, [np.pi]])
+    thetas = np.concatenate([
+        np.random.default_rng(608).uniform(-np.pi, np.pi, 100_000),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+    ])
+    labels = classify_map(thetas, profile)
+    # full argmax over all J scores, in blocks to bound the n x J temporary
+    block = max(1, 2_000_000 // j_classes)
+    oracle_labels = np.concatenate([
+        np.argmax(np.cos(thetas[i:i + block, None] - centroids), axis=1) + 1
+        for i in range(0, thetas.size, block)
+    ])
+    assert np.array_equal(labels, oracle_labels)
+
+
+def test_classify_map_memory_does_not_grow_with_class_count():
+    thetas = np.random.default_rng(609).uniform(-np.pi, np.pi, 5_000)
+    peaks = {}
+    for j_classes in (10, 1000):
+        profile = replace(PROFILE, j_classes=j_classes)
+        tracemalloc.start()
+        try:
+            classify_map(thetas, profile)
+            peaks[j_classes] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1000] < 2 * peaks[10], peaks
+
+
 # ---------------------------------------------------------------------------
 # empirical accuracy
 # ---------------------------------------------------------------------------
@@ -323,15 +360,19 @@ def test_sweep_rows_and_qualitative_trends():
 
 
 def test_sweep_rows_report_a_fresh_discrete_plan():
+    # two exit sets, so the ceilings sweep solves once are reused across them
     grid = [-5.0, 10.0, 25.0]
-    rows = sweep(grid, LINK, COMP, STEEP, SPEC, [EXITS], [0.6, 0.999], tasks=50, seed=3)
-    assert len(rows) == 6
+    variants = {exit_set_label(e): e for e in (EXITS, ExitSet(layers=(9, 37)))}
+    rows = sweep(grid, LINK, COMP, STEEP, SPEC, list(variants.values()), [0.6, 0.999],
+                 tasks=50, seed=3)
+    assert len(rows) == 12
     for row in rows:
         point = replace(LINK, snr=snr_db_to_linear(row.snr_db))
-        plan = solve_discrete(point, COMP, STEEP, SPEC, EXITS, row.p0)
+        plan = solve_discrete(point, COMP, STEEP, SPEC, variants[row.variant], row.p0)
         assert (row.q, row.ell, row.pred_acc, row.epr_bits_per_s, row.feasible) == (
             plan.q, plan.ell, plan.predicted_accuracy, plan.epr, plan.feasible
         )
+        assert row.epr_cr_bits_per_s == solve_cr(point, COMP, STEEP, SPEC, row.p0).epr
     assert any(row.feasible for row in rows) and not all(row.feasible for row in rows)
 
 
