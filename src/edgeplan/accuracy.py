@@ -2,9 +2,9 @@
 
 The chain is: bit-width -> uniform quantization variance -> effective angular
 noise at a given traversal depth -> shrunken von Mises concentration -> MAP
-accuracy for equally spaced class centroids.  Depth is treated as continuous
-throughout so the planner can bisect on it.  Pure functions over immutable
-profile/spec values; safe for concurrent use.
+accuracy for equally spaced class centroids.  Depth is treated as continuous and
+bisected on the concentration scale (:func:`min_depth_for_accuracy`).  Pure
+functions over immutable profile/spec values; safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ _ERF_SWITCH = 1.0e4
 _QUAD_REL_TOL = 1e-9
 _QUAD_MAX_NODES = 2**20
 _DEPTH_TOL = 1e-6
+_ROOT_REL_TOL = 1e-13
+_ROOT_MAX_STEPS = 500
 
 
 class FieldError(ValueError):
@@ -281,26 +283,70 @@ def min_depth_for_accuracy(
 ) -> Optional[float]:
     """Smallest continuous depth reaching accuracy p0 at quantization variance sigma2.
 
-    Bisection over [1, n_layers] exploiting monotonicity of accuracy in depth,
-    to absolute depth tolerance 1e-6.  Returns ``None`` when even the full
-    depth misses p0 -- infeasibility is a value the planner must handle, not
-    an error.
+    Bisection over [1, n_layers] to depth tolerance 1e-6 (at most
+    ``log2(n_layers / 1e-6)`` steps); ``None`` when even the full depth misses
+    p0 -- infeasibility is a value the planner must handle, not an error.  As
+    ``kappa = A^-1(A(kappa_bar) * shrink)`` and accuracy rises with it, a step
+    tests ``A(kappa_bar) * shrink >= A(kappa0)``, with ``kappa0`` solved once in
+    the end checks' bracket.  As 1 - p0 nears 1e-9 accuracy is not monotone in
+    kappa to the last bit, so a result failing the direct test is certified by
+    bisecting on to n_layers with it; past ``KAPPA_MAX`` it is used throughout.
     """
-    p0 = profile.check_target(p0)
+    p0, j, top = profile.check_target(p0), profile.j_classes, float(profile.n_layers)
 
-    def acc(ell: float) -> float:
-        return accuracy_of_kappa(kappa_distorted(sigma2, ell, profile), profile.j_classes)
+    def passes(ell: float) -> bool:
+        return accuracy_of_kappa(kappa_distorted(sigma2, ell, profile), j) >= p0
 
-    if acc(1.0) >= p0:
+    def reaches(ell: float) -> bool:  # the resultant kappa_distorted inverts
+        shrink = math.exp(-0.5 * sigma2 * grad_energy(ell, profile))
+        return bessel_ratio(min(kappa_bar(ell, profile), KAPPA_MAX)) * shrink >= r0
+
+    kappa_lo = kappa_distorted(sigma2, 1.0, profile)
+    if (acc_lo := accuracy_of_kappa(kappa_lo, j)) >= p0:
         return 1.0
-    top = float(profile.n_layers)
-    if acc(top) < p0:
+    kappa_hi = kappa_distorted(sigma2, top, profile)
+    if (acc_hi := accuracy_of_kappa(kappa_hi, j)) < p0:
         return None
-    lo, hi = 1.0, top
+    if kappa_hi > KAPPA_MAX:
+        return _bisect(passes, 1.0, top)
+    r0 = bessel_ratio(_solve_kappa0(p0, j, kappa_lo, acc_lo, kappa_hi, acc_hi))
+    depth = _bisect(reaches, 1.0, top)
+    return depth if depth == top or passes(depth) else _bisect(passes, depth, top)
+
+
+def _bisect(passes, lo: float, hi: float) -> float:
+    """Smallest depth in (lo, hi] passing a test monotone in depth, to 1e-6."""
     while hi - lo > _DEPTH_TOL:
         mid = 0.5 * (lo + hi)
-        if acc(mid) >= p0:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
     return hi
+
+
+def _solve_kappa0(p0, j_classes, lo, acc_lo, hi, acc_hi) -> float:
+    """The kappa in [lo, hi] at which accuracy reaches p0; ``acc_lo < p0 <= acc_hi``.
+
+    Illinois regula falsi on ``log(1 - accuracy)``, nearly linear in kappa
+    (:func:`error_scaling`), until the bracket is within 1e-13 of ``hi``, which
+    is returned.  Points stay half that inside, so an exact hit closes in one
+    step.  A step bisects if the last three did not halve the bracket; with it
+    in [0, KAPPA_MAX] and the root above ~1e-16, under 480 steps are needed.
+    An :class:`ArithmeticError` is raised after ``_ROOT_MAX_STEPS`` (500).
+    """
+    def gain(acc: float) -> float:  # >= 0 exactly when acc >= p0
+        return math.log1p(-p0) - math.log1p(-acc) if acc < 1.0 else math.inf
+
+    gain_lo, gain_hi, widths, side = gain(acc_lo), gain(acc_hi), [math.inf] * 3, 0
+    for _ in range(_ROOT_MAX_STEPS):
+        width = hi - lo
+        if width <= _ROOT_REL_TOL * hi:
+            return hi
+        secant = hi - gain_hi * width / (gain_hi - gain_lo) if gain_hi > gain_lo else math.nan
+        kappa = secant if width <= 0.5 * widths[0] and lo <= secant <= hi else 0.5 * (lo + hi)
+        widths, nudge = widths[1:] + [width], 0.5 * _ROOT_REL_TOL * hi
+        kappa = min(max(kappa, lo + nudge), hi - nudge)
+        acc = accuracy_of_kappa(kappa, j_classes)
+        if acc >= p0:  # Illinois: halve the stale end's gain when one end moves twice
+            hi, gain_hi, gain_lo, side = kappa, gain(acc), gain_lo * (0.5 if side > 0 else 1.0), 1
+        else:
+            lo, gain_lo, gain_hi, side = kappa, gain(acc), gain_hi * (0.5 if side < 0 else 1.0), -1
+    raise ArithmeticError(f"kappa for accuracy {p0!r}, J={j_classes} not found in [{lo!r}, {hi!r}]")

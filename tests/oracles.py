@@ -1,7 +1,8 @@
 """Independent numerical oracles used to freeze expected test values.
 
 Nothing here may call into the package: Bessel functions come from raw power
-series / asymptotic expansions, inverses from plain bisection, integrals from
+series / asymptotic expansions, inverses from plain bisection (the depth
+search bisects whatever accuracy function the caller hands it), integrals from
 fixed-grid composite Simpson, and the exact accuracy of the simulated noisy
 process and the von Mises CDF from circular-moment Fourier series (scipy's
 ``ive`` is used there, which the package never touches for those
@@ -79,6 +80,28 @@ def ratio_inv_bisect(r: float, hi: float = 1e7, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def min_depth_bisect(acc, p0: float, n_layers: int, tol: float = 1e-6):
+    """Smallest depth in [1, n_layers] with ``acc(depth) >= p0`` by plain bisection.
+
+    ``acc`` is the caller's accuracy at a depth.  Checks depth 1, then
+    ``n_layers`` (``None`` when even that misses p0), then halves [1, n_layers]
+    until it is at most ``tol`` wide and returns the upper end.
+    """
+    if acc(1.0) >= p0:
+        return 1.0
+    top = float(n_layers)
+    if acc(top) < p0:
+        return None
+    lo, hi = 1.0, top
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if acc(mid) >= p0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def simpson_fixed(f, a: float, b: float, n: int) -> float:

@@ -1,6 +1,7 @@
 """Tests for the quantization-to-accuracy model chain."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from edgeplan.accuracy import (
     min_depth_for_accuracy,
     quant_variance,
 )
+from edgeplan.system import max_bitwidth_continuous, max_bitwidth_discrete
+
 import oracles
+from helpers import random_instance
 
 DEFAULT = FeatureProfile(j_classes=10, c1=0.35, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
 UNIT_SPEC = QuantizerSpec(c_min=0.0, c_max=1.0, q_max=32)
@@ -338,3 +342,88 @@ def test_min_depth_random_instances_reevaluate():
         if ell > 1.0:
             below = accuracy_of_kappa(kappa_distorted(sigma2, ell - 1e-4, profile), 10)
             assert below < p0
+
+
+def _direct(sigma2, profile):
+    """Accuracy at a depth, evaluated through the full model chain."""
+    return lambda ell: accuracy_of_kappa(
+        kappa_distorted(sigma2, ell, profile), profile.j_classes
+    )
+
+
+def test_min_depth_matches_bisection_oracle_on_random_instances():
+    # the concentration-scale search must return the plain bisection's depth
+    # bit for bit, at the bit-widths both planners ask for
+    rng = np.random.default_rng(20260809)
+    found = 0
+    for _ in range(250):
+        inst = random_instance(rng)
+        profile, spec, link, p0 = inst["profile"], inst["spec"], inst["link"], inst["p0"]
+        for q in (max_bitwidth_discrete(link, spec), max_bitwidth_continuous(link)):
+            sigma2 = quant_variance(q, spec)
+            expected = oracles.min_depth_bisect(_direct(sigma2, profile), p0, profile.n_layers)
+            assert min_depth_for_accuracy(sigma2, p0, profile) == expected
+            found += expected is not None and 1.0 < expected < profile.n_layers
+    # most pairs must reach the bisection itself, not only its end checks
+    assert found >= 250
+
+
+@pytest.mark.parametrize("c2, miss", [(0.5, 1e-9), (1.0, 1e-10)])
+def test_min_depth_near_accuracy_one_matches_oracle(c2, miss):
+    # within about 1e-9 of accuracy 1 the quadrature is not monotone in kappa
+    # to the last bit; the depth found must still meet p0 when evaluated
+    # directly and sit within the bisection tolerance of the plain bisection
+    profile = FeatureProfile(j_classes=10, c1=50.0, c2=c2, c3=400.0, c4=0.0, n_layers=39)
+    p0 = 0.1 + 0.9 * (1.0 - miss)
+    acc = _direct(0.0, profile)
+    ell = min_depth_for_accuracy(0.0, p0, profile)
+    assert ell is not None and acc(ell) >= p0
+    assert abs(ell - oracles.min_depth_bisect(acc, p0, 39)) <= 1e-6
+
+
+def test_min_depth_meets_target_where_accuracy_is_not_monotone():
+    # 1 - p0 of 1e-10 and 1e-11 lies below the quadrature's 1e-9 tolerance, so
+    # the direct test is not monotone in depth; every depth returned must
+    # still pass it
+    for c1 in (20.0, 30.0, 50.0, 100.0):
+        for sigma2 in (0.0, 1e-6):
+            profile = FeatureProfile(j_classes=10, c1=c1, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
+            acc = _direct(sigma2, profile)
+            for miss in (1e-10, 1e-11):
+                p0 = 0.1 + 0.9 * (1.0 - miss)
+                ell = min_depth_for_accuracy(sigma2, p0, profile)
+                assert ell is not None and acc(ell) >= p0
+
+
+@pytest.mark.parametrize("j_classes", [2, 10_000])
+@pytest.mark.parametrize("c1", [1e-3, 3e4])
+@pytest.mark.parametrize("c4", [0.0, 3.0])
+@pytest.mark.parametrize("sigma2", [0.0, 50.0])
+@pytest.mark.parametrize("target", ["just-above-chance", "near-one"])
+def test_min_depth_extreme_inputs_terminate_with_a_passing_depth(
+    j_classes, c1, c4, sigma2, target
+):
+    # c1 = 3e4 takes kappa past the erf switch and, at depth 39, past KAPPA_MAX;
+    # sigma2 = 50 drives kappa at depth 1 to about 1e-216 when c4 = 3
+    profile = FeatureProfile(j_classes=j_classes, c1=c1, c2=0.0, c3=400.0, c4=c4, n_layers=39)
+    chance = 1.0 / j_classes
+    p0 = float(np.nextafter(chance, 1.0)) if target == "just-above-chance" else 1.0 - 1e-9
+    acc = _direct(sigma2, profile)
+    start = time.perf_counter()
+    ell = min_depth_for_accuracy(sigma2, p0, profile)
+    assert time.perf_counter() - start < 0.5
+    expected = oracles.min_depth_bisect(acc, p0, 39)
+    assert (ell is None) == (expected is None)
+    if ell is not None:
+        assert 1.0 <= ell <= 39.0 and acc(ell) >= p0
+
+
+def test_min_depth_target_beyond_kappa_max_matches_oracle():
+    # without noise the concentration is kappa_bar itself, so depth 36 reaches
+    # kappa 1.08e6; a target met only past KAPPA_MAX is still found at the
+    # depth where kappa_bar crosses it, not at the last layer
+    profile = FeatureProfile(j_classes=10_000, c1=3e4, c2=0.0, c3=400.0, c4=0.0, n_layers=39)
+    p0 = accuracy_of_kappa(1.05e6, 10_000)
+    ell = min_depth_for_accuracy(0.0, p0, profile)
+    assert ell == oracles.min_depth_bisect(_direct(0.0, profile), p0, 39)
+    assert 35.0 < ell < 36.0

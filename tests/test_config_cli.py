@@ -1,6 +1,8 @@
 """Tests for configuration loading and the command-line surface."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 from pathlib import Path
@@ -246,18 +248,41 @@ def test_sweep_rejects_bad_grid(tmp_path, capsys):
     assert main(["sweep", str(path), "--snr-db", "25:5:1", "--out", "x.csv"]) == 1
 
 
-@pytest.mark.parametrize("command, args", [
-    ("sweep", ["--snr-db=-5:25:1", "--exits-variants", "9,37;9,19,37;9,19,29,37;9,19,29,34,37",
-               "--p0-list", "0.6,0.7"]),
-    ("validate", []),
+def _run_shipped(out_dir: Path, command: str, *args: str):
+    """Run a command on the shipped config: (exit code, stdout, CSV bytes)."""
+    out_csv = out_dir / f"{command}.csv"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([command, str(DEFAULT_CONFIG), *args, "--out", str(out_csv)])
+    return code, stdout.getvalue(), out_csv.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def readme_sweep(tmp_path_factory):
+    return _run_shipped(
+        tmp_path_factory.mktemp("sweep"), "sweep", "--snr-db=-5:25:1",
+        "--exits-variants", "9,37;9,19,37;9,19,29,37;9,19,29,34,37", "--p0-list", "0.6,0.7",
+    )
+
+
+@pytest.fixture(scope="module")
+def default_validate(tmp_path_factory):
+    # the shipped scenario at full size, 16 cells of 2e5 samples, run once for
+    # every test that reads it
+    return _run_shipped(tmp_path_factory.mktemp("validate"), "validate")
+
+
+@pytest.mark.parametrize("command, run", [
+    ("sweep", "readme_sweep"),
+    ("validate", "default_validate"),
 ], ids=["readme-sweep", "default-validate"])
-def test_shipped_commands_reproduce_reference_bytes(tmp_path, capsys, command, args):
+def test_shipped_commands_reproduce_reference_bytes(request, command, run):
     # the README sweep and the default validate at the shipped seed must write
     # the same bytes in every version; the reference files are only read here
-    out_csv = tmp_path / f"{command}.csv"
-    assert main([command, str(DEFAULT_CONFIG), *args, "--out", str(out_csv)]) == 0
+    code, _, written = request.getfixturevalue(run)
+    assert code == 0
     reference = REPO_ROOT / "perfbench" / "reference" / f"{command}.csv"
-    assert out_csv.read_bytes() == reference.read_bytes()
+    assert written == reference.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +303,11 @@ def test_validate_passes_and_is_deterministic(tmp_path, capsys):
     assert header == "q,ell,analytic_acc,emp_acc,emp_ci,n,abs_gap,limit_3se,cell_pass"
 
 
-def test_validate_default_grid_on_shipped_config(tmp_path, capsys):
-    # the shipped scenario at full size: 16 cells, 2e5 samples per cell
-    out_csv = tmp_path / "validate.csv"
-    assert main(["validate", str(DEFAULT_CONFIG), "--out", str(out_csv)]) == 0
-    assert "16/16 cells pass" in capsys.readouterr().out
-    assert len(out_csv.read_text().splitlines()) == 17
+def test_validate_default_grid_on_shipped_config(default_validate):
+    code, stdout, written = default_validate
+    assert code == 0
+    assert "16/16 cells pass" in stdout
+    assert len(written.decode().splitlines()) == 17
 
 
 def test_validate_perturbed_analytic_side_fails(tmp_path, capsys):

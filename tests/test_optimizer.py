@@ -1,5 +1,8 @@
 """Tests for the planner: decomposition vs exhaustive search, dominance, shape."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,16 @@ from edgeplan.accuracy import (
     min_depth_for_accuracy,
     quant_variance,
 )
+from edgeplan.config import load_config
 from edgeplan.optimizer import ExitSet, brute_force, solve_cr, solve_discrete
-from edgeplan.system import ComputeProfile, LinkState, comm_latency, comp_latency, epr
+from edgeplan.system import (
+    ComputeProfile,
+    LinkState,
+    comm_latency,
+    comp_latency,
+    epr,
+    snr_db_to_linear,
+)
 
 from helpers import random_instance
 
@@ -169,6 +180,14 @@ def test_cr_dominates_on_random_instances():
             inst["link"], inst["comp"], inst["profile"], inst["spec"], inst["p0"]
         )
         assert cr.epr >= disc.epr - 1e-9
+        if cr.feasible:
+            # the continuous depth comes straight from the depth search
+            sigma2 = quant_variance(cr.q, inst["spec"])
+            reacc = accuracy_of_kappa(
+                kappa_distorted(sigma2, cr.ell, inst["profile"]),
+                inst["profile"].j_classes,
+            )
+            assert reacc >= inst["p0"]
 
 
 def test_exit_superset_never_hurts():
@@ -192,3 +211,27 @@ def test_lower_target_never_hurts():
         plan_hi = solve_discrete(**dict(inst, p0=hi))
         plan_lo = solve_discrete(**dict(inst, p0=lo))
         assert plan_lo.epr >= plan_hi.epr - 1e-9
+
+
+def test_adaptive_plan_beats_fixed_complexity_baselines_on_readme_grid():
+    # the paper's headline claim: at every SNR of the README sweep, adapting
+    # both bit-width and depth earns at least the EPR of a fixed-depth plan
+    # (deepest exit only) and of fixed-bit-width plans (alphabet {q})
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.json")
+    profile, spec, exits, comp = config.profile, config.quantizer, config.exits, config.compute
+    fixed_depth = ExitSet(layers=(exits.deepest,))
+    fixed_bits = {q: replace(spec, bit_alphabet=(q,)) for q in (4, 8, 16)}
+    beaten = set()
+    for p0 in (0.6, 0.7):
+        for snr_db in range(-5, 26):
+            link = replace(config.link, snr=snr_db_to_linear(float(snr_db)))
+            adaptive = solve_discrete(link, comp, profile, spec, exits, p0).epr
+            baselines = {"depth": solve_discrete(link, comp, profile, spec, fixed_depth, p0)}
+            for q, fixed in fixed_bits.items():
+                baselines[q] = solve_discrete(link, comp, profile, fixed, exits, p0)
+            for name, plan in baselines.items():
+                assert adaptive >= plan.epr, (p0, snr_db, name)
+                if adaptive > plan.epr:
+                    beaten.add(name)
+    # the claim is strict somewhere for every baseline, not a tie throughout
+    assert beaten == {"depth", 4, 8, 16}
