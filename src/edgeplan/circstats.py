@@ -110,8 +110,11 @@ def bessel_ratio_inv(r: float) -> KappaResult:
 
     Safeguarded Newton iteration from the closed-form seed
     ``r (2 - r^2) / (1 - r^2)``, falling back to bisection whenever a step
-    leaves the current bracket.  Saturates (with flag) once the solution
-    would exceed :data:`KAPPA_MAX`.
+    leaves the current bracket, until a step moves kappa by at most 1e-10
+    relative.  Saturates (with flag) once the solution would exceed
+    :data:`KAPPA_MAX`.  Every r in [1e-300, the resultant at ``KAPPA_MAX``)
+    converges within 30 steps; an :class:`ArithmeticError` naming r is raised
+    after ``_INV_MAX_ITER`` (200).
     """
     r = _check_scalar("r", r)
     if r < 0.0 or r >= 1.0:
@@ -142,13 +145,11 @@ def bessel_ratio_inv(r: float) -> KappaResult:
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - kappa) <= _INV_TOL * abs(nxt):
-            kappa = nxt
-            break
+            if nxt >= KAPPA_MAX:
+                return KappaResult(KAPPA_MAX, True)
+            return KappaResult(float(nxt), False)
         kappa = nxt
-
-    if kappa >= KAPPA_MAX:
-        return KappaResult(KAPPA_MAX, True)
-    return KappaResult(float(kappa), False)
+    raise ArithmeticError(f"kappa with resultant {r!r} not found in [{lo!r}, {hi!r}]")
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,16 @@ the quantizer alphabet and the exit-layer set, and ``brute_force`` is the
 independent exhaustive oracle the tests hold the decomposition against.  All
 three differ only in how they search; each fills in its chosen ``(q, ell)``
 the same way, from :func:`~edgeplan.accuracy.accuracy_model` and the latency
-model, so their plans compare field by field.  Everything is pure; instances
-may be solved in parallel without coordination.
+model, so their plans compare field by field.  As only the rounding to an
+exit depends on the exit set, ``_discrete_plans`` plans several sets from one
+depth search, evaluating each exit layer's accuracy once.  Everything is
+pure; instances may be solved in parallel without coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from .accuracy import (
     FeatureProfile,
@@ -96,18 +98,17 @@ class Plan:
 def _plan(
     q: float,
     ell: float,
+    predicted_accuracy: float,
     feasible: bool,
     link: LinkState,
     comp: ComputeProfile,
-    profile: FeatureProfile,
-    spec: QuantizerSpec,
 ) -> Plan:
-    """The plan at ``(q, ell)``; an infeasible plan earns zero EPR."""
+    """The plan at ``(q, ell)``, given its ``accuracy_model``; zero EPR if infeasible."""
     q, ell = float(q), float(ell)
     return Plan(
         q=q,
         ell=ell,
-        predicted_accuracy=accuracy_model(q, ell, profile, spec),
+        predicted_accuracy=predicted_accuracy,
         t_comm=comm_latency(q, link),
         t_comp=comp_latency(ell, comp),
         epr=epr(q, ell, link, comp) if feasible else 0.0,
@@ -131,9 +132,10 @@ def solve_cr(
     """
     q_star = max_bitwidth_continuous(link)
     ell_star = min_depth_for_accuracy(quant_variance(q_star, spec), p0, profile)
-    if ell_star is None:
-        return _plan(q_star, profile.n_layers, False, link, comp, profile, spec)
-    return _plan(q_star, ell_star, True, link, comp, profile, spec)
+    feasible = ell_star is not None
+    ell = float(ell_star if feasible else profile.n_layers)
+    accuracy = accuracy_model(q_star, ell, profile, spec)
+    return _plan(q_star, ell, accuracy, feasible, link, comp)
 
 
 def solve_discrete(
@@ -151,30 +153,52 @@ def solve_discrete(
     bisection carries ~1e-6 slack, the exits adjacent to the rounded choice
     are re-checked against the accuracy target directly, which pins the
     result to the exact constrained optimum.  When no exit qualifies the
-    plan parks at the deepest exit with zero EPR.
+    plan parks at the deepest exit with zero EPR.  One call of
+    ``_discrete_plans``, which plans several exit sets the same way.
     """
-    exits.check_within(profile)
+    return _discrete_plans(link, comp, profile, spec, [exits], p0)[0]
+
+
+def _discrete_plans(
+    link: LinkState,
+    comp: ComputeProfile,
+    profile: FeatureProfile,
+    spec: QuantizerSpec,
+    exit_sets: Sequence[ExitSet],
+    p0: float,
+) -> List[Plan]:
+    """The :func:`solve_discrete` plan for each exit set, in order.
+
+    The bit-width and the continuous minimum depth are solved once and
+    rounded up to each set's exits.  Each exit layer's accuracy is evaluated
+    at most once, for the guard and the plan alike; the memo lives for this
+    call only.
+    """
+    for exits in exit_sets:
+        exits.check_within(profile)
     q_star = float(max_bitwidth_discrete(link, spec))
     ell_plus = min_depth_for_accuracy(quant_variance(q_star, spec), p0, profile)
+    accuracy_at = {}  # exit layer -> accuracy_model(q_star, layer)
 
-    idx = None
-    if ell_plus is not None:
-        idx = next(
-            (i for i, l in enumerate(exits.layers) if l >= ell_plus - _EXIT_TOL),
-            None,
-        )
-        if idx is not None:
-            # float-boundary guard: trust direct evaluation over the bisection
-            if accuracy_model(q_star, float(exits.layers[idx]), profile, spec) < p0:
-                idx = idx + 1 if idx + 1 < len(exits.layers) else None
-            elif idx > 0 and accuracy_model(
-                q_star, float(exits.layers[idx - 1]), profile, spec
-            ) >= p0:
-                idx -= 1
+    def accuracy(layer: int) -> float:
+        if layer not in accuracy_at:
+            accuracy_at[layer] = accuracy_model(q_star, float(layer), profile, spec)
+        return accuracy_at[layer]
 
-    if idx is None:
-        return _plan(q_star, exits.deepest, False, link, comp, profile, spec)
-    return _plan(q_star, exits.layers[idx], True, link, comp, profile, spec)
+    plans = []
+    for exits in exit_sets:
+        layers, idx = exits.layers, None
+        if ell_plus is not None:
+            idx = next((i for i, l in enumerate(layers) if l >= ell_plus - _EXIT_TOL), None)
+            if idx is not None:
+                # float-boundary guard: trust direct evaluation over the bisection
+                if accuracy(layers[idx]) < p0:
+                    idx = idx + 1 if idx + 1 < len(layers) else None
+                elif idx > 0 and accuracy(layers[idx - 1]) >= p0:
+                    idx -= 1
+        ell = exits.deepest if idx is None else layers[idx]
+        plans.append(_plan(q_star, ell, accuracy(ell), idx is not None, link, comp))
+    return plans
 
 
 def brute_force(
@@ -192,18 +216,20 @@ def brute_force(
     depth.  Shares the infeasible convention with :func:`solve_discrete`.
     """
     exits.check_within(profile)
-    best_key = None
+    best_key = best_accuracy = None
     for q in spec.bit_alphabet:
         if comm_latency(q, link) > link.t_max_s:
             continue
         for ell in exits.layers:
-            if accuracy_model(q, float(ell), profile, spec) < p0:
+            accuracy = accuracy_model(q, float(ell), profile, spec)
+            if accuracy < p0:
                 continue
             key = (epr(q, float(ell), link, comp), q, -ell)
             if best_key is None or key > best_key:
-                best_key = key
+                best_key, best_accuracy = key, accuracy
     if best_key is None:
-        q_star = max_bitwidth_discrete(link, spec)
-        return _plan(q_star, exits.deepest, False, link, comp, profile, spec)
+        q_star = float(max_bitwidth_discrete(link, spec))
+        accuracy = accuracy_model(q_star, float(exits.deepest), profile, spec)
+        return _plan(q_star, exits.deepest, accuracy, False, link, comp)
     _, q, neg_ell = best_key
-    return _plan(q, -neg_ell, True, link, comp, profile, spec)
+    return _plan(q, -neg_ell, best_accuracy, True, link, comp)

@@ -8,8 +8,10 @@ scored into an :class:`AccuracyEstimate` with a binomial interval.
 ``validate`` runs them as :func:`generate_dataset` (one stream per class),
 :func:`distort` (one noise stream) and :func:`empirical_accuracy`;
 :func:`run_algorithm1` runs them on one stream per batch, angles before
-noise, and :func:`sweep` calls it once per operating point and solves the
-continuous ceiling, which ignores the exit set, once per (p0, SNR).
+noise.  :func:`sweep` plans each (p0, SNR) point once for every exit set,
+with one depth search, solves the continuous ceiling there once too, and
+simulates each row with the batch step ``_simulate`` that
+:func:`run_algorithm1` also runs.
 
 Every stage draws from an explicit generator addressed by (seed, stream),
 so cells and rows are independent and reproduce bit for bit.  No shared
@@ -26,7 +28,7 @@ import numpy as np
 
 from .accuracy import FeatureProfile, QuantizerSpec, grad_energy, kappa_bar, quant_variance
 from .circstats import AngularSampleSet, sample_von_mises, wrap_angle
-from .optimizer import ExitSet, Plan, solve_cr, solve_discrete
+from .optimizer import ExitSet, Plan, _discrete_plans, solve_cr, solve_discrete
 from .rng import derive_seed, make_rng
 from .system import ComputeProfile, LinkState, snr_db_to_linear
 
@@ -190,18 +192,28 @@ def run_algorithm1(
     """Simulate a batch of inference tasks under the channel-adaptive plan.
 
     The channel is constant across the batch, so the per-task decision is
-    solved once up front.  True classes cycle 1..J deterministically
-    (uniform priors without sampling noise).  A feasible plan with a positive
-    bit-width is simulated end to end: draw the clean angle, add the plan's
-    quantization noise, classify at the chosen depth.  An infeasible or
-    zero-bit plan transmits nothing, so those tasks are scored as uniform
-    random guesses.  Returns the per-task boolean ``correct`` array and the
-    batch summary.
+    solved once up front with :func:`solve_discrete` and the batch runs under
+    it (``_simulate``).  Returns the per-task boolean ``correct`` array and
+    the batch summary.
+    """
+    plan = solve_discrete(link, comp, profile, spec, exits, p0)
+    return _simulate(tasks, plan, profile, spec, seed)
+
+
+def _simulate(
+    tasks: int, plan: Plan, profile: FeatureProfile, spec: QuantizerSpec, seed: int
+) -> Tuple[np.ndarray, BatchSummary]:
+    """Simulate ``tasks`` inferences under ``plan`` on one stream.
+
+    True classes cycle 1..J deterministically (uniform priors without
+    sampling noise).  A feasible plan with a positive bit-width is simulated
+    end to end: draw the clean angle, add the plan's quantization noise,
+    classify at the chosen depth.  An infeasible or zero-bit plan transmits
+    nothing, so those tasks are scored as uniform random guesses.
     """
     tasks = int(tasks)
     if tasks < 1:
         raise ValueError(f"tasks must be >= 1, got {tasks}")
-    plan = solve_discrete(link, comp, profile, spec, exits, p0)
     j = profile.j_classes
     true_classes = (np.arange(tasks) % j) + 1
     rng = make_rng(seed, _STREAM_TASKS)
@@ -252,12 +264,13 @@ def sweep(
 ) -> List[SweepRow]:
     """Evaluate every (exit set, target accuracy, SNR) operating point.
 
-    Each point simulates ``tasks`` inferences under the discrete plan that
-    :func:`run_algorithm1` solves, reports that plan with its Monte Carlo
-    accuracy estimate, and adds the continuous ceiling's EPR, which is
-    solved once per (target accuracy, SNR) and shared by every exit set.
-    Each point draws from a stream derived from its grid indices, so rows
-    are order-independent.
+    Each point simulates ``tasks`` inferences under the :func:`solve_discrete`
+    plan, as :func:`run_algorithm1` does, reports that plan with its Monte
+    Carlo accuracy estimate, and adds the continuous ceiling's EPR.  Both
+    are solved once per (target accuracy, SNR): one depth search serves the
+    ceiling and one serves the discrete plans of every exit set.  Each point
+    draws from a stream derived from its grid indices, so rows are
+    order-independent.
     """
     if not list(snr_db_grid):
         raise ValueError("SNR grid must be nonempty")
@@ -265,14 +278,17 @@ def sweep(
         raise ValueError("exit variants and p0 list must be nonempty")
     points = [replace(link, snr=snr_db_to_linear(snr_db)) for snr_db in snr_db_grid]
     ceilings = [[solve_cr(point, comp, profile, spec, p0).epr for point in points] for p0 in p0_list]
+    plans = [
+        [_discrete_plans(point, comp, profile, spec, exit_variants, p0) for point in points]
+        for p0 in p0_list
+    ]
     rows: List[SweepRow] = []
     for vi, exits in enumerate(exit_variants):
         label = exit_set_label(exits)
         for pi, p0 in enumerate(p0_list):
-            for si, (snr_db, point) in enumerate(zip(snr_db_grid, points)):
-                _, summary = run_algorithm1(
-                    tasks, point, comp, profile, spec, exits, p0,
-                    seed=_row_seed(seed, vi, pi, si),
+            for si, snr_db in enumerate(snr_db_grid):
+                _, summary = _simulate(
+                    tasks, plans[pi][si][vi], profile, spec, _row_seed(seed, vi, pi, si)
                 )
                 plan = summary.plan
                 rows.append(

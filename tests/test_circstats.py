@@ -70,6 +70,23 @@ def test_bessel_ratio_inv_round_trip_log_grid():
         assert abs(est.value - kappa) / kappa < 1e-8
 
 
+def test_bessel_ratio_inv_round_trips_or_saturates_across_its_domain():
+    # resultants from 1e-300 to within 1e-13 of 1: below the cap each one
+    # converges (no ArithmeticError) and maps back; at or above it saturates
+    cap = bessel_ratio(KAPPA_MAX)
+    grid = np.concatenate([np.logspace(-300, -1, 2500), 1.0 - np.logspace(-1, -13, 2500)])
+    below = 0
+    for r in grid:
+        est = bessel_ratio_inv(float(r))
+        if r < cap:
+            below += 1
+            assert not est.saturated and est.value < KAPPA_MAX, r
+            assert abs(bessel_ratio(est.value) - r) <= 1e-9 * r, r
+        else:
+            assert est == (KAPPA_MAX, True), r
+    assert 3000 < below < grid.size
+
+
 def test_bessel_ratio_inv_saturation_and_domain():
     sat = bessel_ratio_inv(1.0 - 1e-15)
     assert sat == (KAPPA_MAX, True)

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgeplan import optimizer
 from edgeplan.accuracy import (
     FeatureProfile,
     QuantizerSpec,
+    accuracy_model,
     accuracy_of_kappa,
     kappa_distorted,
     min_depth_for_accuracy,
@@ -188,6 +190,32 @@ def test_cr_dominates_on_random_instances():
                 inst["profile"].j_classes,
             )
             assert reacc >= inst["p0"]
+
+
+def test_discrete_plans_evaluate_each_exit_layer_once(monkeypatch):
+    # several exit sets planned in one call share one accuracy evaluation per
+    # exit layer, and each plan is still the exhaustive optimum for its set
+    evaluated = []
+
+    def counted(q, ell, profile, spec):
+        evaluated.append(ell)
+        return accuracy_model(q, ell, profile, spec)
+
+    monkeypatch.setattr(optimizer, "accuracy_model", counted)
+    sets = [ExitSet(layers=(9, 37)), ExitSet(layers=(9, 19, 37)), ExitSet(layers=(37,)), EXITS]
+    layers = {float(l) for exits in sets for l in exits.layers}
+    outcomes = set()
+    for snr_db in (-5.0, 5.0, 15.0, 25.0):
+        link = replace(LINK, snr=snr_db_to_linear(snr_db))
+        for p0 in (0.3, 0.6, 0.8, 0.999):
+            evaluated.clear()
+            plans = optimizer._discrete_plans(link, COMP, PROFILE, SPEC, sets, p0)
+            assert len(evaluated) == len(set(evaluated)) and set(evaluated) <= layers
+            for plan, exits in zip(plans, sets):
+                assert plan == brute_force(link, COMP, PROFILE, SPEC, exits, p0)
+                assert plan.predicted_accuracy == accuracy_model(plan.q, plan.ell, PROFILE, SPEC)
+                outcomes.add(plan.feasible)
+    assert outcomes == {True, False}
 
 
 def test_exit_superset_never_hurts():

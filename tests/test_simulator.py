@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgeplan import optimizer
 from edgeplan.accuracy import (
     FeatureProfile,
     QuantizerSpec,
@@ -25,7 +26,7 @@ from edgeplan.circstats import (
     estimate_kappa_pooled,
     wrapped_gaussian_kappa,
 )
-from edgeplan.optimizer import ExitSet, solve_cr, solve_discrete
+from edgeplan.optimizer import ExitSet, brute_force, solve_cr, solve_discrete
 from edgeplan.simulator import (
     AngularDataset,
     classify_map,
@@ -39,6 +40,7 @@ from edgeplan.simulator import (
 from edgeplan.system import ComputeProfile, LinkState, snr_db_to_linear
 
 import oracles
+from helpers import random_instance
 
 PROFILE = FeatureProfile(j_classes=10, c1=0.35, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
 SPEC = QuantizerSpec(c_min=-1.0, c_max=1.0, q_max=32)
@@ -372,8 +374,65 @@ def test_sweep_rows_report_a_fresh_discrete_plan():
         assert (row.q, row.ell, row.pred_acc, row.epr_bits_per_s, row.feasible) == (
             plan.q, plan.ell, plan.predicted_accuracy, plan.epr, plan.feasible
         )
+        oracle = brute_force(point, COMP, STEEP, SPEC, variants[row.variant], row.p0)
+        assert (row.q, row.ell, row.feasible, row.epr_bits_per_s) == (
+            oracle.q, oracle.ell, oracle.feasible, oracle.epr
+        )
         assert row.epr_cr_bits_per_s == solve_cr(point, COMP, STEEP, SPEC, row.p0).epr
     assert any(row.feasible for row in rows) and not all(row.feasible for row in rows)
+
+
+def test_sweep_plans_every_exit_set_of_a_point_like_brute_force():
+    # sweep plans all exit sets of a (p0, SNR) point from one depth search;
+    # each row must still be the exhaustive optimum for its own exit set
+    rng = np.random.default_rng(20261018)
+    feasible = infeasible = 0
+    for _ in range(200):
+        inst = random_instance(rng)
+        sets = [inst["exits"]]
+        for _ in range(3):
+            size = int(rng.integers(1, 7))
+            layers = np.sort(rng.choice(np.arange(1, 40), size=size, replace=False))
+            sets.append(ExitSet(layers=tuple(int(l) for l in layers)))
+        snr_db = 10.0 * math.log10(inst["link"].snr)
+        rows = sweep([snr_db], inst["link"], inst["comp"], inst["profile"], inst["spec"],
+                     sets, [inst["p0"]], tasks=1, seed=0)
+        assert len(rows) == len(sets)
+        point = replace(inst["link"], snr=snr_db_to_linear(snr_db))
+        for row, exits in zip(rows, sets):
+            oracle = brute_force(point, inst["comp"], inst["profile"], inst["spec"], exits,
+                                 inst["p0"])
+            assert (row.q, row.ell, row.feasible, row.epr_bits_per_s) == (
+                oracle.q, oracle.ell, oracle.feasible, oracle.epr
+            )
+            feasible += row.feasible
+            infeasible += not row.feasible
+    assert feasible >= 200 and infeasible >= 100
+
+
+def test_sweep_runs_one_depth_search_per_point_and_ceiling(monkeypatch):
+    # one discrete and one continuous depth search per (p0, SNR), however
+    # many exit sets share the point
+    calls = []
+    search = optimizer.min_depth_for_accuracy
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "min_depth_for_accuracy", counted)
+    variants = [ExitSet(layers=(9, 37)), ExitSet(layers=(9, 19, 37)), EXITS]
+    rows = sweep([-5.0, 10.0, 25.0], LINK, COMP, STEEP, SPEC, variants, [0.6, 0.7],
+                 tasks=10, seed=4)
+    assert len(rows) == 18
+    assert len(calls) == 12
+
+
+def test_task_count_must_be_positive():
+    with pytest.raises(ValueError, match="tasks"):
+        run_algorithm1(0, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
+    with pytest.raises(ValueError, match="tasks"):
+        sweep([10.0], LINK, COMP, STEEP, SPEC, [EXITS], [0.7], tasks=0, seed=5)
 
 
 def test_benchmark_tracer_targets_resolve():
