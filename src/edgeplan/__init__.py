@@ -36,7 +36,6 @@ from .optimizer import ExitSet, Plan, brute_force, solve_cr, solve_discrete
 from .rng import derive_seed, make_rng
 from .simulator import (
     AccuracyEstimate,
-    AngularDataset,
     BatchSummary,
     SweepRow,
     classify_map,

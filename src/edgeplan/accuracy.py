@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import special
 
-from .circstats import KAPPA_MAX, bessel_ratio, bessel_ratio_inv
+from .circstats import KAPPA_MAX, _check_real, bessel_ratio, bessel_ratio_inv
 
 __all__ = [
     "FieldError",
@@ -162,9 +162,7 @@ def quant_variance(q: float, spec: QuantizerSpec) -> float:
     ``q0 + 1``, giving variance ``(1 + 3 alpha)/4 * range^2 / (12 * 4^q0)``.
     At integer q this reduces exactly to ``range^2 / (12 * 4^q)``.
     """
-    q = float(q)
-    if not math.isfinite(q) or q < 0.0:
-        raise ValueError(f"q must be a finite nonnegative real, got {q!r}")
+    q = _check_real("q", q, 0.0)
     q0 = int(math.floor(q))
     alpha = 1.0 - (q - q0)
     # exact power-of-two scaling; underflows to 0 instead of overflowing for
@@ -194,9 +192,7 @@ def kappa_distorted(sigma2: float, ell: float, profile: FeatureProfile) -> float
     concentration.  Never exceeds ``kappa_bar(ell)``, and equals it exactly
     when the effective noise vanishes.
     """
-    sigma2 = float(sigma2)
-    if not math.isfinite(sigma2) or sigma2 < 0.0:
-        raise ValueError(f"sigma2 must be a finite nonnegative real, got {sigma2!r}")
+    sigma2 = _check_real("sigma2", sigma2, 0.0)
     kbar = kappa_bar(ell, profile)
     shrink = math.exp(-0.5 * sigma2 * grad_energy(ell, profile))
     if shrink >= 1.0:
@@ -220,9 +216,7 @@ def accuracy_of_kappa(kappa: float, j_classes: int) -> float:
     change drops below 1e-9 (node cap 2^20).  For kappa above 1e4 the erf
     ratio is used instead; its error there is below the quadrature tolerance.
     """
-    kappa = float(kappa)
-    if not math.isfinite(kappa) or kappa < 0.0:
-        raise ValueError(f"kappa must be a finite nonnegative real, got {kappa!r}")
+    kappa = _check_real("kappa", kappa, 0.0)
     j_classes = int(j_classes)
     if j_classes < 2:
         raise ValueError(f"j_classes must be >= 2, got {j_classes}")
@@ -256,9 +250,7 @@ def accuracy_model(
 
 def accuracy_erf_approx(kappa: float, j_classes: int) -> float:
     """Gaussian-limit accuracy ``erf((pi/J) sqrt(k/2)) / erf(pi sqrt(k/2))``."""
-    kappa = float(kappa)
-    if not math.isfinite(kappa) or kappa <= 0.0:
-        raise ValueError(f"kappa must be a finite positive real, got {kappa!r}")
+    kappa = _check_real("kappa", kappa, 0.0, strict=True)
     j_classes = int(j_classes)
     if j_classes < 2:
         raise ValueError(f"j_classes must be >= 2, got {j_classes}")

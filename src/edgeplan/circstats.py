@@ -14,6 +14,7 @@ state, so parallel callers only need distinct ``(seed, stream)`` pairs (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -54,17 +55,13 @@ class KappaResult(NamedTuple):
     saturated: bool
 
 
-def _check_scalar(name: str, x: float) -> float:
+def _check_real(name: str, x: float, low: float, strict: bool = False) -> float:
+    """``x`` as a float; a ValueError naming ``name`` unless it is finite and
+    at least ``low`` (above it, if ``strict``)."""
     x = float(x)
-    if not np.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return x
-
-
-def _check_nonneg(name: str, x: float) -> float:
-    x = _check_scalar(name, x)
-    if x < 0.0:
-        raise ValueError(f"{name} must be >= 0, got {x!r}")
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        bound = f"{'>' if strict else '>='} {low:g}"
+        raise ValueError(f"{name} must be a finite real {bound}, got {x!r}")
     return x
 
 
@@ -89,7 +86,7 @@ def wrap_angle(theta):
 
 def bessel_ratio(kappa: float) -> float:
     """Mean resultant length ``A(kappa) = I1(kappa)/I0(kappa)`` in [0, 1)."""
-    kappa = _check_nonneg("kappa", kappa)
+    kappa = _check_real("kappa", kappa, 0.0)
     # the exponential scales cancel exactly in the ratio
     return float(special.i1e(kappa) / special.i0e(kappa))
 
@@ -116,8 +113,8 @@ def bessel_ratio_inv(r: float) -> KappaResult:
     converges within 30 steps; an :class:`ArithmeticError` naming r is raised
     after ``_INV_MAX_ITER`` (200).
     """
-    r = _check_scalar("r", r)
-    if r < 0.0 or r >= 1.0:
+    r = _check_real("r", r, 0.0)
+    if r >= 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r!r}")
     if r == 0.0:
         return KappaResult(0.0, False)
@@ -195,7 +192,7 @@ def sample_von_mises(
     via numpy, with concentrations below ``1e-8`` short-circuiting to the
     uniform distribution.
     """
-    kappa = min(_check_nonneg("kappa", kappa), KAPPA_MAX)
+    kappa = min(_check_real("kappa", kappa, 0.0), KAPPA_MAX)
     if kappa < _KAPPA_UNIFORM:
         angles = rng.uniform(-np.pi, np.pi, size=n)
     else:
@@ -257,7 +254,7 @@ def wrapped_gaussian_kappa(sigma2: float) -> KappaResult:
     variance ``sigma2`` wrapped onto the circle, pushed through the inverse
     resultant map.  ``sigma2 = 0`` saturates to ``KAPPA_MAX`` with the flag.
     """
-    sigma2 = _check_nonneg("sigma2", sigma2)
+    sigma2 = _check_real("sigma2", sigma2, 0.0)
     r = float(np.exp(-0.5 * sigma2))
     if r >= 1.0:
         return KappaResult(KAPPA_MAX, True)

@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -23,32 +23,13 @@ from .config import ConfigError, RunConfig, load_config
 from .fitting import DepthSeries, fit_affine, fit_exponential
 from .optimizer import ExitSet, Plan, solve_cr, solve_discrete
 from .rng import derive_seed
-from .simulator import (
-    distort,
-    empirical_accuracy,
-    generate_dataset,
-    sweep,
-)
+from .simulator import SweepRow, distort, empirical_accuracy, generate_dataset, sweep
 from .system import LinkState, snr_db_to_linear
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VALIDATION_FAILED = 2
-
-SWEEP_HEADER = [
-    "snr_db",
-    "variant",
-    "p0",
-    "q",
-    "ell",
-    "pred_acc",
-    "emp_acc",
-    "emp_ci",
-    "epr_bits_per_s",
-    "epr_cr_bits_per_s",
-    "feasible",
-]
 
 VALIDATE_HEADER = [
     "q",
@@ -220,26 +201,8 @@ def cmd_sweep(
         seed=config.seed,
     )
     rows.sort(key=lambda r: (r.variant, r.p0, r.snr_db))
-    _write_csv(
-        out,
-        SWEEP_HEADER,
-        [
-            (
-                r.snr_db,
-                r.variant,
-                r.p0,
-                r.q,
-                r.ell,
-                r.pred_acc,
-                r.emp_acc,
-                r.emp_ci,
-                r.epr_bits_per_s,
-                r.epr_cr_bits_per_s,
-                r.feasible,
-            )
-            for r in rows
-        ],
-    )
+    header = [f.name for f in fields(SweepRow)]
+    _write_csv(out, header, [[getattr(r, name) for name in header] for r in rows])
     print(f"sweep: wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
@@ -266,15 +229,9 @@ def cmd_validate(
         for li, ell in enumerate(ells):
             analytic = accuracy_model(q, ell, analytic_profile, config.quantizer)
             cell_seed = derive_seed(config.seed, 201, qi, li)
-            clean = generate_dataset(
-                config.profile, ell, config.monte_carlo.n_per_class, seed=cell_seed
-            )
-            noisy = distort(
-                clean,
-                sigma2=quant_variance(q, config.quantizer),
-                profile=config.profile,
-                seed=cell_seed,
-            )
+            clean = generate_dataset(config.profile, ell, config.monte_carlo.n_per_class, cell_seed)
+            sigma2 = quant_variance(q, config.quantizer)
+            noisy = distort(clean, sigma2, ell, config.profile, cell_seed)
             est = empirical_accuracy(noisy, config.profile)
             limit = 3.0 * np.sqrt(analytic * (1.0 - analytic) / est.n)
             gap = abs(est.value - analytic)
@@ -316,33 +273,15 @@ def _read_series_csv(path: str) -> DepthSeries:
 
 def cmd_fit(input_path: str, kind: str, out: Optional[str]) -> int:
     series = _read_series_csv(input_path)
-    if kind == "affine":
-        fit = fit_affine(series)
-        record = {
-            "kind": "affine",
-            "c1": fit.c1,
-            "c2": fit.c2,
-            "residual_rms": fit.residual_rms,
-            "n_points": len(series),
-        }
-        print(f"fit affine: c1={_fmt(fit.c1)} c2={_fmt(fit.c2)} residual_rms={_fmt(fit.residual_rms)}")
-    else:
-        fit = fit_exponential(series)
-        record = {
-            "kind": "exponential",
-            "c3": fit.c3,
-            "c4": fit.c4,
-            "log_residual_rms": fit.log_residual_rms,
-            "nonpositive_decay": fit.nonpositive_decay,
-            "n_points": len(series),
-        }
-        print(
-            f"fit exponential: c3={_fmt(fit.c3)} c4={_fmt(fit.c4)} "
-            f"log_residual_rms={_fmt(fit.log_residual_rms)}"
-        )
-        if fit.nonpositive_decay:
-            print("warning: fitted decay rate is not positive", file=sys.stderr)
+    name, fit = ("affine", fit_affine) if kind == "affine" else ("exponential", fit_exponential)
+    values = asdict(fit(series))
+    # the numeric fields go to stdout; a raised flag becomes a warning
+    shown = " ".join(f"{k}={_fmt(v)}" for k, v in values.items() if not isinstance(v, bool))
+    print(f"fit {name}: {shown}")
+    if values.get("nonpositive_decay"):
+        print("warning: fitted decay rate is not positive", file=sys.stderr)
     if out:
+        record = {"kind": name, **values, "n_points": len(series)}
         Path(out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return EXIT_OK
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -37,14 +37,6 @@ class DepthSeries:
             raise ValueError("depths must be distinct")
         object.__setattr__(self, "depths", depths)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_pairs(cls, points: Iterable[Tuple[float, float]]) -> "DepthSeries":
-        pts = list(points)
-        return cls(
-            depths=np.array([p[0] for p in pts], dtype=float),
-            values=np.array([p[1] for p in pts], dtype=float),
-        )
 
     def __len__(self) -> int:
         return int(self.depths.size)

@@ -27,13 +27,12 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .accuracy import FeatureProfile, QuantizerSpec, grad_energy, kappa_bar, quant_variance
-from .circstats import AngularSampleSet, sample_von_mises, wrap_angle
+from .circstats import AngularSampleSet, _check_real, sample_von_mises, wrap_angle
 from .optimizer import ExitSet, Plan, _discrete_plans, solve_cr, solve_discrete
 from .rng import derive_seed, make_rng
 from .system import ComputeProfile, LinkState, snr_db_to_linear
 
 __all__ = [
-    "AngularDataset",
     "BatchSummary",
     "SweepRow",
     "generate_dataset",
@@ -52,18 +51,6 @@ _STREAM_DISTORT = 2
 _STREAM_TASKS = 3
 
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-@dataclass(frozen=True, eq=False)
-class AngularDataset:
-    """Labeled angular samples at one traversal depth."""
-
-    depth: float
-    samples: AngularSampleSet
-
-    def __post_init__(self) -> None:
-        if self.samples.labels is None:
-            raise ValueError("dataset samples must be labeled")
 
 
 class AccuracyEstimate(NamedTuple):
@@ -96,8 +83,8 @@ def _score(correct: np.ndarray) -> AccuracyEstimate:
 
 def generate_dataset(
     profile: FeatureProfile, ell: float, n_per_class: int, seed: int
-) -> AngularDataset:
-    """Draw ``n_per_class`` clean samples per class at depth ``ell``.
+) -> AngularSampleSet:
+    """Draw ``n_per_class`` clean labeled samples per class at depth ``ell``.
 
     Class ``j`` is sampled from ``vM(centroid_j, kappa_bar(ell))`` on its own
     RNG stream, so classes can be generated in parallel and still reproduce.
@@ -110,31 +97,21 @@ def generate_dataset(
         sample_von_mises(make_rng(seed, _STREAM_GENERATE, j), float(mu), kappa, n_per_class)
         for j, mu in enumerate(profile.centroids, start=1)
     ]
-    angles = np.concatenate(per_class)
     labels = np.repeat(np.arange(1, profile.j_classes + 1), n_per_class)
-    return AngularDataset(
-        depth=float(ell),
-        samples=AngularSampleSet(angles=angles, labels=labels),
-    )
+    return AngularSampleSet(angles=np.concatenate(per_class), labels=labels)
 
 
 def distort(
-    dataset: AngularDataset, sigma2: float, profile: FeatureProfile, seed: int
-) -> AngularDataset:
-    """Push a clean dataset through quantization noise of variance ``sigma2``.
+    samples: AngularSampleSet, sigma2: float, ell: float, profile: FeatureProfile, seed: int
+) -> AngularSampleSet:
+    """Add quantization noise of variance ``sigma2`` to clean samples drawn at depth ``ell``.
 
     Each angle gains an independent Gaussian of variance
-    ``sigma2 * grad_energy(depth)``, wrapped back onto the circle.
+    ``sigma2 * grad_energy(ell)``, wrapped back onto the circle; labels are kept.
     """
-    sigma2 = float(sigma2)
-    if not math.isfinite(sigma2) or sigma2 < 0.0:
-        raise ValueError(f"sigma2 must be a finite nonnegative real, got {sigma2!r}")
-    rng = make_rng(seed, _STREAM_DISTORT)
-    angles = _add_noise(dataset.samples.angles, sigma2, dataset.depth, profile, rng)
-    return AngularDataset(
-        depth=dataset.depth,
-        samples=AngularSampleSet(angles=angles, labels=dataset.samples.labels),
-    )
+    sigma2 = _check_real("sigma2", sigma2, 0.0)
+    angles = _add_noise(samples.angles, sigma2, ell, profile, make_rng(seed, _STREAM_DISTORT))
+    return AngularSampleSet(angles=angles, labels=samples.labels)
 
 
 def classify_map(theta, profile: FeatureProfile):
@@ -166,9 +143,11 @@ def classify_map(theta, profile: FeatureProfile):
     return labels
 
 
-def empirical_accuracy(dataset: AngularDataset, profile: FeatureProfile) -> AccuracyEstimate:
-    """Fraction of dataset samples whose MAP class matches the label."""
-    return _score(classify_map(dataset.samples.angles, profile) == dataset.samples.labels)
+def empirical_accuracy(samples: AngularSampleSet, profile: FeatureProfile) -> AccuracyEstimate:
+    """Fraction of labeled samples whose MAP class matches the label."""
+    if samples.labels is None:
+        raise ValueError("empirical accuracy needs labeled samples")
+    return _score(classify_map(samples.angles, profile) == samples.labels)
 
 
 @dataclass(frozen=True)
@@ -196,6 +175,7 @@ def run_algorithm1(
     it (``_simulate``).  Returns the per-task boolean ``correct`` array and
     the batch summary.
     """
+    tasks = _task_count(tasks)
     plan = solve_discrete(link, comp, profile, spec, exits, p0)
     return _simulate(tasks, plan, profile, spec, seed)
 
@@ -203,7 +183,7 @@ def run_algorithm1(
 def _simulate(
     tasks: int, plan: Plan, profile: FeatureProfile, spec: QuantizerSpec, seed: int
 ) -> Tuple[np.ndarray, BatchSummary]:
-    """Simulate ``tasks`` inferences under ``plan`` on one stream.
+    """Simulate ``tasks`` (>= 1) inferences under ``plan`` on one stream.
 
     True classes cycle 1..J deterministically (uniform priors without
     sampling noise).  A feasible plan with a positive bit-width is simulated
@@ -211,9 +191,6 @@ def _simulate(
     classify at the chosen depth.  An infeasible or zero-bit plan transmits
     nothing, so those tasks are scored as uniform random guesses.
     """
-    tasks = int(tasks)
-    if tasks < 1:
-        raise ValueError(f"tasks must be >= 1, got {tasks}")
     j = profile.j_classes
     true_classes = (np.arange(tasks) % j) + 1
     rng = make_rng(seed, _STREAM_TASKS)
@@ -272,6 +249,7 @@ def sweep(
     draws from a stream derived from its grid indices, so rows are
     order-independent.
     """
+    tasks = _task_count(tasks)
     if not list(snr_db_grid):
         raise ValueError("SNR grid must be nonempty")
     if not list(exit_variants) or not list(p0_list):
@@ -307,6 +285,13 @@ def sweep(
                     )
                 )
     return rows
+
+
+def _task_count(tasks: int) -> int:
+    tasks = int(tasks)
+    if tasks < 1:
+        raise ValueError(f"tasks must be >= 1, got {tasks}")
+    return tasks
 
 
 def _row_seed(seed: int, vi: int, pi: int, si: int) -> int:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .accuracy import FieldError, QuantizerSpec
+from .circstats import _check_real
 
 __all__ = [
     "LinkState",
@@ -104,18 +105,12 @@ def shannon_rate(link: LinkState) -> float:
 
 def comm_latency(q: float, link: LinkState) -> float:
     """Time to upload d features at q bits each: ``d q / (B log2(1+snr))``."""
-    q = float(q)
-    if not math.isfinite(q) or q < 0.0:
-        raise ValueError(f"q must be a finite nonnegative real, got {q!r}")
-    return link.d * q / shannon_rate(link)
+    return link.d * _check_real("q", q, 0.0) / shannon_rate(link)
 
 
 def comp_latency(ell: float, comp: ComputeProfile) -> float:
     """Inference time through depth ell: ``b1 ell + b2``."""
-    ell = float(ell)
-    if not math.isfinite(ell) or ell < 1.0:
-        raise ValueError(f"depth must be >= 1, got {ell!r}")
-    return comp.b1 * ell + comp.b2
+    return comp.b1 * _check_real("ell", ell, 1.0) + comp.b2
 
 
 def epr(q: float, ell: float, link: LinkState, comp: ComputeProfile) -> float:

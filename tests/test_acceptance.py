@@ -171,7 +171,7 @@ def test_criterion_06_accuracy_model_vs_monte_carlo():
             )
             cell_seed = derive_seed(SEED, 601, qi, li)
             clean = generate_dataset(DEFAULT_PROFILE, ell, n_per_class, seed=cell_seed)
-            noisy = distort(clean, quant_variance(q, DEFAULT_SPEC), DEFAULT_PROFILE, seed=cell_seed)
+            noisy = distort(clean, quant_variance(q, DEFAULT_SPEC), ell, DEFAULT_PROFILE, cell_seed)
             est = empirical_accuracy(noisy, DEFAULT_PROFILE)
             limit = 3.0 * math.sqrt(analytic * (1.0 - analytic) / est.n)
             crit.check(
@@ -188,8 +188,8 @@ def test_criterion_07_concentration_propagation_vs_monte_carlo():
             predicted = kappa_distorted(sigma2, ell, DEFAULT_PROFILE)
             cell_seed = derive_seed(SEED, 701, si, li)
             clean = generate_dataset(DEFAULT_PROFILE, ell, 10_000, seed=cell_seed)
-            noisy = distort(clean, sigma2, DEFAULT_PROFILE, seed=cell_seed)
-            est = estimate_kappa_pooled(noisy.samples, 10).value
+            noisy = distort(clean, sigma2, ell, DEFAULT_PROFILE, seed=cell_seed)
+            est = estimate_kappa_pooled(noisy, 10).value
             crit.check(
                 abs(est - predicted) / predicted < 0.05,
                 f"sigma2={sigma2:g} ell={ell:g}: estimate {est:.4f} vs model {predicted:.4f}",

@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from edgeplan.accuracy import (
+    FeatureProfile,
+    QuantizerSpec,
+    accuracy_erf_approx,
+    accuracy_of_kappa,
+    kappa_distorted,
+    quant_variance,
+)
 from edgeplan.circstats import (
     KAPPA_MAX,
     AngularSampleSet,
@@ -18,6 +26,8 @@ from edgeplan.circstats import (
     wrapped_gaussian_kappa,
 )
 from edgeplan.rng import make_rng
+from edgeplan.simulator import distort
+from edgeplan.system import ComputeProfile, LinkState, comm_latency, comp_latency
 
 import oracles
 
@@ -291,3 +301,42 @@ def test_sample_set_validation():
         AngularSampleSet(angles=np.array([0.0, 0.1]), labels=np.array([1]))
     with pytest.raises(ValueError):
         AngularSampleSet(angles=np.array([0.0, 0.1]), labels=np.array([0, 1]))
+
+
+# ---------------------------------------------------------------------------
+# scalar argument checks
+# ---------------------------------------------------------------------------
+
+_PROFILE = FeatureProfile(j_classes=10, c1=0.35, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
+_SPEC = QuantizerSpec(c_min=-1.0, c_max=1.0, q_max=32)
+_LINK = LinkState(bandwidth_hz=1e8, snr=15.0, t_max_s=0.012, d=120_000)
+_LABELED = AngularSampleSet(angles=np.array([0.1, -0.2]), labels=np.array([1, 2]))
+
+# (test id, call on the checked argument, its name, lowest value accepted, a value below it)
+SCALAR_ARGUMENTS = [
+    ("bessel_ratio", bessel_ratio, "kappa", 0.0, -1e-12),
+    ("bessel_ratio_inv", bessel_ratio_inv, "r", 0.0, -1e-12),
+    ("sample_von_mises", lambda x: sample_von_mises(make_rng(1), 0.0, x, 3), "kappa", 0.0, -1e-12),
+    ("wrapped_gaussian_kappa", wrapped_gaussian_kappa, "sigma2", 0.0, -1e-12),
+    ("quant_variance", lambda x: quant_variance(x, _SPEC), "q", 0.0, -1e-12),
+    ("kappa_distorted", lambda x: kappa_distorted(x, 10.0, _PROFILE), "sigma2", 0.0, -1e-12),
+    ("accuracy_of_kappa", lambda x: accuracy_of_kappa(x, 10), "kappa", 0.0, -1e-12),
+    # the erf form divides by erf(pi sqrt(kappa / 2)), so kappa = 0 is rejected
+    ("accuracy_erf_approx", lambda x: accuracy_erf_approx(x, 10), "kappa", 1e-300, 0.0),
+    ("comm_latency", lambda x: comm_latency(x, _LINK), "q", 0.0, -1e-12),
+    ("comp_latency", lambda x: comp_latency(x, ComputeProfile(b1=1e-4, b2=2e-3)), "ell", 1.0,
+     1.0 - 1e-12),
+    ("distort", lambda x: distort(_LABELED, x, 10.0, _PROFILE, seed=1), "sigma2", 0.0, -1e-12),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "below"])
+@pytest.mark.parametrize(
+    "call, name, lowest, below", [case[1:] for case in SCALAR_ARGUMENTS],
+    ids=[case[0] for case in SCALAR_ARGUMENTS],
+)
+def test_scalar_arguments_must_be_finite_and_within_bound(call, name, lowest, below, value):
+    call(lowest)  # the bound itself stays admissible
+    bad = {"nan": math.nan, "inf": math.inf, "below": below}[value]
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite real"):
+        call(bad)

@@ -285,6 +285,22 @@ def test_shipped_commands_reproduce_reference_bytes(request, command, run):
     assert written == reference.read_bytes()
 
 
+def _readme_schema(heading: str) -> str:
+    """The first line of the first fenced block under README's ``### heading``."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split(f"\n### {heading}\n", 1)[1]
+    return section.split("```\n", 2)[1].splitlines()[0]
+
+
+@pytest.mark.parametrize("heading, run", [
+    ("Sweep CSV schema", "readme_sweep"),
+    ("Validate CSV schema", "default_validate"),
+], ids=["sweep", "validate"])
+def test_readme_csv_schemas_match_written_headers(request, heading, run):
+    _, _, written = request.getfixturevalue(run)
+    assert _readme_schema(heading) == written.decode().splitlines()[0]
+
+
 # ---------------------------------------------------------------------------
 # validate command
 # ---------------------------------------------------------------------------
@@ -377,6 +393,48 @@ def test_fit_exponential_exact_from_csv(tmp_path):
     assert record["c4"] == pytest.approx(0.08, rel=1e-9)
 
 
+FIT_OUTPUTS = [
+    (
+        "affine", "1,3\n2,5\n3,7\n4,10\n",
+        "fit affine: c1=2.3 c2=0.5 residual_rms=0.273861279\n", "",
+        {"c1": 2.3, "c2": 0.5, "kind": "affine", "n_points": 4,
+         "residual_rms": 0.27386127875258304},
+    ),
+    (
+        "exp", "1,400\n2,370\n3,345\n4,318\n",
+        "fit exponential: c3=431.46671 c4=0.0758198082 log_residual_rms=0.00235602193\n", "",
+        {"c3": 431.4667102020482, "c4": 0.0758198081590324, "kind": "exponential",
+         "log_residual_rms": 0.002356021929949622, "n_points": 4, "nonpositive_decay": False},
+    ),
+    (
+        "exp", "1,1\n2,2.5\n3,4\n4,8\n",
+        "fit exponential: c3=0.559016994 c4=-0.670832825 log_residual_rms=0.0933476448\n",
+        "warning: fitted decay rate is not positive\n",
+        {"c3": 0.5590169943749473, "c4": -0.6708328254285243, "kind": "exponential",
+         "log_residual_rms": 0.09334764478172729, "n_points": 4, "nonpositive_decay": True},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, rows, stdout, stderr, record", FIT_OUTPUTS, ids=["affine", "exp", "exp-rising"]
+)
+def test_fit_output_is_pinned(tmp_path, capsys, kind, rows, stdout, stderr, record):
+    csv_path, out_json = tmp_path / "series.csv", tmp_path / "fit.json"
+    csv_path.write_text("ell,value\n" + rows)
+    assert main(["fit", "--input", str(csv_path), "--kind", kind, "--out", str(out_json)]) == 0
+    assert capsys.readouterr() == (stdout, stderr)
+    text = out_json.read_text()
+    written = json.loads(text)
+    assert text == json.dumps(written, indent=2, sort_keys=True) + "\n"
+    assert list(written) == sorted(record)
+    for key, value in record.items():
+        if isinstance(value, float):
+            assert written[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+        else:
+            assert written[key] == value and type(written[key]) is type(value), key
+
+
 def test_fit_malformed_row_reports_line(tmp_path, capsys):
     csv_path = tmp_path / "series.csv"
     csv_path.write_text("1.0,2.0\n2.0,oops\n3.0,4.0\n")
@@ -396,7 +454,7 @@ def test_fit_round_trip_with_simulated_series(tmp_path, capsys):
         fh.write("ell,kappa_hat\n")
         for i, ell in enumerate([5.0, 12.0, 19.0, 26.0, 33.0]):
             ds = generate_dataset(config.profile, ell, 5000, seed=4300 + i)
-            fh.write(f"{ell},{estimate_kappa_pooled(ds.samples, 10).value!r}\n")
+            fh.write(f"{ell},{estimate_kappa_pooled(ds, 10).value!r}\n")
     out_json = tmp_path / "fit.json"
     assert main(["fit", "--input", str(csv_path), "--kind", "affine", "--out", str(out_json)]) == 0
     record = json.loads(out_json.read_text())

@@ -17,7 +17,7 @@ def test_depth_series_validation():
         DepthSeries(depths=np.array([1.0, 1.0]), values=np.array([2.0, 3.0]))
     with pytest.raises(ValueError):
         DepthSeries(depths=np.array([1.0, 2.0]), values=np.array([2.0, np.inf]))
-    series = DepthSeries.from_pairs([(1.0, 2.0), (2.0, 3.0)])
+    series = DepthSeries(depths=np.array([1.0, 2.0]), values=np.array([2.0, 3.0]))
     assert len(series) == 2
 
 
@@ -85,7 +85,7 @@ def test_round_trip_simulated_concentrations_recover_profile():
     estimates = []
     for i, ell in enumerate(depths):
         ds = generate_dataset(profile, float(ell), 10_000, seed=4200 + i)
-        estimates.append(estimate_kappa_pooled(ds.samples, 10).value)
+        estimates.append(estimate_kappa_pooled(ds, 10).value)
     fit = fit_affine(DepthSeries(depths=depths, values=np.array(estimates)))
     assert abs(fit.c1 - profile.c1) / profile.c1 < 0.05
     assert abs(fit.c2 - profile.c2) / profile.c2 < 0.05

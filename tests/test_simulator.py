@@ -28,7 +28,6 @@ from edgeplan.circstats import (
 )
 from edgeplan.optimizer import ExitSet, brute_force, solve_cr, solve_discrete
 from edgeplan.simulator import (
-    AngularDataset,
     classify_map,
     distort,
     empirical_accuracy,
@@ -58,27 +57,27 @@ STEEP = FeatureProfile(j_classes=10, c1=0.9, c2=1.0, c3=400.0, c4=0.08, n_layers
 def test_generate_dataset_shape_and_determinism():
     a = generate_dataset(PROFILE, 12.0, 500, seed=7)
     b = generate_dataset(PROFILE, 12.0, 500, seed=7)
-    assert np.array_equal(a.samples.angles, b.samples.angles)
-    assert np.array_equal(a.samples.labels, b.samples.labels)
-    assert len(a.samples) == 5000
-    counts = np.bincount(a.samples.labels)[1:]
+    assert np.array_equal(a.angles, b.angles)
+    assert np.array_equal(a.labels, b.labels)
+    assert len(a) == 5000
+    counts = np.bincount(a.labels)[1:]
     assert np.all(counts == 500)
     c = generate_dataset(PROFILE, 12.0, 500, seed=8)
-    assert not np.array_equal(a.samples.angles, c.samples.angles)
+    assert not np.array_equal(a.angles, c.angles)
 
 
 def test_generate_dataset_class_means_match_resultant():
     ds = generate_dataset(PROFILE, 20.0, 10_000, seed=31)
     expected = bessel_ratio(kappa_bar(20.0, PROFILE))
     for j in range(1, 11):
-        angles = ds.samples.angles[ds.samples.labels == j]
+        angles = ds.angles[ds.labels == j]
         mu = PROFILE.centroids[j - 1]
         assert np.mean(np.cos(angles - mu)) == pytest.approx(expected, abs=0.01)
 
 
 def test_generate_dataset_pooled_estimate_recovers_kappa():
     ds = generate_dataset(PROFILE, 20.0, 10_000, seed=31)
-    est = estimate_kappa_pooled(ds.samples, 10)
+    est = estimate_kappa_pooled(ds, 10)
     truth = kappa_bar(20.0, PROFILE)
     assert abs(est.value - truth) / truth < 0.03
 
@@ -86,8 +85,8 @@ def test_generate_dataset_pooled_estimate_recovers_kappa():
 def test_generate_dataset_saturated_concentration_clusters_tightly():
     spiky = FeatureProfile(j_classes=2, c1=1e9, c2=0.0, c3=1.0, c4=0.0, n_layers=39)
     ds = generate_dataset(spiky, 1.0, 50, seed=9)
-    mus = spiky.centroids[ds.samples.labels - 1]
-    deviation = np.abs(np.angle(np.exp(1j * (ds.samples.angles - mus))))
+    mus = spiky.centroids[ds.labels - 1]
+    deviation = np.abs(np.angle(np.exp(1j * (ds.angles - mus))))
     # at the concentration cap 1e6 the angular spread is ~1/sqrt(kappa) = 1e-3
     assert deviation.max() < 5e-3
 
@@ -106,19 +105,19 @@ def test_generate_dataset_argument_errors():
 
 def test_distort_zero_noise_is_identity():
     ds = generate_dataset(PROFILE, 15.0, 200, seed=3)
-    out = distort(ds, 0.0, PROFILE, seed=4)
-    assert np.array_equal(out.samples.angles, ds.samples.angles)
+    out = distort(ds, 0.0, 15.0, PROFILE, seed=4)
+    assert np.array_equal(out.angles, ds.angles)
 
 
 def test_distort_records_effective_variance_and_is_deterministic():
     ds = generate_dataset(PROFILE, 15.0, 400, seed=3)
-    out1 = distort(ds, 1e-3, PROFILE, seed=4)
-    out2 = distort(ds, 1e-3, PROFILE, seed=4)
-    assert np.array_equal(out1.samples.angles, out2.samples.angles)
-    noise = np.angle(np.exp(1j * (out1.samples.angles - ds.samples.angles)))
+    out1 = distort(ds, 1e-3, 15.0, PROFILE, seed=4)
+    out2 = distort(ds, 1e-3, 15.0, PROFILE, seed=4)
+    assert np.array_equal(out1.angles, out2.angles)
+    noise = np.angle(np.exp(1j * (out1.angles - ds.angles)))
     assert np.var(noise) == pytest.approx(1e-3 * grad_energy(15.0, PROFILE), rel=0.1)
-    out3 = distort(ds, 1e-3, PROFILE, seed=5)
-    assert not np.array_equal(out1.samples.angles, out3.samples.angles)
+    out3 = distort(ds, 1e-3, 15.0, PROFILE, seed=5)
+    assert not np.array_equal(out1.angles, out3.angles)
 
 
 def _philox(*entropy):
@@ -141,16 +140,16 @@ def test_dataset_draws_match_a_numpy_resimulation():
     # pins the validate stream layout: class j on [seed, 1, j], noise on [seed, 2]
     seed, n, ell, sigma2 = 41, 300, 9.0, quant_variance(6.0, SPEC)
     clean = generate_dataset(PROFILE, ell, n, seed=seed)
-    noisy = distort(clean, sigma2, PROFILE, seed=seed)
+    noisy = distort(clean, sigma2, ell, PROFILE, seed=seed)
     angles = np.concatenate(
         [_philox(seed, 1, j).vonmises(CENTROIDS[j - 1], kappa_bar(ell, PROFILE), n)
          for j in range(1, 11)]
     )
-    assert np.array_equal(clean.samples.angles, angles)
+    assert np.array_equal(clean.angles, angles)
     noise = _philox(seed, 2).normal(0.0, math.sqrt(sigma2 * grad_energy(ell, PROFILE)), 10 * n)
     labels = np.repeat(np.arange(1, 11), n)
     expected = _nearest_centroid(angles + noise) == labels
-    correct = classify_map(noisy.samples.angles, PROFILE) == noisy.samples.labels
+    correct = classify_map(noisy.angles, PROFILE) == noisy.labels
     assert np.array_equal(correct, expected)
     assert 0 < expected.sum() < expected.size
     assert empirical_accuracy(noisy, PROFILE).value == np.mean(expected)
@@ -161,23 +160,18 @@ def test_distorted_concentration_matches_propagation_model():
     # the acceptance suite
     ds = generate_dataset(PROFILE, 15.0, 10_000, seed=100)
     sigma2 = 1e-3
-    out = distort(ds, sigma2, PROFILE, seed=101)
-    est = estimate_kappa_pooled(out.samples, 10)
+    out = distort(ds, sigma2, 15.0, PROFILE, seed=101)
+    est = estimate_kappa_pooled(out, 10)
     predicted = kappa_distorted(sigma2, 15.0, PROFILE)
     assert abs(est.value - predicted) / predicted < 0.05
 
 
 def test_distorting_point_mass_recovers_wrapped_gaussian_kappa():
     mu = float(PROFILE.centroids[2])
-    point = AngularDataset(
-        depth=20.0,
-        samples=AngularSampleSet(
-            angles=np.full(20_000, mu), labels=np.ones(20_000, dtype=int)
-        ),
-    )
+    point = AngularSampleSet(angles=np.full(20_000, mu), labels=np.ones(20_000, dtype=int))
     sigma2 = 5e-4
-    out = distort(point, sigma2, PROFILE, seed=11)
-    est = estimate_kappa(AngularSampleSet(angles=out.samples.angles))
+    out = distort(point, sigma2, 20.0, PROFILE, seed=11)
+    est = estimate_kappa(AngularSampleSet(angles=out.angles))
     expected = wrapped_gaussian_kappa(sigma2 * grad_energy(20.0, PROFILE)).value
     assert abs(est.value - expected) / expected < 0.05
 
@@ -270,12 +264,17 @@ def test_empirical_accuracy_uniform_is_chance():
     assert abs(est.value - 0.1) <= max(est.ci_half_width, 3e-3)
 
 
+def test_empirical_accuracy_needs_labels():
+    with pytest.raises(ValueError, match="labeled"):
+        empirical_accuracy(AngularSampleSet(angles=np.array([0.1, 0.2])), PROFILE)
+
+
 def test_empirical_accuracy_tracks_analytic_model():
     # one cell of the analytic-vs-empirical agreement grid (full grid in the
     # acceptance suite): q = 8, depth 19, N = 5e4
     q, ell = 8.0, 19.0
     ds = generate_dataset(PROFILE, ell, 5_000, seed=71)
-    noisy = distort(ds, quant_variance(q, SPEC), PROFILE, seed=72)
+    noisy = distort(ds, quant_variance(q, SPEC), ell, PROFILE, seed=72)
     est = empirical_accuracy(noisy, PROFILE)
     analytic = accuracy_model(q, ell, PROFILE, SPEC)
     assert abs(est.value - analytic) < 3.0 * math.sqrt(analytic * (1 - analytic) / est.n)
@@ -288,7 +287,7 @@ def test_empirical_accuracy_agrees_with_exact_fourier_oracle():
     sigma2_eff = quant_variance(q, SPEC) * grad_energy(ell, PROFILE)
     exact = oracles.noisy_mixture_accuracy(kappa_bar(ell, PROFILE), sigma2_eff, 10)
     ds = generate_dataset(PROFILE, ell, 20_000, seed=81)
-    noisy = distort(ds, quant_variance(q, SPEC), PROFILE, seed=82)
+    noisy = distort(ds, quant_variance(q, SPEC), ell, PROFILE, seed=82)
     est = empirical_accuracy(noisy, PROFILE)
     assert abs(est.value - exact) < 3.0 * math.sqrt(exact * (1 - exact) / est.n)
 
@@ -428,7 +427,12 @@ def test_sweep_runs_one_depth_search_per_point_and_ceiling(monkeypatch):
     assert len(calls) == 12
 
 
-def test_task_count_must_be_positive():
+def test_task_count_must_be_positive(monkeypatch):
+    # the count is rejected before any planning starts
+    def search(*args, **kwargs):
+        pytest.fail("a depth search ran before the task count was checked")
+
+    monkeypatch.setattr(optimizer, "min_depth_for_accuracy", search)
     with pytest.raises(ValueError, match="tasks"):
         run_algorithm1(0, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
     with pytest.raises(ValueError, match="tasks"):
