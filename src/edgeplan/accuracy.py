@@ -33,9 +33,9 @@ __all__ = [
     "min_depth_for_accuracy",
 ]
 
-# Above this concentration the erf ratio is exact to well below the quadrature
-# tolerance, so the integrator hands over to it.
-_ERF_SWITCH = 1.0e4
+# Above this concentration the erf ratio's error, about 1/(8 kappa), is below
+# the quadrature tolerance, so the integrator hands over to it.
+_ERF_SWITCH = 1.25e8
 _QUAD_REL_TOL = 1e-9
 _QUAD_MAX_NODES = 2**20
 _DEPTH_TOL = 1e-6
@@ -213,8 +213,10 @@ def accuracy_of_kappa(kappa: float, j_classes: int) -> float:
 
     Evaluates ``int_0^{pi/J} exp(kappa cos x) / (pi I0(kappa)) dx`` with the
     scaled integrand and composite Simpson refinement until the relative
-    change drops below 1e-9 (node cap 2^20).  For kappa above 1e4 the erf
-    ratio is used instead; its error there is below the quadrature tolerance.
+    change drops below 1e-9; an :class:`ArithmeticError` naming kappa and J
+    is raised if 2^20 intervals do not get there.  For kappa above 1.25e8 the
+    erf ratio is used instead: its error, about ``1/(8 kappa)``, is at most
+    1e-9 there, so the two forms meet within the quadrature tolerance.
     """
     kappa = _check_real("kappa", kappa, 0.0)
     j_classes = int(j_classes)
@@ -232,12 +234,13 @@ def accuracy_of_kappa(kappa: float, j_classes: int) -> float:
         integral = _simpson(np.exp(kappa * (np.cos(x) - 1.0)), a / n)
         value = integral / norm
         if prev is not None and abs(value - prev) <= _QUAD_REL_TOL * abs(value):
-            break
+            return min(value, 1.0)
         if n >= _QUAD_MAX_NODES:
-            break
+            raise ArithmeticError(
+                f"accuracy at kappa={kappa!r}, J={j_classes} not converged in {n} intervals"
+            )
         prev = value
         n *= 2
-    return min(value, 1.0)
 
 
 def accuracy_model(
@@ -249,12 +252,17 @@ def accuracy_model(
 
 
 def accuracy_erf_approx(kappa: float, j_classes: int) -> float:
-    """Gaussian-limit accuracy ``erf((pi/J) sqrt(k/2)) / erf(pi sqrt(k/2))``."""
+    """Gaussian-limit accuracy ``erf((pi/J) sqrt(k/2)) / erf(pi sqrt(k/2))``.
+
+    Where ``k/2`` underflows to 0 it returns the ``k -> 0`` limit ``1/J``.
+    """
     kappa = _check_real("kappa", kappa, 0.0, strict=True)
     j_classes = int(j_classes)
     if j_classes < 2:
         raise ValueError(f"j_classes must be >= 2, got {j_classes}")
     root = math.sqrt(0.5 * kappa)
+    if root == 0.0:
+        return 1.0 / j_classes
     return math.erf(math.pi / j_classes * root) / math.erf(math.pi * root)
 
 

@@ -43,7 +43,6 @@ KAPPA_MAX = 1.0e6
 
 _INV_TOL = 1e-10
 _INV_MAX_ITER = 200
-_RESULTANT_SATURATION = 1.0 - 1e-12
 # Uniform-sampling shortcut threshold used by the rejection sampler.
 _KAPPA_UNIFORM = 1e-8
 
@@ -91,7 +90,8 @@ def bessel_ratio(kappa: float) -> float:
     return float(special.i1e(kappa) / special.i0e(kappa))
 
 
-# Largest resultant representable under the saturation cap.
+# Resultant at the saturation cap; any resultant at or above it inverts to
+# KAPPA_MAX with the flag set, so estimators clip to it rather than test it.
 _RESULTANT_CAP = float(special.i1e(KAPPA_MAX) / special.i0e(KAPPA_MAX))
 
 
@@ -107,9 +107,9 @@ def bessel_ratio_inv(r: float) -> KappaResult:
 
     Safeguarded Newton iteration from the closed-form seed
     ``r (2 - r^2) / (1 - r^2)``, falling back to bisection whenever a step
-    leaves the current bracket, until a step moves kappa by at most 1e-10
-    relative.  Saturates (with flag) once the solution would exceed
-    :data:`KAPPA_MAX`.  Every r in [1e-300, the resultant at ``KAPPA_MAX``)
+    is undefined or leaves the current bracket, until a step moves kappa by
+    at most 1e-10 relative.  Saturates (with flag) once the solution would
+    exceed :data:`KAPPA_MAX`.  Every r in [1e-300, the resultant at ``KAPPA_MAX``)
     converges within 30 steps; an :class:`ArithmeticError` naming r is raised
     after ``_INV_MAX_ITER`` (200).
     """
@@ -135,10 +135,8 @@ def bessel_ratio_inv(r: float) -> KappaResult:
         else:
             hi = kappa
         da = _bessel_ratio_deriv(kappa, a)
-        if da > 0.0 and np.isfinite(da):
-            nxt = kappa - (a - r) / da
-        else:
-            nxt = 0.5 * (lo + hi)
+        # a non-positive slope gives a NaN step, which the bracket test bisects
+        nxt = kappa - (a - r) / da if da > 0.0 else math.nan
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - kappa) <= _INV_TOL * abs(nxt):
@@ -210,18 +208,16 @@ def _kappa_from_angles(angles: np.ndarray) -> KappaResult:
     n = angles.size
     c = float(np.cos(angles).sum())
     s = float(np.sin(angles).sum())
-    # normalized resultant length in [0, 1]
-    rbar = min(np.hypot(c, s) / n, 1.0)
-    if rbar >= _RESULTANT_SATURATION:
-        return KappaResult(KAPPA_MAX, True)
-    return bessel_ratio_inv(rbar)
+    # normalized resultant length, clipped to the one that saturates
+    return bessel_ratio_inv(min(np.hypot(c, s) / n, _RESULTANT_CAP))
 
 
 def estimate_kappa(samples: AngularSampleSet) -> KappaResult:
     """Concentration estimate ``A^-1(Rbar)`` from single-class samples.
 
-    ``Rbar`` is the normalized resultant length; near-collinear samples
-    (``Rbar >= 1 - 1e-12``) saturate to ``KAPPA_MAX`` with the flag set.
+    ``Rbar`` is the normalized resultant length; samples concentrated enough
+    that ``Rbar`` reaches ``bessel_ratio(KAPPA_MAX)`` (about ``1 - 5e-7``)
+    saturate to ``KAPPA_MAX`` with the flag set.
     """
     if len(samples) < 2:
         raise ValueError("estimate_kappa needs at least 2 samples")
@@ -252,10 +248,9 @@ def wrapped_gaussian_kappa(sigma2: float) -> KappaResult:
 
     ``A^-1(exp(-sigma2 / 2))``: the circular first moment of a Gaussian with
     variance ``sigma2`` wrapped onto the circle, pushed through the inverse
-    resultant map.  ``sigma2 = 0`` saturates to ``KAPPA_MAX`` with the flag.
+    resultant map.  Variances small enough that the resultant reaches
+    ``bessel_ratio(KAPPA_MAX)`` (``sigma2`` up to about 1e-6, including 0)
+    saturate to ``KAPPA_MAX`` with the flag set.
     """
     sigma2 = _check_real("sigma2", sigma2, 0.0)
-    r = float(np.exp(-0.5 * sigma2))
-    if r >= 1.0:
-        return KappaResult(KAPPA_MAX, True)
-    return bessel_ratio_inv(r)
+    return bessel_ratio_inv(min(float(np.exp(-0.5 * sigma2)), _RESULTANT_CAP))

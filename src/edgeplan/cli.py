@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -23,25 +23,13 @@ from .config import ConfigError, RunConfig, load_config
 from .fitting import DepthSeries, fit_affine, fit_exponential
 from .optimizer import ExitSet, Plan, solve_cr, solve_discrete
 from .rng import derive_seed
-from .simulator import SweepRow, distort, empirical_accuracy, generate_dataset, sweep
+from .simulator import distort, empirical_accuracy, generate_dataset, sweep
 from .system import LinkState, snr_db_to_linear
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VALIDATION_FAILED = 2
-
-VALIDATE_HEADER = [
-    "q",
-    "ell",
-    "analytic_acc",
-    "emp_acc",
-    "emp_ci",
-    "n",
-    "abs_gap",
-    "limit_3se",
-    "cell_pass",
-]
 
 DEFAULT_VALIDATE_GRID = "8,12,16,32x9,19,29,37"
 
@@ -125,12 +113,14 @@ def _flag(flag: str, parse: Callable[..., Any], *args: Any) -> Any:
         raise ValueError(f"{flag}: {detail}") from exc
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: str, rows: Sequence[Any]) -> None:
+    """Nonempty dataclass rows of one type as CSV; the fields name the columns."""
+    header = [f.name for f in fields(rows[0])]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+            writer.writerow([_fmt(getattr(row, name)) for name in header])
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +191,7 @@ def cmd_sweep(
         seed=config.seed,
     )
     rows.sort(key=lambda r: (r.variant, r.p0, r.snr_db))
-    header = [f.name for f in fields(SweepRow)]
-    _write_csv(out, header, [[getattr(r, name) for name in header] for r in rows])
+    _write_csv(out, rows)
     print(f"sweep: wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
@@ -210,6 +199,21 @@ def cmd_sweep(
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ValidateRow:
+    """One (bit-width, depth) cell of the Monte Carlo check."""
+
+    q: int
+    ell: int
+    analytic_acc: float
+    emp_acc: float
+    emp_ci: float
+    n: int
+    abs_gap: float
+    limit_3se: float
+    cell_pass: bool
 
 
 def cmd_validate(
@@ -224,7 +228,6 @@ def cmd_validate(
         # negative control: corrupt the analytic side only
         analytic_profile = replace(config.profile, c1=config.profile.c1 / 2.0)
     rows = []
-    failures = 0
     for qi, q in enumerate(qs):
         for li, ell in enumerate(ells):
             analytic = accuracy_model(q, ell, analytic_profile, config.quantizer)
@@ -235,11 +238,11 @@ def cmd_validate(
             est = empirical_accuracy(noisy, config.profile)
             limit = 3.0 * np.sqrt(analytic * (1.0 - analytic) / est.n)
             gap = abs(est.value - analytic)
-            ok = gap < limit
-            failures += 0 if ok else 1
-            rows.append((q, ell, analytic, est.value, est.ci_half_width, est.n, gap, limit, ok))
-    _write_csv(out, VALIDATE_HEADER, rows)
+            rows.append(ValidateRow(q, ell, analytic, est.value, est.ci_half_width, est.n,
+                                    gap, limit, gap < limit))
+    _write_csv(out, rows)
     total = len(rows)
+    failures = sum(not row.cell_pass for row in rows)
     print(f"validate: {total - failures}/{total} cells pass; wrote {out}")
     return EXIT_OK if failures == 0 else EXIT_VALIDATION_FAILED
 

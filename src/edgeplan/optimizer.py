@@ -8,10 +8,12 @@ the quantizer alphabet and the exit-layer set, and ``brute_force`` is the
 independent exhaustive oracle the tests hold the decomposition against.  All
 three differ only in how they search; each fills in its chosen ``(q, ell)``
 the same way, from :func:`~edgeplan.accuracy.accuracy_model` and the latency
-model, so their plans compare field by field.  As only the rounding to an
-exit depends on the exit set, ``_discrete_plans`` plans several sets from one
-depth search, evaluating each exit layer's accuracy once.  Everything is
-pure; instances may be solved in parallel without coordination.
+model, so their plans compare field by field.  ``solve_discrete`` uses the
+bisected continuous depth only to find where to start: the plan's exit is the
+first whose own accuracy meets the target.  As only that scan depends on the
+exit set, ``_discrete_plans`` plans several sets from one depth search,
+evaluating each exit layer's accuracy once.  Everything is pure; instances
+may be solved in parallel without coordination.
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ from .system import (
 )
 
 __all__ = ["ExitSet", "Plan", "solve_cr", "solve_discrete", "brute_force"]
-
-# Slack for comparing a bisected continuous depth against exact exit layers.
-_EXIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,12 +148,12 @@ def solve_discrete(
     """Alphabet- and exit-constrained solution.
 
     Bit-width: largest alphabet entry within the latency budget.  Depth: the
-    smallest exit at or beyond the bisected continuous minimum; because the
-    bisection carries ~1e-6 slack, the exits adjacent to the rounded choice
-    are re-checked against the accuracy target directly, which pins the
-    result to the exact constrained optimum.  When no exit qualifies the
-    plan parks at the deepest exit with zero EPR.  One call of
-    ``_discrete_plans``, which plans several exit sets the same way.
+    first exit whose ``accuracy_model`` meets ``p0``, scanning up from the
+    last exit below the bisected continuous minimum (the bisection carries
+    ~1e-6 slack, so that exit may still qualify).  Every feasible plan's exit
+    has thus been compared with ``p0`` directly.  When no exit qualifies, or
+    no depth does, the plan parks at the deepest exit with zero EPR.  One
+    call of ``_discrete_plans``, which plans several exit sets the same way.
     """
     return _discrete_plans(link, comp, profile, spec, [exits], p0)[0]
 
@@ -169,10 +168,10 @@ def _discrete_plans(
 ) -> List[Plan]:
     """The :func:`solve_discrete` plan for each exit set, in order.
 
-    The bit-width and the continuous minimum depth are solved once and
-    rounded up to each set's exits.  Each exit layer's accuracy is evaluated
-    at most once, for the guard and the plan alike; the memo lives for this
-    call only.
+    The bit-width and the continuous minimum depth are solved once; each
+    set's exits are then scanned from just below that depth.  Each exit
+    layer's accuracy is evaluated at most once, for the scans and the plans
+    alike; the memo lives for this call only.
     """
     for exits in exit_sets:
         exits.check_within(profile)
@@ -189,13 +188,10 @@ def _discrete_plans(
     for exits in exit_sets:
         layers, idx = exits.layers, None
         if ell_plus is not None:
-            idx = next((i for i, l in enumerate(layers) if l >= ell_plus - _EXIT_TOL), None)
-            if idx is not None:
-                # float-boundary guard: trust direct evaluation over the bisection
-                if accuracy(layers[idx]) < p0:
-                    idx = idx + 1 if idx + 1 < len(layers) else None
-                elif idx > 0 and accuracy(layers[idx - 1]) >= p0:
-                    idx -= 1
+            # the bisected depth is a start, not a verdict: scan from the last
+            # exit below it for the first whose accuracy meets p0
+            start = max(sum(l < ell_plus for l in layers) - 1, 0)
+            idx = next((i for i in range(start, len(layers)) if accuracy(layers[i]) >= p0), None)
         ell = exits.deepest if idx is None else layers[idx]
         plans.append(_plan(q_star, ell, accuracy(ell), idx is not None, link, comp))
     return plans

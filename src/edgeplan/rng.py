@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["make_rng", "derive_seed"]
+
 _MASK64 = (1 << 64) - 1
 
 

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from edgeplan import accuracy as accuracy_module
 from edgeplan.accuracy import (
     FeatureProfile,
     QuantizerSpec,
@@ -214,6 +215,31 @@ def test_accuracy_erf_gap_shrinks_with_kappa():
         quad = accuracy_of_kappa(kappa, 10)
         gaps.append(abs(accuracy_erf_approx(kappa, 10) - quad) / quad)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize("j_classes", [2, 10, 100, 1000, 10_000])
+def test_accuracy_is_continuous_across_the_erf_switch(j_classes):
+    # the erf form is off by about 1/(8 kappa), so it may take over only where
+    # that is within the quadrature tolerance
+    switch = accuracy_module._ERF_SWITCH
+    below = accuracy_of_kappa(switch, j_classes)
+    above = accuracy_of_kappa(math.nextafter(switch, math.inf), j_classes)
+    assert above == accuracy_erf_approx(math.nextafter(switch, math.inf), j_classes)
+    assert abs(above - below) <= 1e-9
+
+
+def test_accuracy_erf_approx_underflow_returns_chance():
+    # kappa / 2 underflows to 0 for the smallest subnormal; the kappa -> 0
+    # limit of the erf ratio is 1/J
+    assert accuracy_erf_approx(5e-324, 10) == 0.1
+    assert accuracy_erf_approx(1e-323, 10) == pytest.approx(0.1, rel=1e-12)
+
+
+def test_accuracy_quadrature_raises_when_not_converged(monkeypatch):
+    monkeypatch.setattr(accuracy_module, "_QUAD_MAX_NODES", 32)
+    with pytest.raises(ArithmeticError, match=r"kappa=1000\.0, J=2\b"):
+        accuracy_of_kappa(1000.0, 2)
+    assert accuracy_of_kappa(0.0, 2) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_accuracy_strict_monotonicity_grids():

@@ -194,6 +194,37 @@ def test_module_entry_point_runs_in_subprocess():
     assert "feasible           : yes" in result.stdout
 
 
+def test_package_exports_exactly_the_modules_public_names():
+    import ast
+    import importlib
+    import pkgutil
+    import types
+
+    import edgeplan
+
+    # each module's __all__ is the one list of its public names; the package
+    # re-exports their union and names none of them itself
+    declared = {}
+    for info in pkgutil.iter_modules(edgeplan.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"edgeplan.{info.name}")
+            declared.update((name, module) for name in getattr(module, "__all__", ()))
+    public = {
+        name for name, value in vars(edgeplan).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(edgeplan.__all__) == sorted(declared) == sorted(public)
+    for name, module in declared.items():
+        assert getattr(edgeplan, name) is getattr(module, name)
+    tree = ast.parse(Path(edgeplan.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert names == {"*"} or all(
+                isinstance(getattr(edgeplan, name), types.ModuleType) for name in names
+            )
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the planner: decomposition vs exhaustive search, dominance, shape."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from edgeplan.system import (
     comm_latency,
     comp_latency,
     epr,
+    max_bitwidth_discrete,
     snr_db_to_linear,
 )
 
@@ -171,6 +173,38 @@ def test_decomposition_matches_brute_force_on_random_instances():
             assert plan.ell == float(inst["exits"].deepest)
     # the instance mix must exercise both outcomes for this test to mean much
     assert feasible >= 10 and infeasible >= 5
+
+
+def test_exit_rounding_at_exact_accuracy_boundaries():
+    # p0 set to an exit's own accuracy, and to the next float above it, puts
+    # the continuous minimum depth on that exit to the last bit: the exit
+    # meets the first target and misses the second, and the plan must agree
+    # with the exhaustive search either way.  The oracle searches the exits at
+    # the planner's bit-width only: at these points a neighbouring bit-width's
+    # accuracy can differ by less than kappa_distorted's 1e-10 solve
+    # tolerance, so a full-alphabet search may take a lower bit-width, which
+    # is a defect of the bit-width rule, not of the exit rule.
+    rng = np.random.default_rng(2026)
+    cases = on_exit = 0
+    for _ in range(12):
+        inst = random_instance(rng)
+        profile, spec, exits = inst["profile"], inst["spec"], inst["exits"]
+        q_star = max_bitwidth_discrete(inst["link"], spec)
+        fixed = dict(inst, spec=replace(spec, bit_alphabet=(q_star,)))
+        for layer in exits.layers:
+            boundary = accuracy_model(q_star, float(layer), profile, spec)
+            if not 1.0 / profile.j_classes < boundary < 1.0:
+                continue
+            for p0 in (boundary, math.nextafter(boundary, 1.0)):
+                plan = solve_discrete(**dict(inst, p0=p0))
+                oracle = brute_force(**dict(fixed, p0=p0))
+                assert (plan.q, plan.ell, plan.feasible, plan.epr) == (
+                    oracle.q, oracle.ell, oracle.feasible, oracle.epr
+                )
+                cases += 1
+                on_exit += plan.feasible and plan.ell == layer
+    # each exactly met target lands on its own exit, and no missed one does
+    assert cases >= 20 and on_exit == cases // 2
 
 
 def test_cr_dominates_on_random_instances():
