@@ -72,7 +72,9 @@ def wrap_angle(theta):
     th = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(th)):
         raise ValueError("angles must be finite")
-    out = np.pi - np.mod(np.pi - th, TWO_PI)
+    out = np.subtract(np.pi, th, out=np.empty_like(th))
+    np.mod(out, TWO_PI, out=out)
+    np.subtract(np.pi, out, out=out)
     if out.ndim == 0:
         return float(out)
     return out
@@ -196,7 +198,8 @@ def sample_von_mises(
     else:
         angles = rng.vonmises(mu, kappa, size=n)
     # numpy reports the closed interval [-pi, pi]; remap the lone boundary point
-    return np.where(angles <= -np.pi, np.pi, angles)
+    angles[angles <= -np.pi] = np.pi
+    return angles
 
 
 # ---------------------------------------------------------------------------

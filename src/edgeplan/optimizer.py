@@ -12,8 +12,12 @@ model, so their plans compare field by field.  ``solve_discrete`` uses the
 bisected continuous depth only to find where to start: the plan's exit is the
 first whose own accuracy meets the target.  As only that scan depends on the
 exit set, ``_discrete_plans`` plans several sets from one depth search,
-evaluating each exit layer's accuracy once.  Everything is pure; instances
-may be solved in parallel without coordination.
+evaluating each exit layer's accuracy once.  The link enters the discrete
+plan only through its bit-width, so plans change only at the threshold SNRs
+where the alphabet admits a new entry: ``_discrete_plans`` also plans several
+links, choosing exits once per distinct bit-width and filling in latency and
+EPR per link.  Everything is pure; instances may be solved in parallel
+without coordination.
 """
 
 from __future__ import annotations
@@ -79,7 +83,11 @@ class ExitSet:
 class Plan:
     """A (bit-width, depth) decision with its predicted operating point.
 
-    ``t_comm`` never exceeds the air-latency budget.  An infeasible plan
+    A discrete plan's ``t_comm`` never exceeds the air-latency budget, by the
+    ``comm_latency`` test of :func:`~edgeplan.system.max_bitwidth_discrete`.
+    The continuous ceiling's bit-width saturates the budget, so its
+    ``t_comm`` equals ``t_max_s`` only to within one rounding and may exceed
+    it by about 2.2e-16 relative.  An infeasible plan
     (accuracy target unreachable) parks at the deepest depth it may use with
     ``epr = 0`` but still reports the sub-target ``predicted_accuracy`` so
     sweeps can plot it.
@@ -124,10 +132,11 @@ def solve_cr(
 ) -> Plan:
     """Continuous-relaxation solution: real-valued bit-width and depth.
 
-    The bit-width saturates the air-latency budget exactly; the depth is the
-    bisected minimum meeting ``p0``.  The resulting EPR upper-bounds every
-    discrete plan for the same scenario.  When no depth qualifies the plan
-    parks at the last model layer with zero EPR.
+    The bit-width saturates the air-latency budget, to within one rounding
+    (see :class:`Plan`); the depth is the bisected minimum meeting ``p0``.
+    The resulting EPR upper-bounds every discrete plan for the same scenario.
+    When no depth qualifies the plan parks at the last model layer with zero
+    EPR.
     """
     q_star = max_bitwidth_continuous(link)
     ell_star = min_depth_for_accuracy(quant_variance(q_star, spec), p0, profile)
@@ -153,29 +162,52 @@ def solve_discrete(
     ~1e-6 slack, so that exit may still qualify).  Every feasible plan's exit
     has thus been compared with ``p0`` directly.  When no exit qualifies, or
     no depth does, the plan parks at the deepest exit with zero EPR.  One
-    call of ``_discrete_plans``, which plans several exit sets the same way.
+    call of ``_discrete_plans``, which plans several links and exit sets the
+    same way.
     """
-    return _discrete_plans(link, comp, profile, spec, [exits], p0)[0]
+    return _discrete_plans([link], comp, profile, spec, [exits], p0)[0][0]
 
 
 def _discrete_plans(
-    link: LinkState,
+    links: Sequence[LinkState],
     comp: ComputeProfile,
     profile: FeatureProfile,
     spec: QuantizerSpec,
     exit_sets: Sequence[ExitSet],
     p0: float,
-) -> List[Plan]:
-    """The :func:`solve_discrete` plan for each exit set, in order.
+) -> List[List[Plan]]:
+    """The :func:`solve_discrete` plan for each link and each exit set, in order.
 
-    The bit-width and the continuous minimum depth are solved once; each
-    set's exits are then scanned from just below that depth.  Each exit
-    layer's accuracy is evaluated at most once, for the scans and the plans
-    alike; the memo lives for this call only.
+    A link enters only through its bit-width ``q*``, which fixes each set's
+    exit, predicted accuracy and feasibility (``_exit_choices``); so those
+    are chosen once per distinct ``q*``, and only the latencies and EPR are
+    filled in per link.  Nothing is kept between calls.
+    """
+    choices, plans = {}, []  # q* -> _exit_choices at q*
+    for link in links:
+        q = float(max_bitwidth_discrete(link, spec))
+        if q not in choices:
+            choices[q] = _exit_choices(q, profile, spec, exit_sets, p0)
+        plans.append([_plan(q, *choice, link, comp) for choice in choices[q]])
+    return plans
+
+
+def _exit_choices(
+    q_star: float,
+    profile: FeatureProfile,
+    spec: QuantizerSpec,
+    exit_sets: Sequence[ExitSet],
+    p0: float,
+) -> List[Tuple[int, float, bool]]:
+    """Each exit set's ``(ell, predicted accuracy, feasible)`` at bit-width ``q_star``.
+
+    The continuous minimum depth is solved once; each set's exits are then
+    scanned from just below it.  Each exit layer's accuracy is evaluated at
+    most once, for the scans and the plans alike; the memo lives for this
+    call only.
     """
     for exits in exit_sets:
         exits.check_within(profile)
-    q_star = float(max_bitwidth_discrete(link, spec))
     ell_plus = min_depth_for_accuracy(quant_variance(q_star, spec), p0, profile)
     accuracy_at = {}  # exit layer -> accuracy_model(q_star, layer)
 
@@ -184,7 +216,7 @@ def _discrete_plans(
             accuracy_at[layer] = accuracy_model(q_star, float(layer), profile, spec)
         return accuracy_at[layer]
 
-    plans = []
+    choices = []
     for exits in exit_sets:
         layers, idx = exits.layers, None
         if ell_plus is not None:
@@ -193,8 +225,8 @@ def _discrete_plans(
             start = max(sum(l < ell_plus for l in layers) - 1, 0)
             idx = next((i for i in range(start, len(layers)) if accuracy(layers[i]) >= p0), None)
         ell = exits.deepest if idx is None else layers[idx]
-        plans.append(_plan(q_star, ell, accuracy(ell), idx is not None, link, comp))
-    return plans
+        choices.append((ell, accuracy(ell), idx is not None))
+    return choices
 
 
 def brute_force(

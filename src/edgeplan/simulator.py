@@ -8,9 +8,9 @@ scored into an :class:`AccuracyEstimate` with a binomial interval.
 ``validate`` runs them as :func:`generate_dataset` (one stream per class),
 :func:`distort` (one noise stream) and :func:`empirical_accuracy`;
 :func:`run_algorithm1` runs them on one stream per batch, angles before
-noise.  :func:`sweep` plans each (p0, SNR) point once for every exit set,
-with one depth search, solves the continuous ceiling there once too, and
-simulates each row with the batch step ``_simulate`` that
+noise.  :func:`sweep` chooses exits once per (p0, bit-width) for every
+exit set and SNR sharing that bit-width, solves the continuous ceiling once
+per (p0, SNR), and simulates each row with the batch step ``_simulate`` that
 :func:`run_algorithm1` also runs.
 
 Every stage draws from an explicit generator addressed by (seed, stream),
@@ -51,6 +51,18 @@ _STREAM_DISTORT = 2
 _STREAM_TASKS = 3
 
 _Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+# classify_map labels an angle by its bin, and scores the two centroids
+# around a bin edge only within this many J^2 bin widths of the edge.  Let x
+# be an angle's distance from the edge.  Its nearer centroid outscores the
+# other by 2 sin(pi/J) sin(x) >= 8x / (pi J), for J >= 2 and x <= pi / J.
+# Each computed score is within about 1.1e-15 of the score at the exact
+# centroid (rounding of the centroid and of theta - c, each at most
+# ulp(2 pi)/2 = 4.4e-16, plus one ulp of cos), so the sign of the difference
+# is exact once x > 8.7e-16 J rad, or 1.4e-16 J^2 bin widths.  The computed
+# bin position is off by at most about 3e-16 J.  Both together are below
+# 3e-16 J^2; the band holds a fraction 2e-12 J^2 of uniform angles, and from
+# J of about 7e5 on it covers every angle.
+_EDGE_BAND = 1e-12
 
 
 class AccuracyEstimate(NamedTuple):
@@ -68,7 +80,9 @@ def _add_noise(
     variance = sigma2 * grad_energy(ell, profile)
     if variance == 0.0:
         return angles
-    return wrap_angle(angles + rng.normal(0.0, math.sqrt(variance), size=angles.size))
+    noisy = rng.normal(0.0, math.sqrt(variance), size=angles.size)
+    noisy += angles
+    return wrap_angle(noisy)
 
 
 def _score(correct: np.ndarray) -> AccuracyEstimate:
@@ -121,26 +135,42 @@ def classify_map(theta, profile: FeatureProfile):
     centroid nearest in angular distance, so the score reduces to
     ``cos(theta - centroid_j)``; ties resolve to the smallest class index
     (``theta = pi`` ties classes J and 1, and 1 wins).  The centroids are
-    equally spaced, so only the two on either side of each angle are scored:
+    equally spaced, so each angle is labeled by its bin of width ``2 pi / J``,
+    ``floor((theta + pi) J / (2 pi)) mod J + 1``, which holds its nearest
+    centroid.  Only angles within a guard band of a bin edge, where rounding
+    could decide, are scored against the two centroids on either side:
     every other one is at least ``pi / J`` farther, and a bin index off by
-    one still holds the nearest.  On (-pi, pi] the labels equal a full argmax
-    over all J bit for bit, in O(n) work and memory for n angles.  Accepts
-    scalars or arrays.
+    one still holds the nearest.  On (-pi, pi] the labels equal a full
+    argmax over all J bit for bit, in O(n) work and memory for n angles.
+    Accepts scalars or arrays.
     """
     th = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(th)):
         raise ValueError("angles must be finite")
+    flat = th.reshape(-1)
     j = profile.j_classes
-    centroids = profile.centroids
-    lo = np.floor((th + np.pi) * (j / (2.0 * np.pi)) - 0.5).astype(np.intp) % j
-    hi = (lo + 1) % j
-    # score the pair in class order, so a tie goes to the smaller index
-    first, second = np.minimum(lo, hi), np.maximum(lo, hi)
-    closer = np.cos(th - centroids[second]) > np.cos(th - centroids[first])
-    labels = np.where(closer, second, first) + 1
-    if labels.ndim == 0:
-        return int(labels)
-    return labels
+    u = flat + np.pi
+    u *= j / (2.0 * np.pi)  # position in bin widths from -pi
+    bins = np.floor(u)
+    u -= bins
+    labels = bins.astype(np.intp)
+    labels %= j
+    labels += 1
+    # near an edge rounding could decide: score the pair on either side
+    u -= 0.5
+    edge = np.flatnonzero(np.abs(u, out=u) > 0.5 - _EDGE_BAND * j * j)
+    if edge.size:
+        t = flat[edge]
+        centroids = profile.centroids
+        lo = np.floor((t + np.pi) * (j / (2.0 * np.pi)) - 0.5).astype(np.intp) % j
+        hi = (lo + 1) % j
+        # score the pair in class order, so a tie goes to the smaller index
+        first, second = np.minimum(lo, hi), np.maximum(lo, hi)
+        closer = np.cos(t - centroids[second]) > np.cos(t - centroids[first])
+        labels[edge] = np.where(closer, second, first) + 1
+    if th.ndim == 0:
+        return int(labels[0])
+    return labels.reshape(th.shape)
 
 
 def empirical_accuracy(samples: AngularSampleSet, profile: FeatureProfile) -> AccuracyEstimate:
@@ -243,9 +273,12 @@ def sweep(
 
     Each point simulates ``tasks`` inferences under the :func:`solve_discrete`
     plan, as :func:`run_algorithm1` does, reports that plan with its Monte
-    Carlo accuracy estimate, and adds the continuous ceiling's EPR.  Both
-    are solved once per (target accuracy, SNR): one depth search serves the
-    ceiling and one serves the discrete plans of every exit set.  Each point
+    Carlo accuracy estimate, and adds the continuous ceiling's EPR.  The
+    ceiling is solved once per (target accuracy, SNR).  The discrete plans'
+    exits, predicted accuracies and feasibility depend on the SNR only
+    through the bit-width the latency budget admits, so one depth search per
+    (target accuracy, bit-width) serves every exit set and every SNR between
+    two thresholds; only latency and EPR are recomputed per SNR.  Each point
     draws from a stream derived from its grid indices, so rows are
     order-independent.
     """
@@ -256,10 +289,7 @@ def sweep(
         raise ValueError("exit variants and p0 list must be nonempty")
     points = [replace(link, snr=snr_db_to_linear(snr_db)) for snr_db in snr_db_grid]
     ceilings = [[solve_cr(point, comp, profile, spec, p0).epr for point in points] for p0 in p0_list]
-    plans = [
-        [_discrete_plans(point, comp, profile, spec, exit_variants, p0) for point in points]
-        for p0 in p0_list
-    ]
+    plans = [_discrete_plans(points, comp, profile, spec, exit_variants, p0) for p0 in p0_list]
     rows: List[SweepRow] = []
     for vi, exits in enumerate(exit_variants):
         label = exit_set_label(exits)

@@ -134,11 +134,16 @@ def max_bitwidth_continuous(link: LinkState) -> float:
 def max_bitwidth_discrete(link: LinkState, spec: QuantizerSpec) -> int:
     """Largest alphabet bit-width within the air-latency budget.
 
-    Falls back to 0 ("nothing transmitted this block") when even the smallest
-    positive alphabet entry exceeds the budget.
+    An entry is admitted when its ``comm_latency`` is at most ``t_max_s``,
+    the test ``brute_force`` applies, so no discrete plan's upload exceeds
+    the budget.  Comparing ``b`` with :func:`max_bitwidth_continuous` is not
+    the same test: the two differ within a few ulps of each threshold SNR
+    ``2^(b d / (t_max B)) - 1``.  Falls back to 0 ("nothing transmitted this
+    block") when even the smallest positive alphabet entry exceeds the
+    budget.
     """
-    ceiling = max_bitwidth_continuous(link)
-    feasible = [b for b in spec.bit_alphabet if b <= ceiling]
-    if not feasible:
-        return 0
-    return max(feasible)
+    # the alphabet is increasing and the latency rises with b: scan down
+    for b in reversed(spec.bit_alphabet):
+        if comm_latency(b, link) <= link.t_max_s:
+            return b
+    return 0

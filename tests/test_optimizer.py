@@ -1,5 +1,6 @@
 """Tests for the planner: decomposition vs exhaustive search, dominance, shape."""
 
+import ast
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import edgeplan
 from edgeplan import optimizer
 from edgeplan.accuracy import (
     FeatureProfile,
@@ -29,7 +31,7 @@ from edgeplan.system import (
     snr_db_to_linear,
 )
 
-from helpers import random_instance
+from helpers import COARSE_ALPHABET, random_instance
 
 PROFILE = FeatureProfile(j_classes=10, c1=0.9, c2=1.0, c3=400.0, c4=0.08, n_layers=39)
 SPEC = QuantizerSpec(c_min=-1.0, c_max=1.0, q_max=32)
@@ -155,7 +157,7 @@ def test_decomposition_matches_brute_force_on_random_instances():
         assert plan.q == oracle.q
         assert plan.ell == oracle.ell
         assert plan.feasible == oracle.feasible
-        assert plan.t_comm <= inst["link"].t_max_s * (1 + 1e-12)
+        assert plan.t_comm <= inst["link"].t_max_s
         if plan.feasible:
             feasible += 1
             assert plan.epr == pytest.approx(oracle.epr, rel=1e-14)
@@ -166,13 +168,37 @@ def test_decomposition_matches_brute_force_on_random_instances():
                 inst["profile"].j_classes,
             )
             assert reacc >= inst["p0"]
-            assert comm_latency(plan.q, inst["link"]) <= inst["link"].t_max_s * (1 + 1e-12)
+            assert comm_latency(plan.q, inst["link"]) <= inst["link"].t_max_s
         else:
             infeasible += 1
             assert plan.epr == oracle.epr == 0.0
             assert plan.ell == float(inst["exits"].deepest)
     # the instance mix must exercise both outcomes for this test to mean much
     assert feasible >= 10 and infeasible >= 5
+
+
+def test_bit_width_thresholds_follow_the_latency_rule():
+    # alphabet entry b fits the budget from SNR 2^(b d / (t_max B)) - 1 on.
+    # At each threshold and one float either side, the planner must admit
+    # exactly the entries brute_force's per-entry latency test admits, and
+    # its upload must fit the budget.  The coarse alphabet keeps the
+    # exhaustive search short.
+    rng = np.random.default_rng(2026)
+    cases = 0
+    for _ in range(12):
+        inst = random_instance(rng)
+        link = inst["link"]
+        inst["spec"] = replace(inst["spec"], bit_alphabet=COARSE_ALPHABET)
+        for b in COARSE_ALPHABET[1:]:
+            threshold = 2.0 ** (b * link.d / (link.t_max_s * link.bandwidth_hz)) - 1.0
+            for snr in (math.nextafter(threshold, 0.0), threshold,
+                        math.nextafter(threshold, math.inf)):
+                point = dict(inst, link=replace(link, snr=snr))
+                plan = solve_discrete(**point)
+                assert plan == brute_force(**point), (b, snr)
+                assert plan.t_comm <= link.t_max_s, (b, snr)
+                cases += 1
+    assert cases == 12 * 8 * 3
 
 
 def test_exit_rounding_at_exact_accuracy_boundaries():
@@ -229,27 +255,52 @@ def test_cr_dominates_on_random_instances():
 def test_discrete_plans_evaluate_each_exit_layer_once(monkeypatch):
     # several exit sets planned in one call share one accuracy evaluation per
     # exit layer, and each plan is still the exhaustive optimum for its set
+    # and links that share a bit-width (15 and 25 dB) share those evaluations
     evaluated = []
 
     def counted(q, ell, profile, spec):
-        evaluated.append(ell)
+        evaluated.append((q, ell))
         return accuracy_model(q, ell, profile, spec)
 
     monkeypatch.setattr(optimizer, "accuracy_model", counted)
     sets = [ExitSet(layers=(9, 37)), ExitSet(layers=(9, 19, 37)), ExitSet(layers=(37,)), EXITS]
     layers = {float(l) for exits in sets for l in exits.layers}
+    links = [replace(LINK, snr=snr_db_to_linear(snr_db)) for snr_db in (-5.0, 5.0, 15.0, 25.0)]
     outcomes = set()
-    for snr_db in (-5.0, 5.0, 15.0, 25.0):
-        link = replace(LINK, snr=snr_db_to_linear(snr_db))
-        for p0 in (0.3, 0.6, 0.8, 0.999):
-            evaluated.clear()
-            plans = optimizer._discrete_plans(link, COMP, PROFILE, SPEC, sets, p0)
-            assert len(evaluated) == len(set(evaluated)) and set(evaluated) <= layers
-            for plan, exits in zip(plans, sets):
+    for p0 in (0.3, 0.6, 0.8, 0.999):
+        evaluated.clear()
+        plans = optimizer._discrete_plans(links, COMP, PROFILE, SPEC, sets, p0)
+        assert len(evaluated) == len(set(evaluated))
+        assert {ell for _, ell in evaluated} <= layers
+        assert {q for q, _ in evaluated} <= {plan.q for row in plans for plan in row}
+        assert plans[2][0].q == plans[3][0].q
+        for link, row in zip(links, plans):
+            for plan, exits in zip(row, sets):
                 assert plan == brute_force(link, COMP, PROFILE, SPEC, exits, p0)
                 assert plan.predicted_accuracy == accuracy_model(plan.q, plan.ell, PROFILE, SPEC)
                 outcomes.add(plan.feasible)
     assert outcomes == {True, False}
+
+
+def test_benchmark_generator_matches_the_test_generator():
+    # perfbench/workload.py keeps its own copy of random_instance for the
+    # plan_stream workload; read that copy without importing the workload
+    # module, which sets up the benchmark's import path on import
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workload.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    wanted = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "random_instance"
+        or isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "COARSE_ALPHABET"
+    ]
+    assert len(wanted) == 2
+    namespace = {"edgeplan": edgeplan, "np": np}
+    exec(compile(ast.Module(body=wanted, type_ignores=[]), str(path), "exec"), namespace)
+    bench_rng, test_rng = np.random.default_rng(20260809), np.random.default_rng(20260809)
+    for _ in range(200):
+        assert namespace["random_instance"](bench_rng) == random_instance(test_rng)
+    # the two draw the same numbers, so the streams end in the same state
+    assert bench_rng.random() == test_rng.random()
 
 
 def test_exit_superset_never_hurts():

@@ -36,7 +36,7 @@ from edgeplan.simulator import (
     run_algorithm1,
     sweep,
 )
-from edgeplan.system import ComputeProfile, LinkState, snr_db_to_linear
+from edgeplan.system import ComputeProfile, LinkState, max_bitwidth_discrete, snr_db_to_linear
 
 import oracles
 from helpers import random_instance
@@ -208,17 +208,23 @@ def test_classify_map_matches_density_argmax():
         assert np.array_equal(labels, oracle_labels)
 
 
-@pytest.mark.parametrize("j_classes", [2, 3, 10, 100, 1000])
+@pytest.mark.parametrize("j_classes", [2, 3, 10, 100, 1000, 10_000])
 def test_classify_map_matches_full_argmax_oracle(j_classes):
-    # centroids and the midpoints between them written out here, not taken from the profile
+    # centroids and the midpoints between them written out here, not taken
+    # from the profile; each angle costs J scores, so above J = 1000 only
+    # every 40th bin's, with the last bin, and fewer random angles
     profile = replace(PROFILE, j_classes=j_classes)
     k = np.arange(1, j_classes + 1, dtype=float)
     centroids = -np.pi + (2.0 * k - 1.0) * np.pi / j_classes
     midpoints = -np.pi + 2.0 * np.pi * (k - 1.0) / j_classes
-    edges = np.concatenate([centroids, midpoints, [np.pi]])
+    small = j_classes <= 1000
+    every = 1 if small else 40
+    edges = np.concatenate([centroids[::every], midpoints[::every],
+                            centroids[-1:], midpoints[-1:], [np.pi]])
+    edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
     thetas = np.concatenate([
-        np.random.default_rng(608).uniform(-np.pi, np.pi, 100_000),
-        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        np.random.default_rng(608).uniform(-np.pi, np.pi, 100_000 if small else 2_000),
+        edges,
     ])
     labels = classify_map(thetas, profile)
     # full argmax over all J scores, in blocks to bound the n x J temporary
@@ -228,6 +234,9 @@ def test_classify_map_matches_full_argmax_oracle(j_classes):
         for i in range(0, thetas.size, block)
     ])
     assert np.array_equal(labels, oracle_labels)
+    # a scalar takes the same path as an array
+    at_edges = oracle_labels[-edges.size:]
+    assert [classify_map(float(t), profile) for t in edges] == at_edges.tolist()
 
 
 def test_classify_map_memory_does_not_grow_with_class_count():
@@ -410,8 +419,9 @@ def test_sweep_plans_every_exit_set_of_a_point_like_brute_force():
 
 
 def test_sweep_runs_one_depth_search_per_point_and_ceiling(monkeypatch):
-    # one discrete and one continuous depth search per (p0, SNR), however
-    # many exit sets share the point
+    # one continuous depth search per (p0, SNR), and one discrete search per
+    # (p0, bit-width), however many exit sets and SNRs share it: 10 and 25 dB
+    # both admit the whole alphabet, so 2 x 3 ceilings and 2 x 2 discrete
     calls = []
     search = optimizer.min_depth_for_accuracy
 
@@ -420,11 +430,48 @@ def test_sweep_runs_one_depth_search_per_point_and_ceiling(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(optimizer, "min_depth_for_accuracy", counted)
+    grid = [-5.0, 10.0, 25.0]
+    bits = [max_bitwidth_discrete(replace(LINK, snr=snr_db_to_linear(s)), SPEC) for s in grid]
+    assert bits[0] < bits[1] == bits[2] == SPEC.q_max
     variants = [ExitSet(layers=(9, 37)), ExitSet(layers=(9, 19, 37)), EXITS]
-    rows = sweep([-5.0, 10.0, 25.0], LINK, COMP, STEEP, SPEC, variants, [0.6, 0.7],
-                 tasks=10, seed=4)
+    rows = sweep(grid, LINK, COMP, STEEP, SPEC, variants, [0.6, 0.7], tasks=10, seed=4)
     assert len(rows) == 18
-    assert len(calls) == 12
+    assert len(calls) == 2 * 3 + 2 * 2
+
+
+def test_sweep_shares_plans_between_thresholds_on_random_instances():
+    # an SNR grid where several points share a bit-width and some sit one
+    # float either side of a threshold; every row must be the plan solved at
+    # its own link, and the ceiling too
+    rng = np.random.default_rng(20261018)
+    shared = 0
+    for _ in range(6):
+        inst = random_instance(rng)
+        link, spec = inst["link"], inst["spec"]
+        b = spec.bit_alphabet[len(spec.bit_alphabet) // 2]
+        threshold = 2.0 ** (b * link.d / (link.t_max_s * link.bandwidth_hz)) - 1.0
+        snrs = [threshold * f for f in (0.5, 0.9, 1.1, 2.0, 1e3)]
+        snrs += [math.nextafter(threshold, 0.0), threshold, math.nextafter(threshold, math.inf)]
+        grid = [10.0 * math.log10(s) for s in snrs]
+        sets = [inst["exits"], ExitSet(layers=(inst["exits"].deepest,))]
+        p0s = [inst["p0"], 0.5 + 0.5 * inst["p0"]]
+        rows = sweep(grid, link, inst["comp"], inst["profile"], spec, sets, p0s, tasks=1, seed=0)
+        assert len(rows) == len(sets) * len(p0s) * len(grid)
+        points = [replace(link, snr=snr_db_to_linear(snr_db)) for snr_db in grid]
+        bits = [max_bitwidth_discrete(point, spec) for point in points]
+        shared += len(bits) - len(set(bits))
+        rows_at = iter(rows)
+        for exits in sets:
+            for p0 in p0s:
+                for point in points:
+                    row = next(rows_at)
+                    plan = solve_discrete(point, inst["comp"], inst["profile"], spec, exits, p0)
+                    ceiling = solve_cr(point, inst["comp"], inst["profile"], spec, p0)
+                    assert (row.q, row.ell, row.pred_acc, row.feasible, row.epr_bits_per_s) == (
+                        plan.q, plan.ell, plan.predicted_accuracy, plan.feasible, plan.epr
+                    )
+                    assert row.epr_cr_bits_per_s == ceiling.epr
+    assert shared >= 12
 
 
 def test_task_count_must_be_positive(monkeypatch):
