@@ -16,10 +16,16 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import special
 
-from .circstats import KAPPA_MAX, _check_real, bessel_ratio, bessel_ratio_inv
+from .circstats import (
+    KAPPA_MAX,
+    FieldError,
+    _check_int,
+    _check_real,
+    bessel_ratio,
+    bessel_ratio_inv,
+)
 
 __all__ = [
-    "FieldError",
     "FeatureProfile",
     "QuantizerSpec",
     "quant_variance",
@@ -43,15 +49,6 @@ _ROOT_REL_TOL = 1e-13
 _ROOT_MAX_STEPS = 500
 
 
-class FieldError(ValueError):
-    """An invalid input value; ``path`` names its field so a caller can re-root it."""
-
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{path}: {message}")
-        self.path = path
-        self.message = message
-
-
 @dataclass(frozen=True)
 class FeatureProfile:
     """Per-depth statistics of the angular features.
@@ -71,35 +68,29 @@ class FeatureProfile:
     n_layers: int
 
     def __post_init__(self) -> None:
-        if int(self.j_classes) != self.j_classes or self.j_classes < 2:
-            raise FieldError("j_classes", f"must be an integer >= 2, got {self.j_classes!r}")
-        if int(self.n_layers) != self.n_layers or self.n_layers < 1:
-            raise FieldError("n_layers", f"must be an integer >= 1, got {self.n_layers!r}")
-        for name in ("c1", "c2", "c3", "c4"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise FieldError(name, f"must be finite, got {value!r}")
-        if self.c1 <= 0.0:
-            raise FieldError("c1", f"must be > 0, got {self.c1!r}")
+        checked = {
+            "j_classes": _check_int("j_classes", self.j_classes, 2),
+            "n_layers": _check_int("n_layers", self.n_layers, 1),
+            "c1": _check_real("c1", self.c1, 0.0, strict=True),
+            "c2": _check_real("c2", self.c2),
+            "c3": _check_real("c3", self.c3, 0.0, strict=True),
+            "c4": _check_real("c4", self.c4, 0.0),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.c1 + self.c2 <= 0.0:
             raise FieldError("c2", "c1 + c2 must be > 0 so concentration stays positive")
-        if self.c3 <= 0.0:
-            raise FieldError("c3", f"must be > 0, got {self.c3!r}")
-        if self.c4 < 0.0:
-            raise FieldError("c4", f"must be >= 0, got {self.c4!r}")
-        object.__setattr__(self, "j_classes", int(self.j_classes))
-        object.__setattr__(self, "n_layers", int(self.n_layers))
 
     def check_depth(self, ell: float) -> float:
         """``ell`` as a float; a :class:`FieldError` unless it lies in [1, L]."""
-        depth = float(ell)
-        if not math.isfinite(depth) or depth < 1.0 or depth > self.n_layers:
+        depth = _check_real("ell", ell)
+        if depth < 1.0 or depth > self.n_layers:
             raise FieldError("ell", f"depth must lie in [1, {self.n_layers}], got {ell}")
         return depth
 
     def check_target(self, p0: float) -> float:
         """``p0`` as a float; a :class:`FieldError` unless it lies in (1/J, 1)."""
-        target = float(p0)
+        target = _check_real("p0", p0)
         if not 1.0 / self.j_classes < target < 1.0:
             raise FieldError("p0", f"must lie in (1/{self.j_classes}, 1) exclusive, got {p0}")
         return target
@@ -126,27 +117,23 @@ class QuantizerSpec:
 
     def __post_init__(self) -> None:
         for name in ("c_min", "c_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise FieldError(name, f"must be finite, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if not self.c_max > self.c_min:
             raise FieldError("c_max", f"must exceed c_min ({self.c_min!r}), got {self.c_max!r}")
-        if int(self.q_max) != self.q_max or self.q_max < 0:
-            raise FieldError("q_max", f"must be a nonnegative integer, got {self.q_max!r}")
-        object.__setattr__(self, "q_max", int(self.q_max))
+        q_max = _check_int("q_max", self.q_max, 0)
+        object.__setattr__(self, "q_max", q_max)
         if self.bit_alphabet is None:
-            object.__setattr__(self, "bit_alphabet", tuple(range(self.q_max + 1)))
+            object.__setattr__(self, "bit_alphabet", tuple(range(q_max + 1)))
             return
-        alphabet = tuple(self.bit_alphabet)
+        entries = enumerate(self.bit_alphabet)
+        alphabet = tuple(_check_int(f"bit_alphabet[{i}]", b, 0) for i, b in entries)
         if not alphabet:
             raise FieldError("bit_alphabet", "must be nonempty")
-        for i, b in enumerate(alphabet):
-            if int(b) != b or not 0 <= b <= self.q_max:
-                raise FieldError(
-                    f"bit_alphabet[{i}]", f"must be an integer in [0, {self.q_max}], got {b!r}"
-                )
-        alphabet = tuple(int(b) for b in alphabet)
         if any(b <= a for a, b in zip(alphabet, alphabet[1:])):
             raise FieldError("bit_alphabet", "must be strictly increasing")
+        if alphabet[-1] > q_max:  # increasing, so only the last entry can exceed it
+            i = len(alphabet) - 1
+            raise FieldError(f"bit_alphabet[{i}]", f"must be <= q_max ({q_max}), got {alphabet[i]}")
         object.__setattr__(self, "bit_alphabet", alphabet)
 
     @property
@@ -193,12 +180,16 @@ def kappa_distorted(sigma2: float, ell: float, profile: FeatureProfile) -> float
     when the effective noise vanishes.
     """
     sigma2 = _check_real("sigma2", sigma2, 0.0)
+    r, shrink = _distorted_resultant(sigma2, ell, profile)
     kbar = kappa_bar(ell, profile)
+    return kbar if shrink >= 1.0 else min(bessel_ratio_inv(r).value, kbar)
+
+
+def _distorted_resultant(sigma2: float, ell: float, profile: FeatureProfile) -> Tuple[float, float]:
+    """The resultant ``A(min(kappa_bar, KAPPA_MAX)) * shrink`` that :func:`kappa_distorted`
+    inverts, and ``shrink = exp(-sigma2 * grad_energy / 2)``, at depth ``ell``."""
     shrink = math.exp(-0.5 * sigma2 * grad_energy(ell, profile))
-    if shrink >= 1.0:
-        return kbar
-    r = bessel_ratio(min(kbar, KAPPA_MAX)) * shrink
-    return min(bessel_ratio_inv(r).value, kbar)
+    return bessel_ratio(min(kappa_bar(ell, profile), KAPPA_MAX)) * shrink, shrink
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
@@ -219,9 +210,7 @@ def accuracy_of_kappa(kappa: float, j_classes: int) -> float:
     1e-9 there, so the two forms meet within the quadrature tolerance.
     """
     kappa = _check_real("kappa", kappa, 0.0)
-    j_classes = int(j_classes)
-    if j_classes < 2:
-        raise ValueError(f"j_classes must be >= 2, got {j_classes}")
+    j_classes = _check_int("j_classes", j_classes, 2)
     if kappa > _ERF_SWITCH:
         return accuracy_erf_approx(kappa, j_classes)
 
@@ -257,9 +246,7 @@ def accuracy_erf_approx(kappa: float, j_classes: int) -> float:
     Where ``k/2`` underflows to 0 it returns the ``k -> 0`` limit ``1/J``.
     """
     kappa = _check_real("kappa", kappa, 0.0, strict=True)
-    j_classes = int(j_classes)
-    if j_classes < 2:
-        raise ValueError(f"j_classes must be >= 2, got {j_classes}")
+    j_classes = _check_int("j_classes", j_classes, 2)
     root = math.sqrt(0.5 * kappa)
     if root == 0.0:
         return 1.0 / j_classes
@@ -297,9 +284,8 @@ def min_depth_for_accuracy(
     def passes(ell: float) -> bool:
         return accuracy_of_kappa(kappa_distorted(sigma2, ell, profile), j) >= p0
 
-    def reaches(ell: float) -> bool:  # the resultant kappa_distorted inverts
-        shrink = math.exp(-0.5 * sigma2 * grad_energy(ell, profile))
-        return bessel_ratio(min(kappa_bar(ell, profile), KAPPA_MAX)) * shrink >= r0
+    def reaches(ell: float) -> bool:
+        return _distorted_resultant(sigma2, ell, profile)[0] >= r0
 
     kappa_lo = kappa_distorted(sigma2, 1.0, profile)
     if (acc_lo := accuracy_of_kappa(kappa_lo, j)) >= p0:

@@ -22,6 +22,7 @@ import numpy as np
 from scipy import special
 
 __all__ = [
+    "FieldError",
     "KAPPA_MAX",
     "KappaResult",
     "AngularSampleSet",
@@ -36,9 +37,10 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# Saturation cap for concentrations.  A(kappa) is 1 to machine precision far
-# below this, so capping keeps downstream arithmetic finite without changing
-# any observable probability.
+# Saturation cap for concentrations; it keeps the resultant map and its inverse
+# finite, but it is observable at many classes: MAP accuracy is 0.2466 at kappa =
+# 1e6 and 0.2660 at 1.17e6 for J = 1e4 (0.99832 and 0.99932 for J = 1000).  The
+# noise-free model returns kappa_bar above the cap; sample_von_mises clips to it.
 KAPPA_MAX = 1.0e6
 
 _INV_TOL = 1e-10
@@ -54,14 +56,34 @@ class KappaResult(NamedTuple):
     saturated: bool
 
 
-def _check_real(name: str, x: float, low: float, strict: bool = False) -> float:
-    """``x`` as a float; a ValueError naming ``name`` unless it is finite and
-    at least ``low`` (above it, if ``strict``)."""
-    x = float(x)
+class FieldError(ValueError):
+    """An invalid input value; ``path`` names its field so a caller can re-root it."""
+
+    def __init__(self, path: str, message: str) -> None:
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.message = message
+
+
+def _check_real(name: str, x: float, low: float = -math.inf, strict: bool = False) -> float:
+    """``x`` as a float; a :class:`FieldError` naming ``name`` unless it is
+    finite and at least ``low`` (above it, if ``strict``)."""
+    try:
+        x = float(x)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if not (math.isfinite(x) and (x > low if strict else x >= low)):
-        bound = f"{'>' if strict else '>='} {low:g}"
-        raise ValueError(f"{name} must be a finite real {bound}, got {x!r}")
+        bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+        raise FieldError(name, f"must be a finite real{bound}, got {x!r}")
     return x
+
+
+def _check_int(name: str, x: int, low: int) -> int:
+    """``x`` as an int; a :class:`FieldError` naming ``name`` unless it is an integer >= ``low``."""
+    whole = isinstance(x, (int, np.integer)) or isinstance(x, (float, np.floating)) and x.is_integer()
+    if not (whole and x >= low):
+        raise FieldError(name, f"must be an integer >= {low}, got {x!r}")
+    return int(x)
 
 
 def wrap_angle(theta):
@@ -117,7 +139,7 @@ def bessel_ratio_inv(r: float) -> KappaResult:
     """
     r = _check_real("r", r, 0.0)
     if r >= 1.0:
-        raise ValueError(f"r must lie in [0, 1), got {r!r}")
+        raise FieldError("r", f"must lie in [0, 1), got {r!r}")
     if r == 0.0:
         return KappaResult(0.0, False)
     if r >= _RESULTANT_CAP:
@@ -165,10 +187,8 @@ class AngularSampleSet:
         angles = np.asarray(self.angles, dtype=float)
         if angles.ndim != 1:
             raise ValueError("angles must be one-dimensional")
-        if not np.all(np.isfinite(angles)):
-            raise ValueError("angles must be finite")
-        if angles.size and (angles.min() <= -np.pi or angles.max() > np.pi):
-            raise ValueError("angles must lie in (-pi, pi]")
+        if not (np.all(angles > -np.pi) and np.all(angles <= np.pi)):  # NaN fails both
+            raise ValueError("angles must be finite and lie in (-pi, pi]")
         object.__setattr__(self, "angles", angles)
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
@@ -229,9 +249,7 @@ def estimate_kappa(samples: AngularSampleSet) -> KappaResult:
 
 def estimate_kappa_pooled(samples: AngularSampleSet, j_classes: int) -> KappaResult:
     """Mean of per-class concentration estimates over classes 1..j_classes."""
-    j_classes = int(j_classes)
-    if j_classes < 1:
-        raise ValueError(f"j_classes must be >= 1, got {j_classes}")
+    j_classes = _check_int("j_classes", j_classes, 1)
     if samples.labels is None:
         raise ValueError("pooled estimation requires labeled samples")
     values = []

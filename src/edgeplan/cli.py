@@ -18,7 +18,8 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .accuracy import FeatureProfile, FieldError, accuracy_model, quant_variance
+from .accuracy import FeatureProfile, accuracy_model, quant_variance
+from .circstats import FieldError, _check_real
 from .config import ConfigError, RunConfig, load_config
 from .fitting import DepthSeries, fit_affine, fit_exponential
 from .optimizer import ExitSet, Plan, solve_cr, solve_discrete
@@ -57,9 +58,8 @@ def _parse_snr_grid(text: str, link: LinkState) -> List[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected FROM:TO:STEP, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0:
-        raise ValueError("SNR step must be positive")
+    start, stop = _check_real("start", parts[0]), _check_real("stop", parts[1])
+    step = _check_real("step", parts[2], 0.0, strict=True)
     if stop < start:
         raise ValueError("SNR range end must be >= start")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1

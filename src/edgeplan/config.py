@@ -1,7 +1,7 @@
 """Run configuration: JSON schema, loading, and validation.
 
 This module checks only the JSON shape: objects, known and required keys,
-number and integer types, finiteness and lists.  Range and order rules live
+number and integer types, and lists.  Finiteness, range and order rules live
 in the dataclasses the values build; their :class:`FieldError` is re-raised
 as a :class:`ConfigError` whose message starts with the exact JSON path
 (``link.bandwidth_hz: ...``), so a bad config is diagnosable without reading
@@ -11,12 +11,12 @@ this module.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from .accuracy import FeatureProfile, FieldError, QuantizerSpec
+from .accuracy import FeatureProfile, QuantizerSpec
+from .circstats import FieldError, _check_int
 from .optimizer import ExitSet
 from .system import ComputeProfile, LinkState, snr_db_to_linear
 
@@ -34,10 +34,7 @@ class MonteCarloConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_per_class", "tasks"):
-            value = getattr(self, name)
-            if int(value) != value or value < 1:
-                raise FieldError(name, f"must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1))
 
 
 @dataclass(frozen=True)
@@ -88,13 +85,7 @@ def _number(raw: Dict[str, Any], path: str, key: str) -> float:
     value = _get(raw, path, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(_join(path, key), f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(_join(path, key), f"must be finite, got {number!r}")
-    return number
+    return value
 
 
 def _integer(raw: Dict[str, Any], path: str, key: str) -> int:
@@ -227,8 +218,8 @@ def parse_config(raw: Any) -> RunConfig:
     exit_keys = {"layers": "exits"}
     exits = _build("", exit_keys, ExitSet, layers=_integer_list(raw, "", "exits"))
     _build("", exit_keys, exits.check_within, profile=profile)
-    target = _number(raw, "", "target_accuracy")
-    _build("", {"p0": "target_accuracy"}, profile.check_target, p0=target)
+    target = _build("", {"p0": "target_accuracy"}, profile.check_target,
+                    p0=_number(raw, "", "target_accuracy"))
     seed = _integer(raw, "", "seed")
     monte_carlo = _parse_monte_carlo(raw.get("monte_carlo"))
     return RunConfig(

@@ -27,12 +27,12 @@ from typing import List, Sequence, Tuple
 
 from .accuracy import (
     FeatureProfile,
-    FieldError,
     QuantizerSpec,
     accuracy_model,
     min_depth_for_accuracy,
     quant_variance,
 )
+from .circstats import FieldError, _check_int
 from .system import (
     ComputeProfile,
     LinkState,
@@ -53,16 +53,11 @@ class ExitSet:
     layers: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        layers = tuple(self.layers)
+        layers = tuple(_check_int(f"layers[{i}]", l, 1) for i, l in enumerate(self.layers))
         if not layers:
             raise FieldError("layers", "exit set must be nonempty")
-        if any(int(l) != l for l in layers):
-            raise FieldError("layers", "exit layers must be integers")
-        layers = tuple(int(l) for l in layers)
         if any(b <= a for a, b in zip(layers, layers[1:])):
             raise FieldError("layers", "exit layers must be strictly increasing")
-        if layers[0] < 1:
-            raise FieldError("layers[0]", f"exit layer must be >= 1, got {layers[0]}")
         object.__setattr__(self, "layers", layers)
 
     @property
@@ -87,8 +82,8 @@ class Plan:
     ``comm_latency`` test of :func:`~edgeplan.system.max_bitwidth_discrete`.
     The continuous ceiling's bit-width saturates the budget, so its
     ``t_comm`` equals ``t_max_s`` only to within one rounding and may exceed
-    it by about 2.2e-16 relative.  An infeasible plan
-    (accuracy target unreachable) parks at the deepest depth it may use with
+    it by about 2.2e-16 relative.  An infeasible plan (accuracy target
+    unreachable, or nothing sent) parks at the deepest depth it may use with
     ``epr = 0`` but still reports the sub-target ``predicted_accuracy`` so
     sweeps can plot it.
     """
@@ -160,10 +155,10 @@ def solve_discrete(
     first exit whose ``accuracy_model`` meets ``p0``, scanning up from the
     last exit below the bisected continuous minimum (the bisection carries
     ~1e-6 slack, so that exit may still qualify).  Every feasible plan's exit
-    has thus been compared with ``p0`` directly.  When no exit qualifies, or
-    no depth does, the plan parks at the deepest exit with zero EPR.  One
-    call of ``_discrete_plans``, which plans several links and exit sets the
-    same way.
+    has thus been compared with ``p0`` directly.  When no exit qualifies, no
+    depth does, or only 0 bits fit (nothing is sent), the plan parks at the
+    deepest exit with zero EPR.  One call of ``_discrete_plans``, which plans
+    several links and exit sets the same way.
     """
     return _discrete_plans([link], comp, profile, spec, [exits], p0)[0][0]
 
@@ -204,11 +199,11 @@ def _exit_choices(
     The continuous minimum depth is solved once; each set's exits are then
     scanned from just below it.  Each exit layer's accuracy is evaluated at
     most once, for the scans and the plans alike; the memo lives for this
-    call only.
+    call only.  At ``q_star = 0`` nothing is sent, so no exit is feasible.
     """
     for exits in exit_sets:
         exits.check_within(profile)
-    ell_plus = min_depth_for_accuracy(quant_variance(q_star, spec), p0, profile)
+    ell_plus = min_depth_for_accuracy(quant_variance(q_star, spec), p0, profile) if q_star else None
     accuracy_at = {}  # exit layer -> accuracy_model(q_star, layer)
 
     def accuracy(layer: int) -> float:
@@ -241,12 +236,12 @@ def brute_force(
 
     Checks the latency and accuracy constraints pair by pair and keeps the
     EPR maximizer, breaking ties toward larger bit-width and then shallower
-    depth.  Shares the infeasible convention with :func:`solve_discrete`.
+    depth.  Shares :func:`solve_discrete`'s infeasible convention, q = 0 included.
     """
     exits.check_within(profile)
     best_key = best_accuracy = None
     for q in spec.bit_alphabet:
-        if comm_latency(q, link) > link.t_max_s:
+        if q == 0 or comm_latency(q, link) > link.t_max_s:
             continue
         for ell in exits.layers:
             accuracy = accuracy_model(q, float(ell), profile, spec)

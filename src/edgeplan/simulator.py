@@ -27,7 +27,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .accuracy import FeatureProfile, QuantizerSpec, grad_energy, kappa_bar, quant_variance
-from .circstats import AngularSampleSet, _check_real, sample_von_mises, wrap_angle
+from .circstats import AngularSampleSet, _check_int, _check_real, sample_von_mises, wrap_angle
 from .optimizer import ExitSet, Plan, _discrete_plans, solve_cr, solve_discrete
 from .rng import derive_seed, make_rng
 from .system import ComputeProfile, LinkState, snr_db_to_linear
@@ -103,9 +103,7 @@ def generate_dataset(
     Class ``j`` is sampled from ``vM(centroid_j, kappa_bar(ell))`` on its own
     RNG stream, so classes can be generated in parallel and still reproduce.
     """
-    n_per_class = int(n_per_class)
-    if n_per_class < 1:
-        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+    n_per_class = _check_int("n_per_class", n_per_class, 1)
     kappa = kappa_bar(ell, profile)
     per_class = [
         sample_von_mises(make_rng(seed, _STREAM_GENERATE, j), float(mu), kappa, n_per_class)
@@ -205,7 +203,7 @@ def run_algorithm1(
     it (``_simulate``).  Returns the per-task boolean ``correct`` array and
     the batch summary.
     """
-    tasks = _task_count(tasks)
+    tasks = _check_int("tasks", tasks, 1)
     plan = solve_discrete(link, comp, profile, spec, exits, p0)
     return _simulate(tasks, plan, profile, spec, seed)
 
@@ -216,16 +214,16 @@ def _simulate(
     """Simulate ``tasks`` (>= 1) inferences under ``plan`` on one stream.
 
     True classes cycle 1..J deterministically (uniform priors without
-    sampling noise).  A feasible plan with a positive bit-width is simulated
-    end to end: draw the clean angle, add the plan's quantization noise,
-    classify at the chosen depth.  An infeasible or zero-bit plan transmits
+    sampling noise).  A feasible plan is simulated end to end: draw the clean
+    angle, add the plan's quantization noise, classify at the chosen depth.
+    An infeasible plan, which includes every zero-bit plan, transmits
     nothing, so those tasks are scored as uniform random guesses.
     """
     j = profile.j_classes
     true_classes = (np.arange(tasks) % j) + 1
     rng = make_rng(seed, _STREAM_TASKS)
 
-    if plan.feasible and plan.q > 0:
+    if plan.feasible:
         mu = profile.centroids[true_classes - 1]
         angles = sample_von_mises(rng, mu, kappa_bar(plan.ell, profile), tasks)
         angles = _add_noise(angles, quant_variance(plan.q, spec), plan.ell, profile, rng)
@@ -282,7 +280,7 @@ def sweep(
     draws from a stream derived from its grid indices, so rows are
     order-independent.
     """
-    tasks = _task_count(tasks)
+    tasks = _check_int("tasks", tasks, 1)
     if not list(snr_db_grid):
         raise ValueError("SNR grid must be nonempty")
     if not list(exit_variants) or not list(p0_list):
@@ -315,13 +313,6 @@ def sweep(
                     )
                 )
     return rows
-
-
-def _task_count(tasks: int) -> int:
-    tasks = int(tasks)
-    if tasks < 1:
-        raise ValueError(f"tasks must be >= 1, got {tasks}")
-    return tasks
 
 
 def _row_seed(seed: int, vi: int, pi: int, si: int) -> int:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .accuracy import FieldError, QuantizerSpec
-from .circstats import _check_real
+from .accuracy import QuantizerSpec
+from .circstats import FieldError, _check_int, _check_real
 
 __all__ = [
     "LinkState",
@@ -27,8 +27,9 @@ __all__ = [
 
 
 def snr_db_to_linear(snr_db: float) -> float:
+    snr_db = _check_real("snr_db", snr_db)
     try:
-        return 10.0 ** (float(snr_db) / 10.0)
+        return 10.0 ** (snr_db / 10.0)
     except OverflowError:
         raise FieldError("snr_db", f"overflows a float in linear units, got {snr_db!r}") from None
 
@@ -50,12 +51,8 @@ class LinkState:
 
     def __post_init__(self) -> None:
         for name in ("bandwidth_hz", "snr", "t_max_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise FieldError(name, f"must be positive and finite, got {value!r}")
-        if int(self.d) != self.d or self.d < 1:
-            raise FieldError("d", f"must be a positive integer, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), 0.0, strict=True))
+        object.__setattr__(self, "d", _check_int("d", self.d, 1))
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,7 @@ class ComputeProfile:
 
     def __post_init__(self) -> None:
         for name in ("b1", "b2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise FieldError(name, f"must be nonnegative and finite, got {value!r}")
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), 0.0))
 
     @classmethod
     def from_flops(
@@ -83,19 +78,11 @@ class ComputeProfile:
         device_flops_per_s: float,
         server_flops_per_s: float,
     ) -> "ComputeProfile":
-        for name, value in (("device_flops", device_flops), ("per_layer_flops", per_layer_flops)):
-            if not value >= 0.0:
-                raise FieldError(name, f"must be >= 0, got {value!r}")
-        for name, value in (
-            ("device_flops_per_s", device_flops_per_s),
-            ("server_flops_per_s", server_flops_per_s),
-        ):
-            if not value > 0.0:
-                raise FieldError(name, f"must be > 0, got {value!r}")
-        return cls(
-            b1=per_layer_flops / server_flops_per_s,
-            b2=device_flops / device_flops_per_s,
-        )
+        device = _check_real("device_flops", device_flops, 0.0)
+        per_layer = _check_real("per_layer_flops", per_layer_flops, 0.0)
+        device_speed = _check_real("device_flops_per_s", device_flops_per_s, 0.0, strict=True)
+        server_speed = _check_real("server_flops_per_s", server_flops_per_s, 0.0, strict=True)
+        return cls(b1=per_layer / server_speed, b2=device / device_speed)
 
 
 def shannon_rate(link: LinkState) -> float:

@@ -20,6 +20,7 @@ from edgeplan.accuracy import (
     min_depth_for_accuracy,
     quant_variance,
 )
+from edgeplan.circstats import FieldError
 from edgeplan.system import max_bitwidth_continuous, max_bitwidth_discrete
 
 import oracles
@@ -47,6 +48,10 @@ def test_profile_validation():
         FeatureProfile(10, 0.5, 1.0, 100.0, -0.1, 39)
     with pytest.raises(ValueError):
         FeatureProfile(10, 0.5, 1.0, 100.0, 0.1, 0)
+    # a depth or target beyond the float range is named, not an OverflowError
+    for check, name in ((DEFAULT.check_depth, "ell"), (DEFAULT.check_target, "p0")):
+        with pytest.raises(FieldError, match=f"^{name}: must be a finite real, got inf"):
+            check(10**400)
 
 
 def test_profile_centroids_equally_spaced():

@@ -1,6 +1,7 @@
 """Tests for the circular-statistics kernel."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from edgeplan.accuracy import (
 from edgeplan.circstats import (
     KAPPA_MAX,
     AngularSampleSet,
+    FieldError,
     bessel_ratio,
     bessel_ratio_inv,
     estimate_kappa,
@@ -26,7 +28,7 @@ from edgeplan.circstats import (
     wrapped_gaussian_kappa,
 )
 from edgeplan.rng import make_rng
-from edgeplan.simulator import distort
+from edgeplan.simulator import distort, generate_dataset
 from edgeplan.system import ComputeProfile, LinkState, comm_latency, comp_latency
 
 import oracles
@@ -311,8 +313,10 @@ _PROFILE = FeatureProfile(j_classes=10, c1=0.35, c2=0.5, c3=400.0, c4=0.08, n_la
 _SPEC = QuantizerSpec(c_min=-1.0, c_max=1.0, q_max=32)
 _LINK = LinkState(bandwidth_hz=1e8, snr=15.0, t_max_s=0.012, d=120_000)
 _LABELED = AngularSampleSet(angles=np.array([0.1, -0.2]), labels=np.array([1, 2]))
+_PAIRS = AngularSampleSet(angles=np.array([0.1, -0.2, 0.3, 0.0]), labels=np.array([1, 1, 2, 2]))
 
-# (test id, call on the checked argument, its name, lowest value accepted, a value below it)
+# (test id, call on the checked argument, its name, lowest value accepted, a
+# value the bound rejects: just below it for a real, a fraction above it for a count)
 SCALAR_ARGUMENTS = [
     ("bessel_ratio", bessel_ratio, "kappa", 0.0, -1e-12),
     ("bessel_ratio_inv", bessel_ratio_inv, "r", 0.0, -1e-12),
@@ -327,16 +331,27 @@ SCALAR_ARGUMENTS = [
     ("comp_latency", lambda x: comp_latency(x, ComputeProfile(b1=1e-4, b2=2e-3)), "ell", 1.0,
      1.0 - 1e-12),
     ("distort", lambda x: distort(_LABELED, x, 10.0, _PROFILE, seed=1), "sigma2", 0.0, -1e-12),
+    ("from_flops", lambda x: ComputeProfile.from_flops(0.0, 1e8, x, 1e12), "device_flops_per_s",
+     5e-324, 0.0),
+    # counts: a fraction is rejected, not truncated, and an infinity is a FieldError
+    ("accuracy_of_kappa-J", lambda x: accuracy_of_kappa(1.0, x), "j_classes", 2, 2.5),
+    ("accuracy_erf_approx-J", lambda x: accuracy_erf_approx(1.0, x), "j_classes", 2, 2.5),
+    ("estimate_kappa_pooled", lambda x: estimate_kappa_pooled(_PAIRS, x), "j_classes", 1, 1.5),
+    ("generate_dataset", lambda x: generate_dataset(_PROFILE, 10.0, x, seed=1), "n_per_class",
+     1, 2.5),
+    ("FeatureProfile", lambda x: replace(_PROFILE, j_classes=x), "j_classes", 2, 2.5),
 ]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "below"])
+@pytest.mark.parametrize("value", ["nan", "inf", "bad"])
 @pytest.mark.parametrize(
-    "call, name, lowest, below", [case[1:] for case in SCALAR_ARGUMENTS],
+    "call, name, lowest, bad", [case[1:] for case in SCALAR_ARGUMENTS],
     ids=[case[0] for case in SCALAR_ARGUMENTS],
 )
-def test_scalar_arguments_must_be_finite_and_within_bound(call, name, lowest, below, value):
+def test_scalar_arguments_must_be_finite_and_within_bound(call, name, lowest, bad, value):
     call(lowest)  # the bound itself stays admissible
-    bad = {"nan": math.nan, "inf": math.inf, "below": below}[value]
-    with pytest.raises(ValueError, match=rf"^{name} must be a finite real"):
+    bad = {"nan": math.nan, "inf": math.inf, "bad": bad}[value]
+    rule = "an integer >= " if isinstance(lowest, int) else "a finite real"
+    with pytest.raises(FieldError, match=rf"^{name}: must be {rule}") as err:
         call(bad)
+    assert err.value.path == name

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,11 @@ MALFORMED = [
     (lambda c: c.__setitem__("exits", [0, 9]), "exits[0]"),
     (lambda c: c.__setitem__("exits", [9, 9]), "exits", "exits=[9, 9]"),
     (lambda c: c["monte_carlo"].__setitem__("n_per_class", 0), "monte_carlo.n_per_class"),
+    # non-finite values, which Python's JSON reader accepts, are rejected by
+    # the dataclass under the same path
+    (lambda c: c["feature_profile"].__setitem__("c2", math.nan), "feature_profile.c2",
+     "feature_profile.c2=nan"),
+    (lambda c: c["link"].__setitem__("snr_db", math.inf), "link.snr_db", "link.snr_db=inf"),
     # values whose float conversion overflows
     (lambda c: c["link"].__setitem__("snr_db", 4000), "link.snr_db"),
     (
@@ -379,6 +385,7 @@ FLAG_ERRORS = [
     ("sweep", "--snr-db", "25:5:1"),
     ("sweep", "--snr-db", "4000:4000:1"),
     ("sweep", "--snr-db", "-4000:-3990:10"),
+    ("sweep", "--snr-db", "0:inf:1"),
     ("validate", "--grid", "8x99"),
 ]
 
@@ -394,6 +401,31 @@ def test_bad_flag_value_names_the_flag(tmp_path, capsys, command, flag, value):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: "), err
+
+
+# the inputs behind the diagnostics README quotes, in README's order: a
+# config edit and sweep flags
+README_DIAGNOSTICS = [
+    (lambda c: c["link"].__setitem__("bandwidth_hz", -1.0), []),
+    (lambda c: None, ["--exits-variants=9,40"]),
+    (lambda c: c["link"].__setitem__("snr_db", 4000), []),
+    (lambda c: None, ["--snr-db=-4000:-3990:10"]),
+]
+
+
+def test_readme_quotes_the_cli_diagnostics(tmp_path, capsys):
+    text = " ".join((REPO_ROOT / "README.md").read_text(encoding="utf-8").split())
+    quoted = re.findall(r"`((?:config )?error: [^`]*)`", text)
+    written = []
+    for edit, flags in README_DIAGNOSTICS:
+        raw = _base_config()
+        edit(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        argv = ["sweep", str(path), "--snr-db=0:10:10", *flags, "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 1
+        written.append(" ".join(capsys.readouterr().err.split()))
+    assert quoted == written
 
 
 # ---------------------------------------------------------------------------

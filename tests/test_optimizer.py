@@ -133,17 +133,30 @@ def test_brute_force_singletons():
 
 
 def test_equivalence_on_zero_rate_ties():
-    # when only q = 0 fits the latency budget every feasible pair has EPR
-    # exactly 0.0, so the oracle's tie-break (larger q, then shallower exit)
-    # must land on the same pair as the decomposition
+    # when only q = 0 fits the latency budget nothing is sent, so both
+    # planners park at the deepest exit, infeasible, with the same plan
     mild = FeatureProfile(j_classes=10, c1=0.9, c2=1.0, c3=50.0, c4=0.3, n_layers=39)
     choked = LinkState(bandwidth_hz=1e8, snr=31.6227766, t_max_s=1e-7, d=120_000)
     plan = solve_discrete(choked, COMP, mild, SPEC, EXITS, 0.5)
     oracle = brute_force(choked, COMP, mild, SPEC, EXITS, 0.5)
-    assert plan.q == oracle.q == 0.0
-    assert plan.feasible and oracle.feasible
-    assert plan.epr == oracle.epr == 0.0
-    assert plan.ell == oracle.ell
+    assert plan.q == 0.0
+    assert not plan.feasible
+    assert plan == oracle
+
+
+def test_zero_bit_plans_are_infeasible_everywhere():
+    # the budget admits no entry of an alphabet without 0, so the bit-width
+    # falls back to 0 and nothing is sent: the planner and the oracle both
+    # park at the deepest exit, infeasible, as the simulator scores it
+    spec = QuantizerSpec(c_min=-1.0, c_max=1.0, q_max=16, bit_alphabet=(4, 8, 16))
+    link = LinkState(bandwidth_hz=1e7, snr=snr_db_to_linear(-10.0), t_max_s=2e-3, d=100_000)
+    mild = FeatureProfile(j_classes=10, c1=0.9, c2=1.0, c3=50.0, c4=0.3, n_layers=39)
+    comp = ComputeProfile(b1=1e-4, b2=1e-3)
+    exits = ExitSet(layers=(9, 19, 29, 37))
+    plan = solve_discrete(link, comp, mild, spec, exits, 0.3)
+    assert (plan.q, plan.ell, plan.feasible, plan.epr) == (0.0, 37.0, False, 0.0)
+    assert plan == brute_force(link, comp, mild, spec, exits, 0.3)
+    assert plan.predicted_accuracy == accuracy_model(0, 37.0, mild, spec)
 
 
 def test_decomposition_matches_brute_force_on_random_instances():

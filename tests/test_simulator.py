@@ -21,6 +21,7 @@ from edgeplan.accuracy import (
 )
 from edgeplan.circstats import (
     AngularSampleSet,
+    FieldError,
     bessel_ratio,
     estimate_kappa,
     estimate_kappa_pooled,
@@ -480,10 +481,11 @@ def test_task_count_must_be_positive(monkeypatch):
         pytest.fail("a depth search ran before the task count was checked")
 
     monkeypatch.setattr(optimizer, "min_depth_for_accuracy", search)
-    with pytest.raises(ValueError, match="tasks"):
-        run_algorithm1(0, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
-    with pytest.raises(ValueError, match="tasks"):
-        sweep([10.0], LINK, COMP, STEEP, SPEC, [EXITS], [0.7], tasks=0, seed=5)
+    for tasks in (0, 2.5):  # a fraction is rejected, not truncated
+        with pytest.raises(FieldError, match="^tasks: must be an integer >= 1"):
+            run_algorithm1(tasks, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
+        with pytest.raises(FieldError, match="^tasks: must be an integer >= 1"):
+            sweep([10.0], LINK, COMP, STEEP, SPEC, [EXITS], [0.7], tasks=tasks, seed=5)
 
 
 def test_benchmark_tracer_targets_resolve():
