@@ -66,22 +66,28 @@ class FieldError(ValueError):
 
 
 def _check_real(name: str, x: float, low: float = -math.inf, strict: bool = False) -> float:
-    """``x`` as a float; a :class:`FieldError` naming ``name`` unless it is
-    finite and at least ``low`` (above it, if ``strict``)."""
-    try:
-        x = float(x)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
-    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+    """``x`` as a float; a :class:`FieldError` naming ``name`` unless it is an
+    int, float or numpy number (not a bool) that is finite and at least ``low``
+    (above it, if ``strict``)."""
+    value = x
+    if type(x) is not float:  # floats, the common case, skip the type tests
+        if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+            value = math.nan
+        else:
+            try:
+                x = value = float(x)
+            except OverflowError:  # an integer beyond the float range
+                x = value = math.inf
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
         bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
         raise FieldError(name, f"must be a finite real{bound}, got {x!r}")
-    return x
+    return value
 
 
 def _check_int(name: str, x: int, low: int) -> int:
-    """``x`` as an int; a :class:`FieldError` naming ``name`` unless it is an integer >= ``low``."""
-    whole = isinstance(x, (int, np.integer)) or isinstance(x, (float, np.floating)) and x.is_integer()
-    if not (whole and x >= low):
+    """``x`` as an int; a :class:`FieldError` naming ``name`` unless it is an
+    int or numpy integer (not a bool, not an integral float) >= ``low``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < low:
         raise FieldError(name, f"must be an integer >= {low}, got {x!r}")
     return int(x)
 

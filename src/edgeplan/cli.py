@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -19,7 +20,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .accuracy import FeatureProfile, accuracy_model, quant_variance
-from .circstats import FieldError, _check_real
+from .circstats import FieldError, _check_int, _check_real
 from .config import ConfigError, RunConfig, load_config
 from .fitting import DepthSeries, fit_affine, fit_exponential
 from .optimizer import ExitSet, Plan, solve_cr, solve_discrete
@@ -54,16 +55,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+_MAX_POINTS = 100_000  # per --snr-db grid
+
+
+def _distinct(values: List[Any]) -> List[Any]:
+    """``values``; a ValueError naming the first entry that repeats."""
+    repeated = [value for value, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise ValueError(f"repeated entry {repeated[0]}")
+    return values
+
+
 def _parse_snr_grid(text: str, link: LinkState) -> List[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected FROM:TO:STEP, got {text!r}")
-    start, stop = _check_real("start", parts[0]), _check_real("stop", parts[1])
-    step = _check_real("step", parts[2], 0.0, strict=True)
+    start, stop = _check_real("start", float(parts[0])), _check_real("stop", float(parts[1]))
+    step = _check_real("step", float(parts[2]), 0.0, strict=True)
     if stop < start:
         raise ValueError("SNR range end must be >= start")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    grid = [start + k * step for k in range(count)]
+    steps = (stop - start) / step + 1e-9  # inf where the span overflows a float
+    if not steps < _MAX_POINTS:
+        raise ValueError(f"point count must be finite and <= {_MAX_POINTS}, got {steps + 1:.6g}")
+    grid = _distinct([start + k * step for k in range(int(steps) + 1)])
     for snr_db in grid:
         snr = snr_db_to_linear(snr_db)  # its FieldError already names the dB value
         try:
@@ -82,14 +96,14 @@ def _parse_exit_variants(text: str, profile: FeatureProfile) -> List[ExitSet]:
         exits = ExitSet(layers=tuple(int(tok) for tok in clause.split(",")))
         exits.check_within(profile)
         variants.append(exits)
-    return variants
+    return _distinct(variants)
 
 
 def _parse_p0_list(text: str, profile: FeatureProfile) -> List[float]:
     values = [profile.check_target(float(tok)) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError("empty p0 list")
-    return values
+    return _distinct(values)
 
 
 def _parse_validate_grid(text: str, profile: FeatureProfile) -> Tuple[List[int], List[int]]:
@@ -99,9 +113,11 @@ def _parse_validate_grid(text: str, profile: FeatureProfile) -> Tuple[List[int],
         ells = [int(tok) for tok in ell_text.split(",")]
     except ValueError as exc:
         raise ValueError(f"expected Q1,Q2,...xL1,L2,..., got {text!r}") from exc
+    for q in qs:
+        _check_int("q", q, 0)
     for ell in ells:
         profile.check_depth(ell)
-    return qs, ells
+    return _distinct(qs), _distinct(ells)
 
 
 def _flag(flag: str, parse: Callable[..., Any], *args: Any) -> Any:

@@ -1,19 +1,21 @@
 """Run configuration: JSON schema, loading, and validation.
 
-This module checks only the JSON shape: objects, known and required keys,
-number and integer types, and lists.  Finiteness, range and order rules live
-in the dataclasses the values build; their :class:`FieldError` is re-raised
-as a :class:`ConfigError` whose message starts with the exact JSON path
-(``link.bandwidth_hz: ...``), so a bad config is diagnosable without reading
-this module.
+This module checks only the JSON structure: objects, known and required
+keys, and lists.  Each section's keys are the parameters of the dataclass
+(or constructor) it builds, named as in its table of renames.  Number and
+integer types, finiteness, range and order rules live in those dataclasses;
+their :class:`FieldError` is re-raised as a :class:`ConfigError` whose
+message starts with the exact JSON path (``link.bandwidth_hz: ...``), so a
+bad config is diagnosable without reading this module.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List
 
 from .accuracy import FeatureProfile, QuantizerSpec
 from .circstats import FieldError, _check_int
@@ -69,159 +71,93 @@ def _expect_mapping(raw: Any, path: str) -> Dict[str, Any]:
     return raw
 
 
-def _reject_unknown(raw: Dict[str, Any], path: str, known: List[str]) -> None:
+def _reject_unknown(raw: Dict[str, Any], path: str, known: Iterable[str]) -> None:
     for key in raw:
         if key not in known:
             raise ConfigError(_join(path, key), "unknown field")
 
 
-def _get(raw: Dict[str, Any], path: str, key: str) -> Any:
-    if key not in raw:
-        raise ConfigError(_join(path, key), "required field is missing")
-    return raw[key]
-
-
-def _number(raw: Dict[str, Any], path: str, key: str) -> float:
-    value = _get(raw, path, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(_join(path, key), f"expected a number, got {value!r}")
-    return value
-
-
-def _integer(raw: Dict[str, Any], path: str, key: str) -> int:
-    return _integer_at(_get(raw, path, key), _join(path, key))
-
-
-def _integer_at(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(where, f"expected an integer, got {value!r}")
-    return value
-
-
-def _integer_list(raw: Dict[str, Any], path: str, key: str) -> List[int]:
-    value, where = _get(raw, path, key), _join(path, key)
+def _list(value: Any, where: str) -> List[Any]:
     if not isinstance(value, list):
         raise ConfigError(where, f"expected a list of integers, got {value!r}")
-    return [_integer_at(entry, f"{where}[{i}]") for i, entry in enumerate(value)]
+    return value
+
+
+def _fields(raw: Any, path: str, make: Callable[..., Any], renames: Dict[str, str],
+            optional: Iterable[str] = ()) -> Dict[str, Any]:
+    """``make``'s keyword arguments, read from the JSON object ``raw`` at ``path``.
+
+    The object's keys are ``make``'s parameters, each named as in ``renames``
+    (parameter -> key); every key not in ``optional`` is required.
+    """
+    raw = _expect_mapping(raw, path)
+    keys = {renames.get(name, name): name for name in inspect.signature(make).parameters}
+    _reject_unknown(raw, path, keys)
+    missing = [key for key in keys if key not in raw and key not in optional]
+    if missing:
+        raise ConfigError(_join(path, missing[0]), "required field is missing")
+    return {name: raw[key] for key, name in keys.items() if key in raw}
+
+
+def _section(raw: Any, path: str, make: Callable[..., Any], renames: Dict[str, str],
+             optional: Iterable[str] = ()) -> Any:
+    """``make`` built from the JSON object ``raw`` at ``path``, read by :func:`_fields`."""
+    return _build(path, renames, make, **_fields(raw, path, make, renames, optional))
 
 
 def _parse_link(raw: Any) -> LinkState:
     raw = _expect_mapping(raw, "link")
-    _reject_unknown(raw, "link", ["bandwidth_hz", "snr_db", "snr_linear", "t_max_s", "d"])
     has_db = "snr_db" in raw
     if has_db == ("snr_linear" in raw):
         raise ConfigError("link", "provide exactly one of snr_db or snr_linear")
-    if has_db:
-        snr_db = _number(raw, "link", "snr_db")
-        snr_key, snr = "snr_db", _build("link", {}, snr_db_to_linear, snr_db=snr_db)
-    else:
-        snr_key, snr = "snr_linear", _number(raw, "link", "snr_linear")
-    return _build(
-        "link",
-        {"snr": snr_key},
-        LinkState,
-        bandwidth_hz=_number(raw, "link", "bandwidth_hz"),
-        snr=snr,
-        t_max_s=_number(raw, "link", "t_max_s"),
-        d=_integer(raw, "link", "d"),
-    )
+    if not has_db:
+        return _section(raw, "link", LinkState, {"snr": "snr_linear"})
+    snr = _build("link", {}, snr_db_to_linear, snr_db=raw["snr_db"])
+    return _section({**raw, "snr_db": snr}, "link", LinkState, {"snr": "snr_db"})
 
 
-_FLOPS_KEYS = ["device_flops", "per_layer_flops", "device_flops_per_s", "server_flops_per_s"]
+_AFFINE = {"b1": "b1_s", "b2": "b2_s"}
+_FLOPS = inspect.signature(ComputeProfile.from_flops).parameters
 
 
 def _parse_compute(raw: Any) -> ComputeProfile:
     raw = _expect_mapping(raw, "compute")
-    _reject_unknown(raw, "compute", ["b1_s", "b2_s"] + _FLOPS_KEYS)
-    affine = "b1_s" in raw or "b2_s" in raw
-    flops = any(key in raw for key in _FLOPS_KEYS)
-    if affine and flops:
-        raise ConfigError("compute", "provide either b1_s/b2_s or the FLOPs block, not both")
+    _reject_unknown(raw, "compute", [*_AFFINE.values(), *_FLOPS])
+    affine = any(key in raw for key in _AFFINE.values())
+    if affine == any(key in raw for key in _FLOPS):
+        both = ", not both" if affine else ""
+        raise ConfigError("compute", f"provide either b1_s/b2_s or the FLOPs block{both}")
     if affine:
-        return _build(
-            "compute",
-            {"b1": "b1_s", "b2": "b2_s"},
-            ComputeProfile,
-            b1=_number(raw, "compute", "b1_s"),
-            b2=_number(raw, "compute", "b2_s"),
-        )
-    if flops:
-        return _build(
-            "compute",
-            {"b1": "per_layer_flops", "b2": "device_flops"},
-            ComputeProfile.from_flops,
-            **{key: _number(raw, "compute", key) for key in _FLOPS_KEYS},
-        )
-    raise ConfigError("compute", "provide either b1_s/b2_s or the FLOPs block")
-
-
-def _parse_profile(raw: Any) -> FeatureProfile:
-    raw = _expect_mapping(raw, "feature_profile")
-    _reject_unknown(raw, "feature_profile", ["J", "c1", "c2", "c3", "c4", "L"])
-    return _build(
-        "feature_profile",
-        {"j_classes": "J", "n_layers": "L"},
-        FeatureProfile,
-        j_classes=_integer(raw, "feature_profile", "J"),
-        n_layers=_integer(raw, "feature_profile", "L"),
-        **{key: _number(raw, "feature_profile", key) for key in ("c1", "c2", "c3", "c4")},
-    )
-
-
-def _parse_quantizer(raw: Any) -> QuantizerSpec:
-    raw = _expect_mapping(raw, "quantizer")
-    _reject_unknown(raw, "quantizer", ["c_min", "c_max", "q_max", "bit_alphabet"])
-    alphabet: Optional[List[int]] = None
-    if "bit_alphabet" in raw:
-        alphabet = _integer_list(raw, "quantizer", "bit_alphabet")
-    return _build(
-        "quantizer",
-        {},
-        QuantizerSpec,
-        c_min=_number(raw, "quantizer", "c_min"),
-        c_max=_number(raw, "quantizer", "c_max"),
-        q_max=_integer(raw, "quantizer", "q_max"),
-        bit_alphabet=alphabet,
-    )
-
-
-def _parse_monte_carlo(raw: Any) -> MonteCarloConfig:
-    if raw is None:
-        return MonteCarloConfig()
-    raw = _expect_mapping(raw, "monte_carlo")
-    keys = ["n_per_class", "tasks"]
-    _reject_unknown(raw, "monte_carlo", keys)
-    kwargs = {key: _integer(raw, "monte_carlo", key) for key in keys if key in raw}
-    return _build("monte_carlo", {}, MonteCarloConfig, **kwargs)
-
-
-_TOP_LEVEL = [
-    "link",
-    "compute",
-    "feature_profile",
-    "quantizer",
-    "exits",
-    "target_accuracy",
-    "seed",
-    "monte_carlo",
-]
+        return _section(raw, "compute", ComputeProfile, _AFFINE)
+    # b1 and b2 fail only where a FLOPs quotient overflows; name its numerator
+    renames = {"b1": "per_layer_flops", "b2": "device_flops"}
+    return _section(raw, "compute", ComputeProfile.from_flops, renames)
 
 
 def parse_config(raw: Any) -> RunConfig:
     """Validate a parsed JSON object into a :class:`RunConfig`."""
-    raw = _expect_mapping(raw, "<config>")
-    _reject_unknown(raw, "", _TOP_LEVEL)
-    profile = _parse_profile(_get(raw, "", "feature_profile"))
-    link = _parse_link(_get(raw, "", "link"))
-    compute = _parse_compute(_get(raw, "", "compute"))
-    quantizer = _parse_quantizer(_get(raw, "", "quantizer"))
+    top = _fields(_expect_mapping(raw, "<config>"), "", RunConfig,
+                  {"profile": "feature_profile"}, ["monte_carlo"])
+    profile = _section(top["profile"], "feature_profile", FeatureProfile,
+                       {"j_classes": "J", "n_layers": "L"})
+    link = _parse_link(top["link"])
+    compute = _parse_compute(top["compute"])
+    quantizer = _expect_mapping(top["quantizer"], "quantizer")
+    if "bit_alphabet" in quantizer:
+        _list(quantizer["bit_alphabet"], "quantizer.bit_alphabet")
+    quantizer = _section(quantizer, "quantizer", QuantizerSpec, {}, ["bit_alphabet"])
     exit_keys = {"layers": "exits"}
-    exits = _build("", exit_keys, ExitSet, layers=_integer_list(raw, "", "exits"))
+    exits = _build("", exit_keys, ExitSet, layers=_list(top["exits"], "exits"))
     _build("", exit_keys, exits.check_within, profile=profile)
     target = _build("", {"p0": "target_accuracy"}, profile.check_target,
-                    p0=_number(raw, "", "target_accuracy"))
-    seed = _integer(raw, "", "seed")
-    monte_carlo = _parse_monte_carlo(raw.get("monte_carlo"))
+                    p0=top["target_accuracy"])
+    seed = top["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError("seed", f"expected an integer, got {seed!r}")
+    monte_carlo = MonteCarloConfig()
+    if top.get("monte_carlo") is not None:
+        monte_carlo = _section(top["monte_carlo"], "monte_carlo", MonteCarloConfig, {},
+                               ["n_per_class", "tasks"])
     return RunConfig(
         link=link,
         compute=compute,

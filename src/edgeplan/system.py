@@ -107,7 +107,7 @@ def epr(q: float, ell: float, link: LinkState, comp: ComputeProfile) -> float:
     transmitted.  Strictly below the channel rate whenever compute time is
     positive, and approaches it as compute time vanishes.
     """
-    q = float(q)
+    q = _check_real("q", q, 0.0)
     if q == 0.0:
         return 0.0
     return link.d * q / (comm_latency(q, link) + comp_latency(ell, comp))

@@ -29,7 +29,7 @@ from edgeplan.circstats import (
 )
 from edgeplan.rng import make_rng
 from edgeplan.simulator import distort, generate_dataset
-from edgeplan.system import ComputeProfile, LinkState, comm_latency, comp_latency
+from edgeplan.system import ComputeProfile, LinkState, comm_latency, comp_latency, epr
 
 import oracles
 
@@ -330,6 +330,7 @@ SCALAR_ARGUMENTS = [
     ("comm_latency", lambda x: comm_latency(x, _LINK), "q", 0.0, -1e-12),
     ("comp_latency", lambda x: comp_latency(x, ComputeProfile(b1=1e-4, b2=2e-3)), "ell", 1.0,
      1.0 - 1e-12),
+    ("epr", lambda x: epr(x, 10.0, _LINK, ComputeProfile(b1=1e-4, b2=2e-3)), "q", 0.0, -1e-12),
     ("distort", lambda x: distort(_LABELED, x, 10.0, _PROFILE, seed=1), "sigma2", 0.0, -1e-12),
     ("from_flops", lambda x: ComputeProfile.from_flops(0.0, 1e8, x, 1e12), "device_flops_per_s",
      5e-324, 0.0),
@@ -343,14 +344,23 @@ SCALAR_ARGUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "bad"])
+def _rejected(lowest, bad):
+    """Each row's rejected values: non-finite, beyond the bound, and of a wrong type."""
+    values = {"nan": math.nan, "inf": math.inf, "bad": bad, "true": True, "text": str(lowest),
+              "none": None}
+    if isinstance(lowest, int):  # an integral float is not a count
+        values["float"] = float(lowest)
+    return values
+
+
 @pytest.mark.parametrize(
-    "call, name, lowest, bad", [case[1:] for case in SCALAR_ARGUMENTS],
-    ids=[case[0] for case in SCALAR_ARGUMENTS],
+    "call, name, lowest, bad",
+    [pytest.param(call, name, lowest, value, id=f"{row}-{key}")
+     for row, call, name, lowest, bad in SCALAR_ARGUMENTS
+     for key, value in _rejected(lowest, bad).items()],
 )
-def test_scalar_arguments_must_be_finite_and_within_bound(call, name, lowest, bad, value):
+def test_scalar_arguments_must_be_finite_and_within_bound(call, name, lowest, bad):
     call(lowest)  # the bound itself stays admissible
-    bad = {"nan": math.nan, "inf": math.inf, "bad": bad}[value]
     rule = "an integer >= " if isinstance(lowest, int) else "a finite real"
     with pytest.raises(FieldError, match=rf"^{name}: must be {rule}") as err:
         call(bad)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from edgeplan.cli import main
-from edgeplan.config import ConfigError, load_config, parse_config
+from edgeplan.config import ConfigError, MonteCarloConfig, load_config, parse_config
 from edgeplan.system import epr
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -112,6 +112,20 @@ MALFORMED = [
         "link.bandwidth_hz",
         "link.bandwidth_hz=10^400",
     ),
+    # wrong JSON types: an integral float is no integer, a bool or a string no number
+    (lambda c: c["feature_profile"].__setitem__("J", 10.0), "feature_profile.J",
+     "feature_profile.J=10.0"),
+    (lambda c: c["feature_profile"].__setitem__("c1", True), "feature_profile.c1",
+     "feature_profile.c1=true"),
+    (lambda c: c["feature_profile"].__setitem__("c1", "0.35"), "feature_profile.c1",
+     "feature_profile.c1='0.35'"),
+    (lambda c: c["link"].__setitem__("t_max_s", None), "link.t_max_s", "link.t_max_s=null"),
+    (lambda c: c["quantizer"].__setitem__("bit_alphabet", 5), "quantizer.bit_alphabet",
+     "quantizer.bit_alphabet=5"),
+    (lambda c: c["quantizer"].__setitem__("bit_alphabet", None), "quantizer.bit_alphabet",
+     "quantizer.bit_alphabet=null"),
+    (lambda c: c.__setitem__("exits", "9"), "exits", "exits='9'"),
+    (lambda c: c.__setitem__("seed", 1.0), "seed", "seed=1.0"),
 ]
 
 
@@ -127,6 +141,14 @@ def test_malformed_configs_name_the_field(mutate, path):
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     assert str(err.value).startswith(path + ":"), str(err.value)
+
+
+def test_absent_or_null_monte_carlo_loads_the_defaults():
+    raw = _base_config()
+    raw["monte_carlo"] = None
+    assert parse_config(raw).monte_carlo == MonteCarloConfig()
+    del raw["monte_carlo"]
+    assert parse_config(raw).monte_carlo == MonteCarloConfig()
 
 
 def test_invalid_json_reports_source(tmp_path):
@@ -387,6 +409,15 @@ FLAG_ERRORS = [
     ("sweep", "--snr-db", "-4000:-3990:10"),
     ("sweep", "--snr-db", "0:inf:1"),
     ("validate", "--grid", "8x99"),
+    # the span overflows a float; a grid of 1e300 points
+    ("sweep", "--snr-db", "-1e308:1e308:1e308"),
+    ("sweep", "--snr-db", "0:1e300:1"),
+    ("validate", "--grid", "-1x9"),
+    # a repeated entry would write its rows twice
+    ("validate", "--grid", "8,8x9"),
+    ("sweep", "--exits-variants", "9,19;9,19"),
+    ("sweep", "--p0-list", "0.6,0.6"),
+    ("sweep", "--snr-db", "3000:3000.000000000001:1e-13"),  # steps below the float spacing
 ]
 
 

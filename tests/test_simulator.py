@@ -481,7 +481,7 @@ def test_task_count_must_be_positive(monkeypatch):
         pytest.fail("a depth search ran before the task count was checked")
 
     monkeypatch.setattr(optimizer, "min_depth_for_accuracy", search)
-    for tasks in (0, 2.5):  # a fraction is rejected, not truncated
+    for tasks in (0, 2.5, True):  # a fraction is rejected, not truncated; a bool is no count
         with pytest.raises(FieldError, match="^tasks: must be an integer >= 1"):
             run_algorithm1(tasks, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
         with pytest.raises(FieldError, match="^tasks: must be an integer >= 1"):
