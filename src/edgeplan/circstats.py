@@ -84,11 +84,12 @@ def _check_real(name: str, x: float, low: float = -math.inf, strict: bool = Fals
     return value
 
 
-def _check_int(name: str, x: int, low: int) -> int:
+def _check_int(name: str, x: int, low: float = -math.inf) -> int:
     """``x`` as an int; a :class:`FieldError` naming ``name`` unless it is an
     int or numpy integer (not a bool, not an integral float) >= ``low``."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < low:
-        raise FieldError(name, f"must be an integer >= {low}, got {x!r}")
+        bound = f" >= {low}" if low > -math.inf else ""
+        raise FieldError(name, f"must be an integer{bound}, got {x!r}")
     return int(x)
 
 
@@ -197,12 +198,14 @@ class AngularSampleSet:
             raise ValueError("angles must be finite and lie in (-pi, pi]")
         object.__setattr__(self, "angles", angles)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = np.asarray(self.labels)
+            if labels.size and not np.issubdtype(labels.dtype, np.integer):
+                raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
             if labels.shape != angles.shape:
                 raise ValueError("labels must match angles in length")
             if labels.size and labels.min() < 1:
                 raise ValueError("labels must be 1-based class indices")
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return int(self.angles.size)
@@ -219,6 +222,7 @@ def sample_von_mises(
     uniform distribution.
     """
     kappa = min(_check_real("kappa", kappa, 0.0), KAPPA_MAX)
+    n = _check_int("n", n, 0)
     if kappa < _KAPPA_UNIFORM:
         angles = rng.uniform(-np.pi, np.pi, size=n)
     else:

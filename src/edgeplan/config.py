@@ -3,7 +3,7 @@
 This module checks only the JSON structure: objects, known and required
 keys, and lists.  Each section's keys are the parameters of the dataclass
 (or constructor) it builds, named as in its table of renames.  Number and
-integer types, finiteness, range and order rules live in those dataclasses;
+integer types, finiteness, range and order rules live in those builders;
 their :class:`FieldError` is re-raised as a :class:`ConfigError` whose
 message starts with the exact JSON path (``link.bandwidth_hz: ...``), so a
 bad config is diagnosable without reading this module.
@@ -151,9 +151,7 @@ def parse_config(raw: Any) -> RunConfig:
     _build("", exit_keys, exits.check_within, profile=profile)
     target = _build("", {"p0": "target_accuracy"}, profile.check_target,
                     p0=top["target_accuracy"])
-    seed = top["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed", f"expected an integer, got {seed!r}")
+    seed = _build("", {}, _check_int, name="seed", x=top["seed"])
     monte_carlo = MonteCarloConfig()
     if top.get("monte_carlo") is not None:
         monte_carlo = _section(top["monte_carlo"], "monte_carlo", MonteCarloConfig, {},

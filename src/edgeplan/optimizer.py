@@ -157,8 +157,8 @@ def solve_discrete(
     ~1e-6 slack, so that exit may still qualify).  Every feasible plan's exit
     has thus been compared with ``p0`` directly.  When no exit qualifies, no
     depth does, or only 0 bits fit (nothing is sent), the plan parks at the
-    deepest exit with zero EPR.  One call of ``_discrete_plans``, which plans
-    several links and exit sets the same way.
+    deepest exit with zero EPR.  One call of ``_discrete_plans``, which
+    judges the inputs and plans several links and exit sets the same way.
     """
     return _discrete_plans([link], comp, profile, spec, [exits], p0)[0][0]
 
@@ -173,11 +173,15 @@ def _discrete_plans(
 ) -> List[List[Plan]]:
     """The :func:`solve_discrete` plan for each link and each exit set, in order.
 
-    A link enters only through its bit-width ``q*``, which fixes each set's
-    exit, predicted accuracy and feasibility (``_exit_choices``); so those
-    are chosen once per distinct ``q*``, and only the latencies and EPR are
-    filled in per link.  Nothing is kept between calls.
+    Checks every exit set and ``p0`` once, before any link.  A link enters
+    only through its bit-width ``q*``, which fixes each set's exit, predicted
+    accuracy and feasibility (``_exit_choices``); so those are chosen once
+    per distinct ``q*``, and only the latencies and EPR are filled in per
+    link.  Nothing is kept between calls.
     """
+    for exits in exit_sets:
+        exits.check_within(profile)
+    p0 = profile.check_target(p0)
     choices, plans = {}, []  # q* -> _exit_choices at q*
     for link in links:
         q = float(max_bitwidth_discrete(link, spec))
@@ -200,9 +204,8 @@ def _exit_choices(
     scanned from just below it.  Each exit layer's accuracy is evaluated at
     most once, for the scans and the plans alike; the memo lives for this
     call only.  At ``q_star = 0`` nothing is sent, so no exit is feasible.
+    It only chooses: ``_discrete_plans`` has checked the exit sets and ``p0``.
     """
-    for exits in exit_sets:
-        exits.check_within(profile)
     ell_plus = min_depth_for_accuracy(quant_variance(q_star, spec), p0, profile) if q_star else None
     accuracy_at = {}  # exit layer -> accuracy_model(q_star, layer)
 
@@ -236,13 +239,15 @@ def brute_force(
 
     Checks the latency and accuracy constraints pair by pair and keeps the
     EPR maximizer, breaking ties toward larger bit-width and then shallower
-    depth.  Shares :func:`solve_discrete`'s infeasible convention, q = 0 included.
+    depth.  Shares :func:`solve_discrete`'s input rules and infeasible
+    convention, q = 0 included, under its own latency test.
     """
     exits.check_within(profile)
+    p0 = profile.check_target(p0)
+    # positive entries within the budget; with none, the plan parks at 0 bits
+    admitted = [q for q in spec.bit_alphabet if q > 0 and comm_latency(q, link) <= link.t_max_s]
     best_key = best_accuracy = None
-    for q in spec.bit_alphabet:
-        if q == 0 or comm_latency(q, link) > link.t_max_s:
-            continue
+    for q in admitted:
         for ell in exits.layers:
             accuracy = accuracy_model(q, float(ell), profile, spec)
             if accuracy < p0:
@@ -251,7 +256,7 @@ def brute_force(
             if best_key is None or key > best_key:
                 best_key, best_accuracy = key, accuracy
     if best_key is None:
-        q_star = float(max_bitwidth_discrete(link, spec))
+        q_star = float(max(admitted, default=0))
         accuracy = accuracy_model(q_star, float(exits.deepest), profile, spec)
         return _plan(q_star, exits.deepest, accuracy, False, link, comp)
     _, q, neg_ell = best_key

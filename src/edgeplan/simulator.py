@@ -11,7 +11,7 @@ scored into an :class:`AccuracyEstimate` with a binomial interval.
 noise.  :func:`sweep` chooses exits once per (p0, bit-width) for every
 exit set and SNR sharing that bit-width, solves the continuous ceiling once
 per (p0, SNR), and simulates each row with the batch step ``_simulate`` that
-:func:`run_algorithm1` also runs.
+:func:`run_algorithm1` also runs, each scoring its ``correct`` array itself.
 
 Every stage draws from an explicit generator addressed by (seed, stream),
 so cells and rows are independent and reproduce bit for bit.  No shared
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .rng import derive_seed, make_rng
 from .system import ComputeProfile, LinkState, snr_db_to_linear
 
 __all__ = [
-    "BatchSummary",
     "SweepRow",
     "generate_dataset",
     "distort",
@@ -178,14 +177,6 @@ def empirical_accuracy(samples: AngularSampleSet, profile: FeatureProfile) -> Ac
     return _score(classify_map(samples.angles, profile) == samples.labels)
 
 
-@dataclass(frozen=True)
-class BatchSummary:
-    """The plan a simulated task batch ran under, and its Monte Carlo accuracy."""
-
-    plan: Plan
-    accuracy: AccuracyEstimate
-
-
 def run_algorithm1(
     tasks: int,
     link: LinkState,
@@ -195,23 +186,24 @@ def run_algorithm1(
     exits: ExitSet,
     p0: float,
     seed: int,
-) -> Tuple[np.ndarray, BatchSummary]:
+) -> Tuple[np.ndarray, Plan, AccuracyEstimate]:
     """Simulate a batch of inference tasks under the channel-adaptive plan.
 
     The channel is constant across the batch, so the per-task decision is
     solved once up front with :func:`solve_discrete` and the batch runs under
-    it (``_simulate``).  Returns the per-task boolean ``correct`` array and
-    the batch summary.
+    it (``_simulate``).  Returns the per-task boolean ``correct`` array, the
+    plan and the batch's Monte Carlo accuracy.
     """
     tasks = _check_int("tasks", tasks, 1)
     plan = solve_discrete(link, comp, profile, spec, exits, p0)
-    return _simulate(tasks, plan, profile, spec, seed)
+    correct = _simulate(tasks, plan, profile, spec, seed)
+    return correct, plan, _score(correct)
 
 
 def _simulate(
     tasks: int, plan: Plan, profile: FeatureProfile, spec: QuantizerSpec, seed: int
-) -> Tuple[np.ndarray, BatchSummary]:
-    """Simulate ``tasks`` (>= 1) inferences under ``plan`` on one stream.
+) -> np.ndarray:
+    """Whether each of ``tasks`` (>= 1) inferences under ``plan`` is correct, on one stream.
 
     True classes cycle 1..J deterministically (uniform priors without
     sampling noise).  A feasible plan is simulated end to end: draw the clean
@@ -231,8 +223,7 @@ def _simulate(
     else:
         predicted = rng.integers(1, j + 1, size=tasks)
 
-    correct = predicted == true_classes
-    return correct, BatchSummary(plan=plan, accuracy=_score(correct))
+    return predicted == true_classes
 
 
 def exit_set_label(exits: ExitSet) -> str:
@@ -257,13 +248,13 @@ class SweepRow:
 
 
 def sweep(
-    snr_db_grid: Sequence[float],
+    snr_db_grid: Iterable[float],
     link: LinkState,
     comp: ComputeProfile,
     profile: FeatureProfile,
     spec: QuantizerSpec,
-    exit_variants: Sequence[ExitSet],
-    p0_list: Sequence[float],
+    exit_variants: Iterable[ExitSet],
+    p0_list: Iterable[float],
     tasks: int,
     seed: int,
 ) -> List[SweepRow]:
@@ -278,12 +269,13 @@ def sweep(
     (target accuracy, bit-width) serves every exit set and every SNR between
     two thresholds; only latency and EPR are recomputed per SNR.  Each point
     draws from a stream derived from its grid indices, so rows are
-    order-independent.
+    order-independent.  Each iterable input is read once.
     """
     tasks = _check_int("tasks", tasks, 1)
-    if not list(snr_db_grid):
+    snr_db_grid, exit_variants, p0_list = list(snr_db_grid), list(exit_variants), list(p0_list)
+    if not snr_db_grid:
         raise ValueError("SNR grid must be nonempty")
-    if not list(exit_variants) or not list(p0_list):
+    if not exit_variants or not p0_list:
         raise ValueError("exit variants and p0 list must be nonempty")
     points = [replace(link, snr=snr_db_to_linear(snr_db)) for snr_db in snr_db_grid]
     ceilings = [[solve_cr(point, comp, profile, spec, p0).epr for point in points] for p0 in p0_list]
@@ -293,10 +285,9 @@ def sweep(
         label = exit_set_label(exits)
         for pi, p0 in enumerate(p0_list):
             for si, snr_db in enumerate(snr_db_grid):
-                _, summary = _simulate(
-                    tasks, plans[pi][si][vi], profile, spec, _row_seed(seed, vi, pi, si)
-                )
-                plan = summary.plan
+                plan = plans[pi][si][vi]
+                row_seed = derive_seed(seed, 101, vi, pi, si)
+                accuracy = _score(_simulate(tasks, plan, profile, spec, row_seed))
                 rows.append(
                     SweepRow(
                         snr_db=float(snr_db),
@@ -305,15 +296,11 @@ def sweep(
                         q=plan.q,
                         ell=plan.ell,
                         pred_acc=plan.predicted_accuracy,
-                        emp_acc=summary.accuracy.value,
-                        emp_ci=summary.accuracy.ci_half_width,
+                        emp_acc=accuracy.value,
+                        emp_ci=accuracy.ci_half_width,
                         epr_bits_per_s=plan.epr,
                         epr_cr_bits_per_s=ceilings[pi][si],
                         feasible=plan.feasible,
                     )
                 )
     return rows
-
-
-def _row_seed(seed: int, vi: int, pi: int, si: int) -> int:
-    return derive_seed(seed, 101, vi, pi, si)

@@ -120,6 +120,9 @@ def test_wrap_angle_range_and_boundary():
     grid = np.linspace(-20.0, 20.0, 1001)
     wrapped = wrap_angle(grid)
     assert np.all(wrapped > -math.pi) and np.all(wrapped <= math.pi)
+    for bad in (math.nan, np.array([0.0, math.inf])):
+        with pytest.raises(ValueError, match="^angles must be finite"):
+            wrap_angle(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +236,8 @@ def test_estimate_kappa_pooled_missing_class_errors():
     )
     with pytest.raises(ValueError, match="class 2"):
         estimate_kappa_pooled(samples, 3)
+    with pytest.raises(ValueError, match="requires labeled samples"):
+        estimate_kappa_pooled(AngularSampleSet(angles=samples.angles), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +308,14 @@ def test_sample_set_validation():
         AngularSampleSet(angles=np.array([0.0, 0.1]), labels=np.array([1]))
     with pytest.raises(ValueError):
         AngularSampleSet(angles=np.array([0.0, 0.1]), labels=np.array([0, 1]))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        AngularSampleSet(angles=np.zeros((2, 2)))
+    # an integral or fractional float is no class label: it is rejected, not truncated
+    for labels in ([1.7, 2.2], np.array([1.0, 2.0]), [True, True]):
+        with pytest.raises(ValueError, match="^labels must be integers"):
+            AngularSampleSet(angles=np.array([0.0, 0.1]), labels=labels)
+    assert AngularSampleSet(angles=np.array([0.0, 0.1]), labels=[1, 2]).labels.dtype == np.int64
+    assert AngularSampleSet(angles=np.array([]), labels=[]).labels.size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +329,13 @@ _LABELED = AngularSampleSet(angles=np.array([0.1, -0.2]), labels=np.array([1, 2]
 _PAIRS = AngularSampleSet(angles=np.array([0.1, -0.2, 0.3, 0.0]), labels=np.array([1, 1, 2, 2]))
 
 # (test id, call on the checked argument, its name, lowest value accepted, a
-# value the bound rejects: just below it for a real, a fraction above it for a count)
+# value the bound rejects: just below it for a real, a fraction above it for a
+# count, except -1 for the sample count, where numpy raised its own error)
 SCALAR_ARGUMENTS = [
     ("bessel_ratio", bessel_ratio, "kappa", 0.0, -1e-12),
     ("bessel_ratio_inv", bessel_ratio_inv, "r", 0.0, -1e-12),
     ("sample_von_mises", lambda x: sample_von_mises(make_rng(1), 0.0, x, 3), "kappa", 0.0, -1e-12),
+    ("sample_von_mises-n", lambda x: sample_von_mises(make_rng(1), 0.0, 1.0, x), "n", 0, -1),
     ("wrapped_gaussian_kappa", wrapped_gaussian_kappa, "sigma2", 0.0, -1e-12),
     ("quant_variance", lambda x: quant_variance(x, _SPEC), "q", 0.0, -1e-12),
     ("kappa_distorted", lambda x: kappa_distorted(x, 10.0, _PROFILE), "sigma2", 0.0, -1e-12),

@@ -5,7 +5,10 @@ import copy
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,6 +129,12 @@ MALFORMED = [
      "quantizer.bit_alphabet=null"),
     (lambda c: c.__setitem__("exits", "9"), "exits", "exits='9'"),
     (lambda c: c.__setitem__("seed", 1.0), "seed", "seed=1.0"),
+    # a section that is no JSON object
+    (lambda c: c.__setitem__("link", None), "link", "link=null"),
+    (lambda c: c.__setitem__("compute", 5), "compute", "compute=5"),
+    (lambda c: c.__setitem__("quantizer", []), "quantizer"),
+    (lambda c: c.__setitem__("feature_profile", None), "feature_profile"),
+    (lambda c: c.__setitem__("monte_carlo", 5), "monte_carlo"),
 ]
 
 
@@ -156,6 +165,18 @@ def test_invalid_json_reports_source(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(bad)
+
+
+def test_config_must_be_a_readable_json_object(tmp_path):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for path, message in (
+        (listed, "<config>: expected an object, got list"),
+        (tmp_path / "missing.json", "<config>: cannot read "),
+    ):
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(message), str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +225,31 @@ def test_usage_error_exit_one(capsys):
     assert main(["frobnicate"]) == 1
 
 
-def test_module_entry_point_runs_in_subprocess():
-    import os
-    import subprocess
-    import sys
-
-    # the child imports edgeplan from this checkout, as the test process does
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a child that imports edgeplan from this checkout, as
+    the test process does."""
     path = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    result = subprocess.run(
-        [sys.executable, "-m", "edgeplan", "plan", str(DEFAULT_CONFIG)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point_runs_in_subprocess():
+    result = _python("-m", "edgeplan", "plan", str(DEFAULT_CONFIG))
     assert result.returncode == 0
     assert "feasible           : yes" in result.stdout
+
+
+def test_import_loads_no_scipy_subpackage_but_special():
+    # importing scipy.optimize as well costs about 0.25 s and 23 MB, which the
+    # benchmark's setup_s and peak_rss_mb would carry
+    result = _python("-c", (
+        "import sys, edgeplan\n"
+        "print(sorted({name.split('.')[1] for name, module in sys.modules.items()"
+        " if name.startswith('scipy.') and hasattr(module, '__path__')"
+        " and not name.split('.')[1].startswith('_')}))"
+    ))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['special']\n"
 
 
 def test_package_exports_exactly_the_modules_public_names():
@@ -418,6 +448,11 @@ FLAG_ERRORS = [
     ("sweep", "--exits-variants", "9,19;9,19"),
     ("sweep", "--p0-list", "0.6,0.6"),
     ("sweep", "--snr-db", "3000:3000.000000000001:1e-13"),  # steps below the float spacing
+    # flag text that does not parse
+    ("sweep", "--snr-db", "0:10"),
+    ("sweep", "--exits-variants", "9,19;"),
+    ("sweep", "--p0-list", ","),
+    ("validate", "--grid", "8,12"),
 ]
 
 
@@ -438,6 +473,7 @@ def test_bad_flag_value_names_the_flag(tmp_path, capsys, command, flag, value):
 # config edit and sweep flags
 README_DIAGNOSTICS = [
     (lambda c: c["link"].__setitem__("bandwidth_hz", -1.0), []),
+    (lambda c: c.__setitem__("seed", 1.0), []),
     (lambda c: None, ["--exits-variants=9,40"]),
     (lambda c: c["link"].__setitem__("snr_db", 4000), []),
     (lambda c: None, ["--snr-db=-4000:-3990:10"]),
@@ -457,6 +493,13 @@ def test_readme_quotes_the_cli_diagnostics(tmp_path, capsys):
         assert main(argv) == 1
         written.append(" ".join(capsys.readouterr().err.split()))
     assert quoted == written
+
+
+def test_readme_library_example_runs(capsys):
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    example = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    exec(compile(example, "README.md", "exec"), {"__name__": "readme_example"})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +572,17 @@ def test_fit_output_is_pinned(tmp_path, capsys, kind, rows, stdout, stderr, reco
             assert written[key] == value and type(written[key]) is type(value), key
 
 
-def test_fit_malformed_row_reports_line(tmp_path, capsys):
+@pytest.mark.parametrize("rows, message", [
+    ("1.0,2.0\n2.0,oops\n3.0,4.0\n", ":2: non-numeric row"),
+    ("1.0,2.0\n2.0,3.0,4.0\n", ":2: expected 2 columns, got 3"),
+    # blank rows are skipped, not counted as rows of 0 columns
+    ("depth,value\n\n , \n1.0,2.0\n", ": need at least 2 data rows"),
+], ids=["non-numeric", "three-columns", "one-data-row"])
+def test_fit_malformed_row_reports_line(tmp_path, capsys, rows, message):
     csv_path = tmp_path / "series.csv"
-    csv_path.write_text("1.0,2.0\n2.0,oops\n3.0,4.0\n")
+    csv_path.write_text(rows)
     assert main(["fit", "--input", str(csv_path), "--kind", "affine"]) == 1
-    assert ":2:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_fit_round_trip_with_simulated_series(tmp_path, capsys):

@@ -13,6 +13,8 @@ from edgeplan.simulator import generate_dataset
 def test_depth_series_validation():
     with pytest.raises(ValueError):
         DepthSeries(depths=np.array([1.0]), values=np.array([2.0]))
+    with pytest.raises(ValueError, match="equal-length"):
+        DepthSeries(depths=np.array([1.0, 2.0, 3.0]), values=np.array([2.0, 3.0]))
     with pytest.raises(ValueError):
         DepthSeries(depths=np.array([1.0, 1.0]), values=np.array([2.0, 3.0]))
     with pytest.raises(ValueError):

@@ -19,8 +19,10 @@ from edgeplan.accuracy import (
     min_depth_for_accuracy,
     quant_variance,
 )
+from edgeplan.circstats import FieldError
 from edgeplan.config import load_config
 from edgeplan.optimizer import ExitSet, brute_force, solve_cr, solve_discrete
+from edgeplan.simulator import run_algorithm1
 from edgeplan.system import (
     ComputeProfile,
     LinkState,
@@ -157,6 +159,18 @@ def test_zero_bit_plans_are_infeasible_everywhere():
     assert (plan.q, plan.ell, plan.feasible, plan.epr) == (0.0, 37.0, False, 0.0)
     assert plan == brute_force(link, comp, mild, spec, exits, 0.3)
     assert plan.predicted_accuracy == accuracy_model(0, 37.0, mild, spec)
+
+
+@pytest.mark.parametrize("snr_db", [15.0, -30.0])  # at -30 dB only 0 bits fit
+@pytest.mark.parametrize("p0", [math.nan, 0.05, 1.5])
+def test_every_planner_rejects_a_bad_target_on_every_path(snr_db, p0):
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.json")
+    link = replace(config.link, snr=snr_db_to_linear(snr_db))
+    args = (link, config.compute, config.profile, config.quantizer, config.exits, p0)
+    for plan in (solve_discrete, brute_force, lambda *a: run_algorithm1(10, *a, seed=1)):
+        with pytest.raises(FieldError, match="^p0: must ") as err:
+            plan(*args)
+        assert err.value.path == "p0"
 
 
 def test_decomposition_matches_brute_force_on_random_instances():

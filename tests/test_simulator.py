@@ -28,6 +28,7 @@ from edgeplan.circstats import (
     wrapped_gaussian_kappa,
 )
 from edgeplan.optimizer import ExitSet, brute_force, solve_cr, solve_discrete
+from edgeplan.rng import derive_seed, make_rng
 from edgeplan.simulator import (
     classify_map,
     distort,
@@ -190,6 +191,8 @@ def test_classify_map_centroids_and_ties():
     assert classify_map(midpoint, PROFILE) == 1
     # the wrap-around point ties classes 10 and 1; smaller index wins
     assert classify_map(np.pi, PROFILE) == 1
+    with pytest.raises(ValueError, match="^angles must be finite"):
+        classify_map(np.array([0.0, math.nan]), PROFILE)
 
 
 def test_classify_map_matches_density_argmax():
@@ -277,6 +280,8 @@ def test_empirical_accuracy_uniform_is_chance():
 def test_empirical_accuracy_needs_labels():
     with pytest.raises(ValueError, match="labeled"):
         empirical_accuracy(AngularSampleSet(angles=np.array([0.1, 0.2])), PROFILE)
+    with pytest.raises(ValueError, match="^nothing to score$"):
+        empirical_accuracy(AngularSampleSet(angles=np.array([]), labels=[]), PROFILE)
 
 
 def test_empirical_accuracy_tracks_analytic_model():
@@ -308,34 +313,33 @@ def test_empirical_accuracy_agrees_with_exact_fourier_oracle():
 
 
 def test_run_algorithm1_deterministic():
-    correct1, summary1 = run_algorithm1(500, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
-    correct2, summary2 = run_algorithm1(500, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
+    correct1, plan1, accuracy1 = run_algorithm1(500, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
+    correct2, plan2, accuracy2 = run_algorithm1(500, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=5)
     assert np.array_equal(correct1, correct2)
-    assert summary1 == summary2
+    assert (plan1, accuracy1) == (plan2, accuracy2)
 
 
 def test_run_algorithm1_meets_target_when_feasible():
-    _, summary = run_algorithm1(4000, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=6)
-    assert summary.plan.feasible
+    _, plan, accuracy = run_algorithm1(4000, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=6)
+    assert plan.feasible
     se = math.sqrt(0.7 * 0.3 / 4000)
-    assert summary.accuracy.value >= 0.7 - 3.0 * se
-    assert summary.plan.epr > 0.0
+    assert accuracy.value >= 0.7 - 3.0 * se
+    assert plan.epr > 0.0
 
 
 def test_run_algorithm1_degenerates_to_chance_without_bits():
     starved = replace(LINK, snr=snr_db_to_linear(-40.0))
-    _, summary = run_algorithm1(5000, starved, COMP, STEEP, SPEC, EXITS, 0.7, seed=8)
-    assert summary.plan.q == 0.0
-    assert summary.plan.epr == 0.0
-    assert abs(summary.accuracy.value - 0.1) <= 3.0 * math.sqrt(0.1 * 0.9 / 5000)
+    _, plan, accuracy = run_algorithm1(5000, starved, COMP, STEEP, SPEC, EXITS, 0.7, seed=8)
+    assert plan.q == 0.0
+    assert plan.epr == 0.0
+    assert abs(accuracy.value - 0.1) <= 3.0 * math.sqrt(0.1 * 0.9 / 5000)
 
 
 def test_run_algorithm1_draws_match_a_numpy_resimulation():
     # pins the batch stream layout: one stream [seed, 3], classes cycling
     # 1..J, all von Mises angles first, then all noise
     seed, tasks = 5, 257
-    correct, summary = run_algorithm1(tasks, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=seed)
-    plan = summary.plan
+    correct, plan, accuracy = run_algorithm1(tasks, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=seed)
     assert plan.feasible and plan.q > 0
     rng = _philox(seed, 3)
     classes = np.arange(tasks) % 10 + 1
@@ -345,7 +349,7 @@ def test_run_algorithm1_draws_match_a_numpy_resimulation():
     expected = _nearest_centroid(angles) == classes
     assert correct.dtype == bool and np.array_equal(correct, expected)
     assert 0 < expected.sum() < tasks
-    assert summary.accuracy.value == np.mean(expected) and summary.accuracy.n == tasks
+    assert accuracy.value == np.mean(expected) and accuracy.n == tasks
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +426,21 @@ def test_sweep_plans_every_exit_set_of_a_point_like_brute_force():
 def test_sweep_runs_one_depth_search_per_point_and_ceiling(monkeypatch):
     # one continuous depth search per (p0, SNR), and one discrete search per
     # (p0, bit-width), however many exit sets and SNRs share it: 10 and 25 dB
-    # both admit the whole alphabet, so 2 x 3 ceilings and 2 x 2 discrete
-    calls = []
-    search = optimizer.min_depth_for_accuracy
+    # both admit the whole alphabet, so 2 x 3 ceilings and 2 x 2 discrete;
+    # each exit set is checked against the model once per p0, at the entry
+    calls, checks = [], []
+    search, check_within = optimizer.min_depth_for_accuracy, ExitSet.check_within
 
     def counted(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
 
+    def counted_check(exits, profile):
+        checks.append(exits)
+        return check_within(exits, profile)
+
     monkeypatch.setattr(optimizer, "min_depth_for_accuracy", counted)
+    monkeypatch.setattr(ExitSet, "check_within", counted_check)
     grid = [-5.0, 10.0, 25.0]
     bits = [max_bitwidth_discrete(replace(LINK, snr=snr_db_to_linear(s)), SPEC) for s in grid]
     assert bits[0] < bits[1] == bits[2] == SPEC.q_max
@@ -438,6 +448,7 @@ def test_sweep_runs_one_depth_search_per_point_and_ceiling(monkeypatch):
     rows = sweep(grid, LINK, COMP, STEEP, SPEC, variants, [0.6, 0.7], tasks=10, seed=4)
     assert len(rows) == 18
     assert len(calls) == 2 * 3 + 2 * 2
+    assert len(checks) == 2 * 3
 
 
 def test_sweep_shares_plans_between_thresholds_on_random_instances():
@@ -502,3 +513,42 @@ def test_benchmark_tracer_targets_resolve():
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ValueError):
         sweep([], LINK, COMP, STEEP, SPEC, [EXITS], [0.7], tasks=10, seed=1)
+    for variants, p0s in (([], [0.7]), ([EXITS], [])):
+        with pytest.raises(ValueError, match="^exit variants and p0 list must be nonempty$"):
+            sweep([10.0], LINK, COMP, STEEP, SPEC, variants, p0s, tasks=10, seed=1)
+
+
+def test_sweep_reads_iterators_like_lists():
+    grid, variants, p0s = [0.0, 10.0], [EXITS, ExitSet(layers=(37,))], [0.6, 0.7]
+    rows = sweep(grid, LINK, COMP, STEEP, SPEC, variants, p0s, tasks=20, seed=3)
+    assert len(rows) == 8
+    again = sweep(iter(grid), LINK, COMP, STEEP, SPEC, iter(variants), iter(p0s), tasks=20, seed=3)
+    assert again == rows
+
+
+@pytest.mark.parametrize("seed", ["7", True, 7.9, None], ids=repr)
+def test_seeds_must_be_integers_wherever_streams_are_made(seed):
+    # a string, bool or float seed once drew the stream of int(seed)
+    calls = [
+        lambda: make_rng(seed),
+        lambda: derive_seed(seed, 1),
+        lambda: generate_dataset(PROFILE, 10.0, 3, seed),
+        lambda: run_algorithm1(10, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed),
+        lambda: sweep([10.0], LINK, COMP, STEEP, SPEC, [EXITS], [0.7], tasks=10, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(FieldError, match=rf"^seed: must be an integer, got {seed!r}$") as err:
+            call()
+        assert err.value.path == "seed"
+
+
+def test_every_integer_seed_draws_its_stream_modulo_2_64():
+    # values drawn before seeds were checked: a negative seed and one beyond
+    # 64 bits still address the streams of their residues
+    assert [int(make_rng(s, 3).integers(0, 2**62)) for s in (-5, 2**70)] == [
+        228044227695932597, 4373901923266598495
+    ]
+    assert [derive_seed(s, 101, 0) for s in (-5, 2**70)] == [
+        14052809539402957296, 9039240839659415385
+    ]
+    assert derive_seed(np.int64(-5), 101, 0) == derive_seed(2**64 - 5, 101, 0)
