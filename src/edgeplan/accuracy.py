@@ -176,20 +176,25 @@ def kappa_distorted(sigma2: float, ell: float, profile: FeatureProfile) -> float
     The distorted resultant is the product of the clean resultant and the
     circular first moment ``exp(-sigma2 * grad_energy(ell) / 2)`` of the
     induced angular noise; inverting the resultant map returns the shrunken
-    concentration.  Never exceeds ``kappa_bar(ell)``, and equals it exactly
-    when the effective noise vanishes.
+    concentration.  Never exceeds ``kappa_bar(ell)``.  Where that moment
+    rounds to 1 the noise vanishes, and ``kappa_bar(ell)`` is returned
+    exactly without evaluating the resultant map.
     """
     sigma2 = _check_real("sigma2", sigma2, 0.0)
-    r, shrink = _distorted_resultant(sigma2, ell, profile)
-    kbar = kappa_bar(ell, profile)
-    return kbar if shrink >= 1.0 else min(bessel_ratio_inv(r).value, kbar)
+    kbar, shrink = kappa_bar(ell, profile), _shrink(sigma2, ell, profile)
+    if shrink >= 1.0:
+        return kbar
+    return min(bessel_ratio_inv(_distorted_resultant(kbar, shrink)).value, kbar)
 
 
-def _distorted_resultant(sigma2: float, ell: float, profile: FeatureProfile) -> Tuple[float, float]:
-    """The resultant ``A(min(kappa_bar, KAPPA_MAX)) * shrink`` that :func:`kappa_distorted`
-    inverts, and ``shrink = exp(-sigma2 * grad_energy / 2)``, at depth ``ell``."""
-    shrink = math.exp(-0.5 * sigma2 * grad_energy(ell, profile))
-    return bessel_ratio(min(kappa_bar(ell, profile), KAPPA_MAX)) * shrink, shrink
+def _shrink(sigma2: float, ell: float, profile: FeatureProfile) -> float:
+    """The angular noise's circular first moment ``exp(-sigma2 * grad_energy(ell) / 2)``."""
+    return math.exp(-0.5 * sigma2 * grad_energy(ell, profile))
+
+
+def _distorted_resultant(kbar: float, shrink: float) -> float:
+    """The resultant ``A(min(kbar, KAPPA_MAX)) * shrink`` that :func:`kappa_distorted` inverts."""
+    return bessel_ratio(min(kbar, KAPPA_MAX)) * shrink
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
@@ -285,7 +290,7 @@ def min_depth_for_accuracy(
         return accuracy_of_kappa(kappa_distorted(sigma2, ell, profile), j) >= p0
 
     def reaches(ell: float) -> bool:
-        return _distorted_resultant(sigma2, ell, profile)[0] >= r0
+        return _distorted_resultant(kappa_bar(ell, profile), _shrink(sigma2, ell, profile)) >= r0
 
     kappa_lo = kappa_distorted(sigma2, 1.0, profile)
     if (acc_lo := accuracy_of_kappa(kappa_lo, j)) >= p0:

@@ -45,8 +45,6 @@ KAPPA_MAX = 1.0e6
 
 _INV_TOL = 1e-10
 _INV_MAX_ITER = 200
-# Uniform-sampling shortcut threshold used by the rejection sampler.
-_KAPPA_UNIFORM = 1e-8
 
 
 class KappaResult(NamedTuple):
@@ -126,13 +124,6 @@ def bessel_ratio(kappa: float) -> float:
 _RESULTANT_CAP = float(special.i1e(KAPPA_MAX) / special.i0e(KAPPA_MAX))
 
 
-def _bessel_ratio_deriv(kappa: float, a: float) -> float:
-    # d/dk [I1/I0] = 1 - A/k - A^2, with the k->0 limit 1/2
-    if kappa <= 0.0:
-        return 0.5
-    return 1.0 - a / kappa - a * a
-
-
 def bessel_ratio_inv(r: float) -> KappaResult:
     """Invert the resultant map: find kappa with ``bessel_ratio(kappa) = r``.
 
@@ -155,9 +146,8 @@ def bessel_ratio_inv(r: float) -> KappaResult:
     kappa = r * (2.0 - r * r) / (1.0 - r * r)
     lo = 0.0
     hi = max(2.0 * kappa, 1.0)
-    while bessel_ratio(hi) < r:
+    while bessel_ratio(hi) < r:  # a guard: the seed's bracket already holds r
         hi *= 2.0
-    kappa = min(max(kappa, lo), hi)
 
     for _ in range(_INV_MAX_ITER):
         a = bessel_ratio(kappa)
@@ -165,8 +155,9 @@ def bessel_ratio_inv(r: float) -> KappaResult:
             lo = kappa
         else:
             hi = kappa
-        da = _bessel_ratio_deriv(kappa, a)
-        # a non-positive slope gives a NaN step, which the bracket test bisects
+        # d/dk [I1/I0] = 1 - A/k - A^2, or 1/2 where bisection underflows to k = 0
+        # (r = 5e-324); a non-positive slope's NaN step is bisected instead
+        da = 1.0 - a / kappa - a * a if kappa > 0.0 else 0.5
         nxt = kappa - (a - r) / da if da > 0.0 else math.nan
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
@@ -217,16 +208,13 @@ def sample_von_mises(
     """Draw ``n`` von Mises angles on (-pi, pi] from an explicit generator.
 
     ``mu`` is one mean direction or an array of ``n``, one per draw.
-    ``kappa`` is clipped at :data:`KAPPA_MAX`.  Best-Fisher rejection sampling
-    via numpy, with concentrations below ``1e-8`` short-circuiting to the
-    uniform distribution.
+    ``kappa`` is clipped at :data:`KAPPA_MAX`.  numpy's Best-Fisher rejection
+    sampler draws the angles; below ``kappa = 1e-8`` it draws them uniformly,
+    whatever ``mu``.
     """
     kappa = min(_check_real("kappa", kappa, 0.0), KAPPA_MAX)
     n = _check_int("n", n, 0)
-    if kappa < _KAPPA_UNIFORM:
-        angles = rng.uniform(-np.pi, np.pi, size=n)
-    else:
-        angles = rng.vonmises(mu, kappa, size=n)
+    angles = rng.vonmises(mu, kappa, size=n)
     # numpy reports the closed interval [-pi, pi]; remap the lone boundary point
     angles[angles <= -np.pi] = np.pi
     return angles

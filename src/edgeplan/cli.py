@@ -70,8 +70,11 @@ def _parse_snr_grid(text: str, link: LinkState) -> List[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected FROM:TO:STEP, got {text!r}")
-    start, stop = _check_real("start", float(parts[0])), _check_real("stop", float(parts[1]))
-    step = _check_real("step", float(parts[2]), 0.0, strict=True)
+    try:  # _flag drops a FieldError's path, so keep the part's name in the message
+        start, stop = _check_real("FROM", float(parts[0])), _check_real("TO", float(parts[1]))
+        step = _check_real("STEP", float(parts[2]), 0.0, strict=True)
+    except FieldError as exc:
+        raise ValueError(str(exc)) from exc
     if stop < start:
         raise ValueError("SNR range end must be >= start")
     steps = (stop - start) / step + 1e-9  # inf where the span overflows a float
@@ -368,9 +371,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = load_config(args.config)
             qs, ells = _flag("--grid", _parse_validate_grid, args.grid, config.profile)
             return cmd_validate(config, qs, ells, args.perturb, args.out)
-        if args.command == "fit":
-            return cmd_fit(args.input, args.kind, args.out)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return cmd_fit(args.input, args.kind, args.out)  # argparse admits no other command
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

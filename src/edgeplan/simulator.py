@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Iterable, List, NamedTuple, Tuple
 
 import numpy as np
@@ -191,19 +192,20 @@ def run_algorithm1(
 
     The channel is constant across the batch, so the per-task decision is
     solved once up front with :func:`solve_discrete` and the batch runs under
-    it (``_simulate``).  Returns the per-task boolean ``correct`` array, the
-    plan and the batch's Monte Carlo accuracy.
+    it (``_simulate``) on a stream made before planning, so a bad seed costs
+    no plan.  Returns the per-task boolean ``correct`` array, the plan and
+    the batch's Monte Carlo accuracy.
     """
-    tasks = _check_int("tasks", tasks, 1)
+    tasks, rng = _check_int("tasks", tasks, 1), make_rng(seed, _STREAM_TASKS)
     plan = solve_discrete(link, comp, profile, spec, exits, p0)
-    correct = _simulate(tasks, plan, profile, spec, seed)
+    correct = _simulate(tasks, plan, profile, spec, rng)
     return correct, plan, _score(correct)
 
 
 def _simulate(
-    tasks: int, plan: Plan, profile: FeatureProfile, spec: QuantizerSpec, seed: int
+    tasks: int, plan: Plan, profile: FeatureProfile, spec: QuantizerSpec, rng: np.random.Generator
 ) -> np.ndarray:
-    """Whether each of ``tasks`` (>= 1) inferences under ``plan`` is correct, on one stream.
+    """Whether each of ``tasks`` (>= 1) inferences under ``plan`` is correct, drawn from ``rng``.
 
     True classes cycle 1..J deterministically (uniform priors without
     sampling noise).  A feasible plan is simulated end to end: draw the clean
@@ -213,7 +215,6 @@ def _simulate(
     """
     j = profile.j_classes
     true_classes = (np.arange(tasks) % j) + 1
-    rng = make_rng(seed, _STREAM_TASKS)
 
     if plan.feasible:
         mu = profile.centroids[true_classes - 1]
@@ -269,7 +270,8 @@ def sweep(
     (target accuracy, bit-width) serves every exit set and every SNR between
     two thresholds; only latency and EPR are recomputed per SNR.  Each point
     draws from a stream derived from its grid indices, so rows are
-    order-independent.  Each iterable input is read once.
+    order-independent.  Each iterable is read once; the seed and the exit
+    sets are judged before anything is planned.
     """
     tasks = _check_int("tasks", tasks, 1)
     snr_db_grid, exit_variants, p0_list = list(snr_db_grid), list(exit_variants), list(p0_list)
@@ -278,29 +280,28 @@ def sweep(
     if not exit_variants or not p0_list:
         raise ValueError("exit variants and p0 list must be nonempty")
     points = [replace(link, snr=snr_db_to_linear(snr_db)) for snr_db in snr_db_grid]
-    ceilings = [[solve_cr(point, comp, profile, spec, p0).epr for point in points] for p0 in p0_list]
+    cells = product(range(len(exit_variants)), range(len(p0_list)), range(len(snr_db_grid)))
+    row_seeds = {cell: derive_seed(seed, 101, *cell) for cell in cells}
+    # the discrete plans judge the exit sets and p0 before any ceiling is solved
     plans = [_discrete_plans(points, comp, profile, spec, exit_variants, p0) for p0 in p0_list]
+    ceilings = [[solve_cr(point, comp, profile, spec, p0).epr for point in points] for p0 in p0_list]
     rows: List[SweepRow] = []
-    for vi, exits in enumerate(exit_variants):
-        label = exit_set_label(exits)
-        for pi, p0 in enumerate(p0_list):
-            for si, snr_db in enumerate(snr_db_grid):
-                plan = plans[pi][si][vi]
-                row_seed = derive_seed(seed, 101, vi, pi, si)
-                accuracy = _score(_simulate(tasks, plan, profile, spec, row_seed))
-                rows.append(
-                    SweepRow(
-                        snr_db=float(snr_db),
-                        variant=label,
-                        p0=float(p0),
-                        q=plan.q,
-                        ell=plan.ell,
-                        pred_acc=plan.predicted_accuracy,
-                        emp_acc=accuracy.value,
-                        emp_ci=accuracy.ci_half_width,
-                        epr_bits_per_s=plan.epr,
-                        epr_cr_bits_per_s=ceilings[pi][si],
-                        feasible=plan.feasible,
-                    )
-                )
+    for (vi, pi, si), row_seed in row_seeds.items():
+        plan = plans[pi][si][vi]
+        accuracy = _score(_simulate(tasks, plan, profile, spec, make_rng(row_seed, _STREAM_TASKS)))
+        rows.append(
+            SweepRow(
+                snr_db=float(snr_db_grid[si]),
+                variant=exit_set_label(exit_variants[vi]),
+                p0=float(p0_list[pi]),
+                q=plan.q,
+                ell=plan.ell,
+                pred_acc=plan.predicted_accuracy,
+                emp_acc=accuracy.value,
+                emp_ci=accuracy.ci_half_width,
+                epr_bits_per_s=plan.epr,
+                epr_cr_bits_per_s=ceilings[pi][si],
+                feasible=plan.feasible,
+            )
+        )
     return rows

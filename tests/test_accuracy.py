@@ -139,6 +139,15 @@ def test_kappa_distorted_zero_noise_is_exact():
         assert kd == pytest.approx(kappa_bar(ell, DEFAULT), rel=1e-12)
 
 
+def test_kappa_distorted_evaluates_no_ratio_without_noise(monkeypatch):
+    def fail(kappa):
+        raise AssertionError(f"bessel_ratio({kappa!r}) evaluated without noise")
+
+    monkeypatch.setattr(accuracy_module, "bessel_ratio", fail)
+    assert kappa_distorted(0.0, 10.0, DEFAULT) == kappa_bar(10.0, DEFAULT)
+    assert kappa_distorted(1e-300, 39.0, DEFAULT) == kappa_bar(39.0, DEFAULT)
+
+
 def test_kappa_distorted_large_noise_vanishes():
     assert kappa_distorted(1e8, 10.0, DEFAULT) < 1e-8
 
@@ -350,6 +359,14 @@ def test_min_depth_argument_errors():
         min_depth_for_accuracy(0.0, 0.05, DEFAULT)  # below 1/J
     with pytest.raises(ValueError):
         min_depth_for_accuracy(0.0, 1.0, DEFAULT)
+
+
+def test_min_depth_kappa_search_raises_when_not_converged(monkeypatch):
+    # one regula falsi step cannot close the bracket: the search gives up with
+    # an error naming the target and J instead of returning a guess
+    monkeypatch.setattr(accuracy_module, "_ROOT_MAX_STEPS", 1)
+    with pytest.raises(ArithmeticError, match=r"^kappa for accuracy 0\.7, J=10 not found in \["):
+        min_depth_for_accuracy(0.0, 0.7, DEFAULT)
 
 
 def test_min_depth_random_instances_reevaluate():

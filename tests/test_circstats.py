@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from edgeplan import circstats
 from edgeplan.accuracy import (
     FeatureProfile,
     QuantizerSpec,
@@ -111,6 +112,25 @@ def test_bessel_ratio_inv_saturation_and_domain():
 # ---------------------------------------------------------------------------
 # angles
 # ---------------------------------------------------------------------------
+
+
+def test_bessel_ratio_inv_raises_when_not_converged(monkeypatch):
+    monkeypatch.setattr(circstats, "_INV_MAX_ITER", 1)
+    with pytest.raises(ArithmeticError, match=r"^kappa with resultant 0\.5 not found in \["):
+        bessel_ratio_inv(0.5)
+
+
+def test_bessel_ratio_inv_saturates_past_the_cap_after_newton(monkeypatch):
+    # below the precomputed resultant cap, so Newton runs, and converges to
+    # 100, past the patched cap: the result saturates with the flag set
+    monkeypatch.setattr(circstats, "KAPPA_MAX", 10.0)
+    assert bessel_ratio_inv(bessel_ratio(100.0)) == (10.0, True)
+
+
+def test_bessel_ratio_inv_smallest_subnormal():
+    # bisection toward it underflows to kappa = 0, where the slope takes its
+    # limit 1/2 instead of dividing by zero
+    assert bessel_ratio_inv(5e-324) == (0.0, False)
 
 
 def test_wrap_angle_range_and_boundary():

@@ -469,6 +469,13 @@ def test_bad_flag_value_names_the_flag(tmp_path, capsys, command, flag, value):
     assert err.startswith(f"error: {flag}: "), err
 
 
+@pytest.mark.parametrize("value,part", [("0:10:0", "STEP"), ("0:nan:1", "TO"), ("nan:10:1", "FROM")])
+def test_bad_snr_grid_part_is_named(tmp_path, capsys, value, part):
+    path = _small_config(tmp_path)
+    assert main(["sweep", str(path), f"--snr-db={value}", "--out", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --snr-db: {part}: must be a finite real")
+
+
 # the inputs behind the diagnostics README quotes, in README's order: a
 # config edit and sweep flags
 README_DIAGNOSTICS = [

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeplan import optimizer
+from edgeplan import optimizer, simulator
 from edgeplan.accuracy import (
     FeatureProfile,
     QuantizerSpec,
@@ -540,6 +540,27 @@ def test_seeds_must_be_integers_wherever_streams_are_made(seed):
         with pytest.raises(FieldError, match=rf"^seed: must be an integer, got {seed!r}$") as err:
             call()
         assert err.value.path == "seed"
+
+
+def test_bad_seed_or_exit_set_costs_no_planning(monkeypatch):
+    # each input is judged before any depth search or ceiling is solved; a bad
+    # seed once cost a whole planning pass before its FieldError
+    calls = []
+    search, ceiling = optimizer.min_depth_for_accuracy, simulator.solve_cr
+    monkeypatch.setattr(optimizer, "min_depth_for_accuracy", lambda *a: calls.append(a) or search(*a))
+    monkeypatch.setattr(simulator, "solve_cr", lambda *a: calls.append(a) or ceiling(*a))
+    grid, p0s = [-5.0, 10.0, 25.0], [0.6, 0.7]
+    bad_inputs = [
+        lambda: sweep(grid, LINK, COMP, STEEP, SPEC, [EXITS], p0s, tasks=10, seed="7"),
+        lambda: sweep(grid, LINK, COMP, STEEP, SPEC, [ExitSet((9, 40))], p0s, tasks=10, seed=1),
+        lambda: run_algorithm1(10, LINK, COMP, STEEP, SPEC, EXITS, 0.7, 1.5),
+    ]
+    for call in bad_inputs:
+        with pytest.raises(FieldError):
+            call()
+    assert calls == []
+    sweep(grid, LINK, COMP, STEEP, SPEC, [EXITS], p0s, tasks=10, seed=1)
+    assert calls  # the counters see a valid sweep's planning
 
 
 def test_every_integer_seed_draws_its_stream_modulo_2_64():
