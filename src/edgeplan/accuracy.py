@@ -224,7 +224,10 @@ def accuracy_of_kappa(kappa: float, j_classes: int) -> float:
     n = 16
     prev = None
     while True:
-        x = np.linspace(0.0, a, n + 1)
+        # linspace(0, a, n + 1)'s own arithmetic, bit for bit: a / n > 0 skips its zero-step branch
+        x = np.arange(n + 1.0)
+        x *= a / n
+        x[-1] = a
         integral = _simpson(np.exp(kappa * (np.cos(x) - 1.0)), a / n)
         value = integral / norm
         if prev is not None and abs(value - prev) <= _QUAD_REL_TOL * abs(value):

@@ -66,13 +66,21 @@ def _distinct(values: List[Any]) -> List[Any]:
     return values
 
 
+def _number(text: str) -> Any:
+    """``float(text)``, or ``text`` itself when it is not a number, for ``_check_real`` to name."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _parse_snr_grid(text: str, link: LinkState) -> List[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected FROM:TO:STEP, got {text!r}")
     try:  # _flag drops a FieldError's path, so keep the part's name in the message
-        start, stop = _check_real("FROM", float(parts[0])), _check_real("TO", float(parts[1]))
-        step = _check_real("STEP", float(parts[2]), 0.0, strict=True)
+        start, stop = _check_real("FROM", _number(parts[0])), _check_real("TO", _number(parts[1]))
+        step = _check_real("STEP", _number(parts[2]), 0.0, strict=True)
     except FieldError as exc:
         raise ValueError(str(exc)) from exc
     if stop < start:
@@ -103,7 +111,7 @@ def _parse_exit_variants(text: str, profile: FeatureProfile) -> List[ExitSet]:
 
 
 def _parse_p0_list(text: str, profile: FeatureProfile) -> List[float]:
-    values = [profile.check_target(float(tok)) for tok in text.split(",") if tok.strip()]
+    values = [profile.check_target(_number(tok)) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError("empty p0 list")
     return _distinct(values)

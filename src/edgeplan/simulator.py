@@ -270,11 +270,12 @@ def sweep(
     (target accuracy, bit-width) serves every exit set and every SNR between
     two thresholds; only latency and EPR are recomputed per SNR.  Each point
     draws from a stream derived from its grid indices, so rows are
-    order-independent.  Each iterable is read once; the seed and the exit
-    sets are judged before anything is planned.
+    order-independent.  Each iterable is read once; the seed, the exit sets
+    and every target accuracy are judged before anything is planned.
     """
     tasks = _check_int("tasks", tasks, 1)
-    snr_db_grid, exit_variants, p0_list = list(snr_db_grid), list(exit_variants), list(p0_list)
+    snr_db_grid, exit_variants = list(snr_db_grid), list(exit_variants)
+    p0_list = [profile.check_target(p0) for p0 in p0_list]
     if not snr_db_grid:
         raise ValueError("SNR grid must be nonempty")
     if not exit_variants or not p0_list:
@@ -282,7 +283,7 @@ def sweep(
     points = [replace(link, snr=snr_db_to_linear(snr_db)) for snr_db in snr_db_grid]
     cells = product(range(len(exit_variants)), range(len(p0_list)), range(len(snr_db_grid)))
     row_seeds = {cell: derive_seed(seed, 101, *cell) for cell in cells}
-    # the discrete plans judge the exit sets and p0 before any ceiling is solved
+    # the discrete plans judge the exit sets before any ceiling is solved
     plans = [_discrete_plans(points, comp, profile, spec, exit_variants, p0) for p0 in p0_list]
     ceilings = [[solve_cr(point, comp, profile, spec, p0).epr for point in points] for p0 in p0_list]
     rows: List[SweepRow] = []
@@ -293,7 +294,7 @@ def sweep(
             SweepRow(
                 snr_db=float(snr_db_grid[si]),
                 variant=exit_set_label(exit_variants[vi]),
-                p0=float(p0_list[pi]),
+                p0=p0_list[pi],
                 q=plan.q,
                 ell=plan.ell,
                 pred_acc=plan.predicted_accuracy,

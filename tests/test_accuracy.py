@@ -256,6 +256,53 @@ def test_accuracy_quadrature_raises_when_not_converged(monkeypatch):
     assert accuracy_of_kappa(0.0, 2) == pytest.approx(0.5, rel=1e-12)
 
 
+# accuracy_of_kappa as float.hex, recorded while the Simpson nodes came from
+# np.linspace; each comment gives the Simpson levels the value takes
+KERNEL_BITS = [
+    (0.0, 2, "0x1.0000000000000p-1"),  # 2 levels
+    (0.0, 10, "0x1.999999999999ap-4"),  # 2 levels
+    (0.0, 1000, "0x1.0624dd2f1a9fcp-10"),  # 2 levels
+    (1e-300, 2, "0x1.0000000000000p-1"),  # 2 levels
+    (1e-300, 10, "0x1.999999999999ap-4"),  # 2 levels
+    (1e-300, 1000, "0x1.0624dd2f1a9fcp-10"),  # 2 levels
+    (1e-3, 2, "0x1.0029b8b4cf8e8p-1"),  # 2 levels
+    (1e-3, 10, "0x1.9a00c4095736ep-4"),  # 2 levels
+    (1e-3, 1000, "0x1.0667fd5184b1cp-10"),  # 2 levels
+    (0.5, 2, "0x1.4ec5d9aee5c21p-1"),  # 4 levels
+    (0.5, 10, "0x1.3aec2a20cc083p-3"),  # 2 levels
+    (0.5, 1000, "0x1.9666f9c52c362p-10"),  # 2 levels
+    (3.0, 2, "0x1.f3d36cdefc4cbp-1"),  # 5 levels
+    (3.0, 10, "0x1.919666996a9fcp-2"),  # 4 levels
+    (3.0, 1000, "0x1.0db1998dce312p-8"),  # 2 levels
+    (14.0, 2, "0x1.fffffa12ad3f0p-1"),  # 3 levels
+    (14.0, 10, "0x1.81f5f2c107fb6p-1"),  # 4 levels
+    (14.0, 1000, "0x1.307c326550ec1p-7"),  # 2 levels
+    (60.0, 2, "0x1.0000000000000p+0"),  # 3 levels
+    (60.0, 10, "0x1.f8044a49c8623p-1"),  # 5 levels
+    (60.0, 1000, "0x1.3d6ac08480773p-6"),  # 2 levels
+    (400.0, 2, "0x1.0000000000000p+0"),  # 4 levels
+    (400.0, 10, "0x1.fffffffc8f665p-1"),  # 2 levels
+    (400.0, 1000, "0x1.9a499af04dffcp-5"),  # 2 levels
+    (1e4, 2, "0x1.0000000000000p+0"),  # 7 levels
+    (1e4, 10, "0x1.ffffffffffb0fp-1"),  # 4 levels
+    (1e4, 1000, "0x1.f907c3a1b8439p-3"),  # 3 levels
+    (1e6, 2, "0x1.fffffffff8b72p-1"),  # 10 levels
+    (1e6, 10, "0x1.ffffffffffe92p-1"),  # 8 levels
+    (1e6, 1000, "0x1.ff23c19d6d3b6p-1"),  # 5 levels
+    (1.2e8, 2, "0x1.0000000000000p+0"),  # 14 levels
+    (1.2e8, 10, "0x1.0000000000000p+0"),  # 12 levels
+    (1.2e8, 1000, "0x1.fffffff8a72c6p-1"),  # 7 levels
+    (2e8, 100_000, "0x1.5f66dd71d42afp-2"),  # above the erf switch
+]
+
+
+@pytest.mark.parametrize("kappa,j_classes,bits", KERNEL_BITS)
+def test_accuracy_of_kappa_bits_are_pinned(kappa, j_classes, bits):
+    # a faster quadrature must return the very same doubles: the planners'
+    # choices, the sweep CSV and the benchmark's reference bytes depend on them
+    assert accuracy_of_kappa(kappa, j_classes).hex() == bits
+
+
 def test_accuracy_strict_monotonicity_grids():
     # kappa up, J down, sigma2 down, depth up; every analytic change on these
     # grids exceeds the quadrature tolerance by orders of magnitude

@@ -469,11 +469,34 @@ def test_bad_flag_value_names_the_flag(tmp_path, capsys, command, flag, value):
     assert err.startswith(f"error: {flag}: "), err
 
 
-@pytest.mark.parametrize("value,part", [("0:10:0", "STEP"), ("0:nan:1", "TO"), ("nan:10:1", "FROM")])
-def test_bad_snr_grid_part_is_named(tmp_path, capsys, value, part):
+SNR_GRID_PART_ERRORS = [
+    ("0:10:0", "STEP: must be a finite real > 0, got 0.0"),
+    ("0:nan:1", "TO: must be a finite real, got nan"),
+    ("nan:10:1", "FROM: must be a finite real, got nan"),
+    # text that is not a number is named in the same form, not by float()'s message
+    ("x:1:1", "FROM: must be a finite real, got 'x'"),
+    ("0:y:1", "TO: must be a finite real, got 'y'"),
+    ("0:1:z", "STEP: must be a finite real > 0, got 'z'"),
+]
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    SNR_GRID_PART_ERRORS,
+    ids=[value for value, _ in SNR_GRID_PART_ERRORS],
+)
+def test_bad_snr_grid_part_is_named(tmp_path, capsys, value, message):
     path = _small_config(tmp_path)
     assert main(["sweep", str(path), f"--snr-db={value}", "--out", str(tmp_path / "o.csv")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: --snr-db: {part}: must be a finite real")
+    assert capsys.readouterr().err == f"error: --snr-db: {message}\n"
+
+
+def test_non_numeric_p0_is_reported_like_a_bad_value(tmp_path, capsys):
+    path = _small_config(tmp_path)
+    out = str(tmp_path / "o.csv")
+    argv = ["sweep", str(path), "--snr-db=0:10:10", "--p0-list=0.6,x", "--out", out]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --p0-list: must be a finite real, got 'x'\n"
 
 
 # the inputs behind the diagnostics README quotes, in README's order: a

@@ -544,20 +544,24 @@ def test_seeds_must_be_integers_wherever_streams_are_made(seed):
 
 def test_bad_seed_or_exit_set_costs_no_planning(monkeypatch):
     # each input is judged before any depth search or ceiling is solved; a bad
-    # seed once cost a whole planning pass before its FieldError
+    # seed once cost a whole planning pass before its FieldError, and a bad
+    # last p0 the searches of every p0 before it
     calls = []
     search, ceiling = optimizer.min_depth_for_accuracy, simulator.solve_cr
     monkeypatch.setattr(optimizer, "min_depth_for_accuracy", lambda *a: calls.append(a) or search(*a))
     monkeypatch.setattr(simulator, "solve_cr", lambda *a: calls.append(a) or ceiling(*a))
     grid, p0s = [-5.0, 10.0, 25.0], [0.6, 0.7]
     bad_inputs = [
-        lambda: sweep(grid, LINK, COMP, STEEP, SPEC, [EXITS], p0s, tasks=10, seed="7"),
-        lambda: sweep(grid, LINK, COMP, STEEP, SPEC, [ExitSet((9, 40))], p0s, tasks=10, seed=1),
-        lambda: run_algorithm1(10, LINK, COMP, STEEP, SPEC, EXITS, 0.7, 1.5),
+        ("seed", lambda: sweep(grid, LINK, COMP, STEEP, SPEC, [EXITS], p0s, tasks=10, seed="7")),
+        ("layers[1]", lambda: sweep(grid, LINK, COMP, STEEP, SPEC, [ExitSet((9, 40))], p0s, 10, 1)),
+        ("p0", lambda: sweep(grid, LINK, COMP, STEEP, SPEC, [EXITS], [0.7, 1.5], 10, 1)),
+        ("p0", lambda: sweep(grid, LINK, COMP, STEEP, SPEC, [EXITS], [0.7, "0.6"], 10, 1)),
+        ("seed", lambda: run_algorithm1(10, LINK, COMP, STEEP, SPEC, EXITS, 0.7, 1.5)),
     ]
-    for call in bad_inputs:
-        with pytest.raises(FieldError):
+    for path, call in bad_inputs:
+        with pytest.raises(FieldError) as err:
             call()
+        assert err.value.path == path
     assert calls == []
     sweep(grid, LINK, COMP, STEEP, SPEC, [EXITS], p0s, tasks=10, seed=1)
     assert calls  # the counters see a valid sweep's planning
