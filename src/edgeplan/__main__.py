@@ -1,3 +1,4 @@
-from .cli import console_main
+from .cli import main
 
-console_main()
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -176,25 +176,27 @@ def kappa_distorted(sigma2: float, ell: float, profile: FeatureProfile) -> float
     The distorted resultant is the product of the clean resultant and the
     circular first moment ``exp(-sigma2 * grad_energy(ell) / 2)`` of the
     induced angular noise; inverting the resultant map returns the shrunken
-    concentration.  Never exceeds ``kappa_bar(ell)``.  Where that moment
-    rounds to 1 the noise vanishes, and ``kappa_bar(ell)`` is returned
-    exactly without evaluating the resultant map.
+    concentration.  The clean concentration is ``kappa_bar(ell)`` saturated at
+    ``KAPPA_MAX``, the cap :func:`~edgeplan.circstats.sample_von_mises` draws
+    at, and the result never exceeds it.  Where that moment rounds to 1 the
+    noise vanishes, and the capped ``kappa_bar(ell)`` is returned exactly
+    without evaluating the resultant map.
     """
     sigma2 = _check_real("sigma2", sigma2, 0.0)
-    kbar, shrink = kappa_bar(ell, profile), _shrink(sigma2, ell, profile)
+    kbar, shrink = _clean_kappa(ell, profile), _shrink(sigma2, ell, profile)
     if shrink >= 1.0:
         return kbar
-    return min(bessel_ratio_inv(_distorted_resultant(kbar, shrink)).value, kbar)
+    return min(bessel_ratio_inv(bessel_ratio(kbar) * shrink).value, kbar)
+
+
+def _clean_kappa(ell: float, profile: FeatureProfile) -> float:
+    """``kappa_bar(ell)`` saturated at ``KAPPA_MAX``, as the sampler draws it."""
+    return min(kappa_bar(ell, profile), KAPPA_MAX)
 
 
 def _shrink(sigma2: float, ell: float, profile: FeatureProfile) -> float:
     """The angular noise's circular first moment ``exp(-sigma2 * grad_energy(ell) / 2)``."""
     return math.exp(-0.5 * sigma2 * grad_energy(ell, profile))
-
-
-def _distorted_resultant(kbar: float, shrink: float) -> float:
-    """The resultant ``A(min(kbar, KAPPA_MAX)) * shrink`` that :func:`kappa_distorted` inverts."""
-    return bessel_ratio(min(kbar, KAPPA_MAX)) * shrink
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
@@ -282,10 +284,12 @@ def min_depth_for_accuracy(
     ``log2(n_layers / 1e-6)`` steps); ``None`` when even the full depth misses
     p0 -- infeasibility is a value the planner must handle, not an error.  As
     ``kappa = A^-1(A(kappa_bar) * shrink)`` and accuracy rises with it, a step
-    tests ``A(kappa_bar) * shrink >= A(kappa0)``, with ``kappa0`` solved once in
-    the end checks' bracket.  As 1 - p0 nears 1e-9 accuracy is not monotone in
-    kappa to the last bit, so a result failing the direct test is certified by
-    bisecting on to n_layers with it; past ``KAPPA_MAX`` it is used throughout.
+    tests ``A(kappa_bar) * shrink >= A(kappa0)``, with ``kappa_bar`` saturated
+    at ``KAPPA_MAX`` as in :func:`kappa_distorted` and ``kappa0`` solved once
+    in the end checks' bracket, which therefore lies within the cap.  As
+    1 - p0 nears 1e-9 accuracy is not monotone in kappa to the last bit, so a
+    result failing the direct test is certified by bisecting on to n_layers
+    with it.
     """
     p0, j, top = profile.check_target(p0), profile.j_classes, float(profile.n_layers)
 
@@ -293,7 +297,7 @@ def min_depth_for_accuracy(
         return accuracy_of_kappa(kappa_distorted(sigma2, ell, profile), j) >= p0
 
     def reaches(ell: float) -> bool:
-        return _distorted_resultant(kappa_bar(ell, profile), _shrink(sigma2, ell, profile)) >= r0
+        return bessel_ratio(_clean_kappa(ell, profile)) * _shrink(sigma2, ell, profile) >= r0
 
     kappa_lo = kappa_distorted(sigma2, 1.0, profile)
     if (acc_lo := accuracy_of_kappa(kappa_lo, j)) >= p0:
@@ -301,8 +305,6 @@ def min_depth_for_accuracy(
     kappa_hi = kappa_distorted(sigma2, top, profile)
     if (acc_hi := accuracy_of_kappa(kappa_hi, j)) < p0:
         return None
-    if kappa_hi > KAPPA_MAX:
-        return _bisect(passes, 1.0, top)
     r0 = bessel_ratio(_solve_kappa0(p0, j, kappa_lo, acc_lo, kappa_hi, acc_hi))
     depth = _bisect(reaches, 1.0, top)
     return depth if depth == top or passes(depth) else _bisect(passes, depth, top)
@@ -323,7 +325,8 @@ def _solve_kappa0(p0, j_classes, lo, acc_lo, hi, acc_hi) -> float:
     (:func:`error_scaling`), until the bracket is within 1e-13 of ``hi``, which
     is returned.  Points stay half that inside, so an exact hit closes in one
     step.  A step bisects if the last three did not halve the bracket; with it
-    in [0, KAPPA_MAX] and the root above ~1e-16, under 480 steps are needed.
+    in [0, KAPPA_MAX], where the model's concentration saturates, and the root
+    above ~1e-16, under 480 steps are needed.
     An :class:`ArithmeticError` is raised after ``_ROOT_MAX_STEPS`` (500).
     """
     def gain(acc: float) -> float:  # >= 0 exactly when acc >= p0

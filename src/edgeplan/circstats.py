@@ -40,7 +40,7 @@ TWO_PI = 2.0 * np.pi
 # Saturation cap for concentrations; it keeps the resultant map and its inverse
 # finite, but it is observable at many classes: MAP accuracy is 0.2466 at kappa =
 # 1e6 and 0.2660 at 1.17e6 for J = 1e4 (0.99832 and 0.99932 for J = 1000).  The
-# noise-free model returns kappa_bar above the cap; sample_von_mises clips to it.
+# accuracy model and sample_von_mises share it: both saturate kappa_bar here.
 KAPPA_MAX = 1.0e6
 
 _INV_TOL = 1e-10

@@ -74,6 +74,14 @@ def _number(text: str) -> Any:
         return text
 
 
+def _integer(text: str) -> Any:
+    """``int(text)``, or ``text`` itself when it is not an integer, for ``_check_int`` to name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _parse_snr_grid(text: str, link: LinkState) -> List[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -104,28 +112,22 @@ def _parse_exit_variants(text: str, profile: FeatureProfile) -> List[ExitSet]:
         clause = clause.strip()
         if not clause:
             raise ValueError("empty exit-set clause")
-        exits = ExitSet(layers=tuple(int(tok) for tok in clause.split(",")))
+        exits = ExitSet(layers=tuple(_integer(tok) for tok in clause.split(",")))
         exits.check_within(profile)
         variants.append(exits)
     return _distinct(variants)
 
 
 def _parse_p0_list(text: str, profile: FeatureProfile) -> List[float]:
-    values = [profile.check_target(_number(tok)) for tok in text.split(",") if tok.strip()]
-    if not values:
-        raise ValueError("empty p0 list")
-    return _distinct(values)
+    return _distinct([profile.check_target(_number(tok)) for tok in text.split(",")])
 
 
 def _parse_validate_grid(text: str, profile: FeatureProfile) -> Tuple[List[int], List[int]]:
-    try:
-        q_text, ell_text = text.split("x")
-        qs = [int(tok) for tok in q_text.split(",")]
-        ells = [int(tok) for tok in ell_text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"expected Q1,Q2,...xL1,L2,..., got {text!r}") from exc
-    for q in qs:
-        _check_int("q", q, 0)
+    parts = text.split("x")
+    if len(parts) != 2:
+        raise ValueError(f"expected Q1,Q2,...xL1,L2,..., got {text!r}")
+    qs = [_check_int("q", _integer(tok), 0) for tok in parts[0].split(",")]
+    ells = [_check_int("ell", _integer(tok), 1) for tok in parts[1].split(",")]
     for ell in ells:
         profile.check_depth(ell)
     return _distinct(qs), _distinct(ells)
@@ -366,12 +368,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             snr_grid = _flag("--snr-db", _parse_snr_grid, args.snr_db, config.link)
             variants = (
                 _flag("--exits-variants", _parse_exit_variants, args.exits_variants, config.profile)
-                if args.exits_variants
+                if args.exits_variants is not None
                 else [config.exits]
             )
             p0_list = (
                 _flag("--p0-list", _parse_p0_list, args.p0_list, config.profile)
-                if args.p0_list
+                if args.p0_list is not None
                 else [config.target_accuracy]
             )
             return cmd_sweep(config, snr_grid, variants, p0_list, args.out)
@@ -386,7 +388,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def console_main() -> None:
-    raise SystemExit(main())

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -58,18 +57,13 @@ class ExponentialFit:
     nonpositive_decay: bool
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
-    xm = x.mean()
-    ym = y.mean()
-    slope = float(((x - xm) * (y - ym)).sum() / ((x - xm) ** 2).sum())
-    intercept = float(ym - slope * xm)
-    return slope, intercept
-
-
 def fit_affine(series: DepthSeries) -> AffineFit:
     """Ordinary least squares of value on depth."""
-    slope, intercept = _ols(series.depths, series.values)
-    residual = series.values - (slope * series.depths + intercept)
+    x, y = series.depths, series.values
+    xm, ym = x.mean(), y.mean()
+    slope = float(((x - xm) * (y - ym)).sum() / ((x - xm) ** 2).sum())
+    intercept = float(ym - slope * xm)
+    residual = y - (slope * x + intercept)
     return AffineFit(
         c1=slope,
         c2=intercept,
@@ -80,18 +74,17 @@ def fit_affine(series: DepthSeries) -> AffineFit:
 def fit_exponential(series: DepthSeries) -> ExponentialFit:
     """Least squares of log(value) on depth: ``value = c3 exp(-c4 depth)``.
 
-    Residual RMS is reported in the log domain, where the fit is performed.
-    A fitted decay rate of zero or below is flagged rather than rejected.
+    The affine fit of the log values: its slope is ``-c4``, its intercept
+    ``log(c3)`` and its residual RMS the reported log-domain one.  A fitted
+    decay rate of zero or below is flagged rather than rejected.
     """
     if np.any(series.values <= 0.0):
         raise ValueError("exponential fitting requires strictly positive values")
-    log_values = np.log(series.values)
-    slope, intercept = _ols(series.depths, log_values)
-    residual = log_values - (slope * series.depths + intercept)
-    c4 = -slope
+    log_fit = fit_affine(DepthSeries(series.depths, np.log(series.values)))
+    c4 = -log_fit.c1
     return ExponentialFit(
-        c3=float(math.exp(intercept)),
-        c4=float(c4),
-        log_residual_rms=float(np.sqrt(np.mean(residual**2))),
-        nonpositive_decay=bool(c4 <= 0.0),
+        c3=math.exp(log_fit.c2),
+        c4=c4,
+        log_residual_rms=log_fit.residual_rms,
+        nonpositive_decay=c4 <= 0.0,
     )

@@ -20,7 +20,7 @@ from edgeplan.accuracy import (
     min_depth_for_accuracy,
     quant_variance,
 )
-from edgeplan.circstats import FieldError
+from edgeplan.circstats import KAPPA_MAX, FieldError
 from edgeplan.system import max_bitwidth_continuous, max_bitwidth_discrete
 
 import oracles
@@ -514,11 +514,17 @@ def test_min_depth_extreme_inputs_terminate_with_a_passing_depth(
 
 
 def test_min_depth_target_beyond_kappa_max_matches_oracle():
-    # without noise the concentration is kappa_bar itself, so depth 36 reaches
-    # kappa 1.08e6; a target met only past KAPPA_MAX is still found at the
-    # depth where kappa_bar crosses it, not at the last layer
+    # without noise the concentration is kappa_bar saturated at KAPPA_MAX, the
+    # cap the sampler draws at, and kappa_bar = 3e4 ell passes it at depth 33.3:
+    # a target above the cap's accuracy is unreachable, while one below it is
+    # found at the depth where kappa_bar crosses it, not at the last layer
     profile = FeatureProfile(j_classes=10_000, c1=3e4, c2=0.0, c3=400.0, c4=0.0, n_layers=39)
-    p0 = accuracy_of_kappa(1.05e6, 10_000)
+    acc = _direct(0.0, profile)
+    at_cap = accuracy_of_kappa(KAPPA_MAX, 10_000)
+    for p0 in (float(np.nextafter(at_cap, 1.0)), accuracy_of_kappa(1.05e6, 10_000)):
+        assert min_depth_for_accuracy(0.0, p0, profile) is None
+        assert oracles.min_depth_bisect(acc, p0, 39) is None
+    p0 = accuracy_of_kappa(0.95e6, 10_000)
     ell = min_depth_for_accuracy(0.0, p0, profile)
-    assert ell == oracles.min_depth_bisect(_direct(0.0, profile), p0, 39)
-    assert 35.0 < ell < 36.0
+    assert ell == oracles.min_depth_bisect(acc, p0, 39)
+    assert 31.0 < ell < 32.0

@@ -239,6 +239,14 @@ def test_module_entry_point_runs_in_subprocess():
     assert "feasible           : yes" in result.stdout
 
 
+def test_module_entry_point_exits_with_mains_status(tmp_path):
+    # 1 on a usage error, 2 on an infeasible plan, as main returns them
+    assert _python("-m", "edgeplan").returncode == 1
+    result = _python("-m", "edgeplan", "plan", str(_small_config(tmp_path, target_accuracy=0.99)))
+    assert result.returncode == 2
+    assert "feasible           : no" in result.stdout
+
+
 def test_import_loads_no_scipy_subpackage_but_special():
     # importing scipy.optimize as well costs about 0.25 s and 23 MB, which the
     # benchmark's setup_s and peak_rss_mb would carry
@@ -497,6 +505,33 @@ def test_non_numeric_p0_is_reported_like_a_bad_value(tmp_path, capsys):
     argv = ["sweep", str(path), "--snr-db=0:10:10", "--p0-list=0.6,x", "--out", out]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: --p0-list: must be a finite real, got 'x'\n"
+
+
+LIST_TOKEN_ERRORS = [
+    ("sweep", "--exits-variants=9,x", "must be an integer >= 1, got 'x'"),
+    ("sweep", "--exits-variants=9,,19", "must be an integer >= 1, got ''"),
+    ("sweep", "--p0-list=0.6,,0.7", "must be a finite real, got ''"),
+    # an empty flag value is an empty entry, not the config's default
+    ("sweep", "--p0-list=", "must be a finite real, got ''"),
+    ("sweep", "--exits-variants=", "empty exit-set clause"),
+    ("validate", "--grid=8x9.5", "must be an integer >= 1, got '9.5'"),
+    ("validate", "--grid=8.0x9", "must be an integer >= 0, got '8.0'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,message", LIST_TOKEN_ERRORS, ids=[flag for _, flag, _ in LIST_TOKEN_ERRORS]
+)
+def test_bad_list_token_is_named_in_the_field_form(tmp_path, capsys, command, flag, message):
+    # every list token is judged, an empty one included; one that does not
+    # parse is reported like one that parses but fails its rule, not by
+    # int()'s or float()'s message
+    path = _small_config(tmp_path)
+    argv = [command, str(path), flag, "--out", str(tmp_path / "o.csv")]
+    if command == "sweep":
+        argv.append("--snr-db=0:10:10")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flag.split('=')[0]}: {message}\n"
 
 
 # the inputs behind the diagnostics README quotes, in README's order: a

@@ -71,6 +71,30 @@ def test_solve_discrete_unreachable_target_is_infeasible():
     assert plan.t_comm <= LINK.t_max_s * (1 + 1e-12)
 
 
+# a 10,000-class profile whose kappa_bar = 3e4 ell passes KAPPA_MAX at depth
+# 33.3, planned at q = 32, where the quantization noise rounds away
+CAP_PROFILE = FeatureProfile(j_classes=10_000, c1=3e4, c2=0.0, c3=400.0, c4=0.0, n_layers=39)
+CAP_LINK = LinkState(bandwidth_hz=1e8, snr=snr_db_to_linear(30.0), t_max_s=0.012, d=10_000)
+CAP_COMP = ComputeProfile(b1=1e-4, b2=1e-3)
+CAP_EXITS = ExitSet(layers=(30, 36, 39))
+
+
+def test_targets_met_only_past_the_sampler_cap_are_infeasible():
+    # exit 36's kappa_bar is 1.08e6, whose accuracy 0.2559 would meet 0.2525,
+    # but the simulator draws at KAPPA_MAX, where the accuracy is 0.2466
+    for plan in (solve_discrete, brute_force):
+        found = plan(CAP_LINK, CAP_COMP, CAP_PROFILE, SPEC, CAP_EXITS, 0.2525)
+        assert not found.feasible and found.q == 32.0 and found.ell == 39.0
+
+
+def test_plans_past_the_sampler_cap_predict_what_the_simulator_scores():
+    _, plan, est = run_algorithm1(
+        200_000, CAP_LINK, CAP_COMP, CAP_PROFILE, SPEC, CAP_EXITS, 0.245, seed=20260809
+    )
+    assert plan.feasible and plan.q == 32.0 and plan.ell == 36.0
+    assert abs(plan.predicted_accuracy - est.value) <= est.ci_half_width
+
+
 def test_solve_discrete_ceiling_to_next_exit():
     # pick p0 strictly between the accuracies of exits 9 and 19 so the
     # continuous minimum lands in between and rounds up to 19

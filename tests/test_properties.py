@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from edgeplan.accuracy import FeatureProfile, grad_energy, kappa_bar, kappa_distorted
-from edgeplan.circstats import _RESULTANT_CAP, bessel_ratio, bessel_ratio_inv, sample_von_mises
+from edgeplan.circstats import (
+    KAPPA_MAX,
+    _RESULTANT_CAP,
+    bessel_ratio,
+    bessel_ratio_inv,
+    sample_von_mises,
+)
 from edgeplan.rng import make_rng
 
 
@@ -69,6 +75,27 @@ def test_kappa_distorted_is_kappa_bar_without_noise_and_never_above_it(profile, 
     if math.exp(-0.5 * sigma2 * grad_energy(ell, profile)) >= 1.0:
         assert kd == kbar
     assert kd <= kbar
+
+
+# profiles whose kappa_bar runs from below the cap to about 4e6 past it
+STEEP_PROFILES = st.builds(
+    FeatureProfile,
+    j_classes=st.just(10_000),
+    c1=st.floats(min_value=1e3, max_value=1e5),
+    c2=st.floats(min_value=0.0, max_value=3.0),
+    c3=st.floats(min_value=1.0, max_value=1000.0),
+    c4=st.floats(min_value=0.0, max_value=0.5),
+    n_layers=st.just(39),
+)
+
+
+@bounded(150)
+@given(STEEP_PROFILES, VARIANCES, st.floats(min_value=1.0, max_value=39.0))
+def test_kappa_distorted_saturates_where_the_sampler_does(profile, sigma2, ell):
+    capped = min(kappa_bar(ell, profile), KAPPA_MAX)
+    assert kappa_distorted(sigma2, ell, profile) <= capped
+    assert kappa_distorted(0.0, ell, profile) == capped
+    assert kappa_distorted(1e-300, ell, profile) == capped
 
 
 @bounded(20)
