@@ -34,14 +34,10 @@ __all__ = [
     "kappa_distorted",
     "accuracy_of_kappa",
     "accuracy_model",
-    "accuracy_erf_approx",
     "error_scaling",
     "min_depth_for_accuracy",
 ]
 
-# Above this concentration the erf ratio's error, about 1/(8 kappa), is below
-# the quadrature tolerance, so the integrator hands over to it.
-_ERF_SWITCH = 1.25e8
 _QUAD_REL_TOL = 1e-9
 _QUAD_MAX_NODES = 2**20
 _DEPTH_TOL = 1e-6
@@ -53,7 +49,7 @@ _ROOT_MAX_STEPS = 500
 class FeatureProfile:
     """Per-depth statistics of the angular features.
 
-    ``kappa_bar(ell) = c1 ell + c2`` is the undistorted concentration and
+    ``kappa_bar(ell)``, from ``c1 ell + c2``, is the undistorted concentration and
     ``grad_energy(ell) = c3 exp(-c4 ell)`` the noise amplification at depth
     ``ell``.  Class centroids are derived, not stored: class ``j`` sits at
     ``-pi + (2j - 1) pi / J``, equally spaced for uniform priors.  ``c4 = 0``
@@ -159,9 +155,13 @@ def quant_variance(q: float, spec: QuantizerSpec) -> float:
 
 
 def kappa_bar(ell: float, profile: FeatureProfile) -> float:
-    """Undistorted concentration at depth ell: ``c1 ell + c2``."""
+    """Undistorted concentration at depth ell: ``c1 ell + c2``, saturated at ``KAPPA_MAX``.
+
+    [0, ``KAPPA_MAX``] is the package's one concentration domain: every
+    concentration the model computes, scores or samples lies in it.
+    """
     ell = profile.check_depth(ell)
-    return profile.c1 * ell + profile.c2
+    return min(profile.c1 * ell + profile.c2, KAPPA_MAX)
 
 
 def grad_energy(ell: float, profile: FeatureProfile) -> float:
@@ -176,22 +176,15 @@ def kappa_distorted(sigma2: float, ell: float, profile: FeatureProfile) -> float
     The distorted resultant is the product of the clean resultant and the
     circular first moment ``exp(-sigma2 * grad_energy(ell) / 2)`` of the
     induced angular noise; inverting the resultant map returns the shrunken
-    concentration.  The clean concentration is ``kappa_bar(ell)`` saturated at
-    ``KAPPA_MAX``, the cap :func:`~edgeplan.circstats.sample_von_mises` draws
-    at, and the result never exceeds it.  Where that moment rounds to 1 the
-    noise vanishes, and the capped ``kappa_bar(ell)`` is returned exactly
+    concentration, never above ``kappa_bar(ell)``.  Where that moment rounds
+    to 1 the noise vanishes, and ``kappa_bar(ell)`` is returned exactly
     without evaluating the resultant map.
     """
     sigma2 = _check_real("sigma2", sigma2, 0.0)
-    kbar, shrink = _clean_kappa(ell, profile), _shrink(sigma2, ell, profile)
+    kbar, shrink = kappa_bar(ell, profile), _shrink(sigma2, ell, profile)
     if shrink >= 1.0:
         return kbar
     return min(bessel_ratio_inv(bessel_ratio(kbar) * shrink).value, kbar)
-
-
-def _clean_kappa(ell: float, profile: FeatureProfile) -> float:
-    """``kappa_bar(ell)`` saturated at ``KAPPA_MAX``, as the sampler draws it."""
-    return min(kappa_bar(ell, profile), KAPPA_MAX)
 
 
 def _shrink(sigma2: float, ell: float, profile: FeatureProfile) -> float:
@@ -212,15 +205,11 @@ def accuracy_of_kappa(kappa: float, j_classes: int) -> float:
     Evaluates ``int_0^{pi/J} exp(kappa cos x) / (pi I0(kappa)) dx`` with the
     scaled integrand and composite Simpson refinement until the relative
     change drops below 1e-9; an :class:`ArithmeticError` naming kappa and J
-    is raised if 2^20 intervals do not get there.  For kappa above 1.25e8 the
-    erf ratio is used instead: its error, about ``1/(8 kappa)``, is at most
-    1e-9 there, so the two forms meet within the quadrature tolerance.
+    is raised if 2^20 intervals do not get there.  kappa is saturated at
+    ``KAPPA_MAX``, as the sampler clips it.
     """
-    kappa = _check_real("kappa", kappa, 0.0)
+    kappa = min(_check_real("kappa", kappa, 0.0), KAPPA_MAX)
     j_classes = _check_int("j_classes", j_classes, 2)
-    if kappa > _ERF_SWITCH:
-        return accuracy_erf_approx(kappa, j_classes)
-
     a = np.pi / j_classes
     norm = np.pi * float(special.i0e(kappa))
     n = 16
@@ -250,24 +239,11 @@ def accuracy_model(
     return accuracy_of_kappa(kappa_distorted(sigma2, ell, profile), profile.j_classes)
 
 
-def accuracy_erf_approx(kappa: float, j_classes: int) -> float:
-    """Gaussian-limit accuracy ``erf((pi/J) sqrt(k/2)) / erf(pi sqrt(k/2))``.
-
-    Where ``k/2`` underflows to 0 it returns the ``k -> 0`` limit ``1/J``.
-    """
-    kappa = _check_real("kappa", kappa, 0.0, strict=True)
-    j_classes = _check_int("j_classes", j_classes, 2)
-    root = math.sqrt(0.5 * kappa)
-    if root == 0.0:
-        return 1.0 / j_classes
-    return math.erf(math.pi / j_classes * root) / math.erf(math.pi * root)
-
-
 def error_scaling(ell: float, profile: FeatureProfile) -> float:
     """Large-depth error law for the distortion-free regime.
 
     ``sqrt(2) J / (pi^{3/2} sqrt(kbar)) * exp(-pi^2 kbar / (2 J^2))`` with
-    ``kbar = c1 ell + c2``; an intermediate-regime approximation of ``1 - P``.
+    ``kbar = kappa_bar(ell)``; an intermediate-regime approximation of ``1 - P``.
     """
     kbar = kappa_bar(ell, profile)
     j = profile.j_classes
@@ -284,12 +260,10 @@ def min_depth_for_accuracy(
     ``log2(n_layers / 1e-6)`` steps); ``None`` when even the full depth misses
     p0 -- infeasibility is a value the planner must handle, not an error.  As
     ``kappa = A^-1(A(kappa_bar) * shrink)`` and accuracy rises with it, a step
-    tests ``A(kappa_bar) * shrink >= A(kappa0)``, with ``kappa_bar`` saturated
-    at ``KAPPA_MAX`` as in :func:`kappa_distorted` and ``kappa0`` solved once
-    in the end checks' bracket, which therefore lies within the cap.  As
-    1 - p0 nears 1e-9 accuracy is not monotone in kappa to the last bit, so a
-    result failing the direct test is certified by bisecting on to n_layers
-    with it.
+    tests ``A(kappa_bar) * shrink >= A(kappa0)``, with ``kappa0`` solved once
+    in the end checks' bracket.  As 1 - p0 nears 1e-9 accuracy is not monotone
+    in kappa to the last bit, so a result failing the direct test is certified
+    by bisecting on to n_layers with it.
     """
     p0, j, top = profile.check_target(p0), profile.j_classes, float(profile.n_layers)
 
@@ -297,7 +271,7 @@ def min_depth_for_accuracy(
         return accuracy_of_kappa(kappa_distorted(sigma2, ell, profile), j) >= p0
 
     def reaches(ell: float) -> bool:
-        return bessel_ratio(_clean_kappa(ell, profile)) * _shrink(sigma2, ell, profile) >= r0
+        return bessel_ratio(kappa_bar(ell, profile)) * _shrink(sigma2, ell, profile) >= r0
 
     kappa_lo = kappa_distorted(sigma2, 1.0, profile)
     if (acc_lo := accuracy_of_kappa(kappa_lo, j)) >= p0:
@@ -325,8 +299,7 @@ def _solve_kappa0(p0, j_classes, lo, acc_lo, hi, acc_hi) -> float:
     (:func:`error_scaling`), until the bracket is within 1e-13 of ``hi``, which
     is returned.  Points stay half that inside, so an exact hit closes in one
     step.  A step bisects if the last three did not halve the bracket; with it
-    in [0, KAPPA_MAX], where the model's concentration saturates, and the root
-    above ~1e-16, under 480 steps are needed.
+    in [0, KAPPA_MAX] and the root above ~1e-16, under 480 steps are needed.
     An :class:`ArithmeticError` is raised after ``_ROOT_MAX_STEPS`` (500).
     """
     def gain(acc: float) -> float:  # >= 0 exactly when acc >= p0

@@ -37,10 +37,11 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# Saturation cap for concentrations; it keeps the resultant map and its inverse
-# finite, but it is observable at many classes: MAP accuracy is 0.2466 at kappa =
-# 1e6 and 0.2660 at 1.17e6 for J = 1e4 (0.99832 and 0.99932 for J = 1000).  The
-# accuracy model and sample_von_mises share it: both saturate kappa_bar here.
+# Saturation cap for concentrations: [0, KAPPA_MAX] is the package's one
+# concentration domain, so kappa_bar, accuracy_of_kappa and sample_von_mises all
+# saturate here, and the resultant map and its inverse stay finite.  It is
+# observable at many classes: MAP accuracy for J = 1e4 would be 0.2660 at kappa =
+# 1.17e6 but is 0.2466 at the cap (0.99932 and 0.99832 for J = 1000).
 KAPPA_MAX = 1.0e6
 
 _INV_TOL = 1e-10
@@ -201,6 +202,12 @@ class AngularSampleSet:
     def __len__(self) -> int:
         return int(self.angles.size)
 
+    def check_labels(self, j_classes: int) -> None:
+        """A ValueError naming the first label above ``j_classes``, if any."""
+        if self.labels.size and self.labels.max() > j_classes:
+            first = self.labels[np.argmax(self.labels > j_classes)]
+            raise ValueError(f"labels must be class indices <= {j_classes}, got {first}")
+
 
 def sample_von_mises(
     rng: np.random.Generator, mu: float | np.ndarray, kappa: float, n: int
@@ -250,6 +257,7 @@ def estimate_kappa_pooled(samples: AngularSampleSet, j_classes: int) -> KappaRes
     j_classes = _check_int("j_classes", j_classes, 1)
     if samples.labels is None:
         raise ValueError("pooled estimation requires labeled samples")
+    samples.check_labels(j_classes)
     values = []
     saturated = False
     for j in range(1, j_classes + 1):

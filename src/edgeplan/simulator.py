@@ -175,6 +175,7 @@ def empirical_accuracy(samples: AngularSampleSet, profile: FeatureProfile) -> Ac
     """Fraction of labeled samples whose MAP class matches the label."""
     if samples.labels is None:
         raise ValueError("empirical accuracy needs labeled samples")
+    samples.check_labels(profile.j_classes)
     return _score(classify_map(samples.angles, profile) == samples.labels)
 
 

@@ -10,7 +10,6 @@ from edgeplan import accuracy as accuracy_module
 from edgeplan.accuracy import (
     FeatureProfile,
     QuantizerSpec,
-    accuracy_erf_approx,
     accuracy_model,
     accuracy_of_kappa,
     error_scaling,
@@ -212,43 +211,6 @@ def test_accuracy_argument_errors():
         accuracy_of_kappa(1.0, 1)
 
 
-def test_accuracy_erf_approx_agreement_and_monotonicity():
-    # relative gap at kappa=50, J=10 confirmed at ~1e-3 by the oracle
-    quad = accuracy_of_kappa(50.0, 10)
-    assert abs(accuracy_erf_approx(50.0, 10) - quad) / quad < 1e-2
-    values = [accuracy_erf_approx(k, 10) for k in np.geomspace(1.0, 500.0, 20)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-    assert accuracy_erf_approx(1e7, 10) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        accuracy_erf_approx(0.0, 10)
-
-
-def test_accuracy_erf_gap_shrinks_with_kappa():
-    gaps = []
-    for kappa in [10.0, 20.0, 40.0, 80.0, 160.0]:
-        quad = accuracy_of_kappa(kappa, 10)
-        gaps.append(abs(accuracy_erf_approx(kappa, 10) - quad) / quad)
-    assert all(b < a for a, b in zip(gaps, gaps[1:]))
-
-
-@pytest.mark.parametrize("j_classes", [2, 10, 100, 1000, 10_000])
-def test_accuracy_is_continuous_across_the_erf_switch(j_classes):
-    # the erf form is off by about 1/(8 kappa), so it may take over only where
-    # that is within the quadrature tolerance
-    switch = accuracy_module._ERF_SWITCH
-    below = accuracy_of_kappa(switch, j_classes)
-    above = accuracy_of_kappa(math.nextafter(switch, math.inf), j_classes)
-    assert above == accuracy_erf_approx(math.nextafter(switch, math.inf), j_classes)
-    assert abs(above - below) <= 1e-9
-
-
-def test_accuracy_erf_approx_underflow_returns_chance():
-    # kappa / 2 underflows to 0 for the smallest subnormal; the kappa -> 0
-    # limit of the erf ratio is 1/J
-    assert accuracy_erf_approx(5e-324, 10) == 0.1
-    assert accuracy_erf_approx(1e-323, 10) == pytest.approx(0.1, rel=1e-12)
-
-
 def test_accuracy_quadrature_raises_when_not_converged(monkeypatch):
     monkeypatch.setattr(accuracy_module, "_QUAD_MAX_NODES", 32)
     with pytest.raises(ArithmeticError, match=r"kappa=1000\.0, J=2\b"):
@@ -289,10 +251,7 @@ KERNEL_BITS = [
     (1e6, 2, "0x1.fffffffff8b72p-1"),  # 10 levels
     (1e6, 10, "0x1.ffffffffffe92p-1"),  # 8 levels
     (1e6, 1000, "0x1.ff23c19d6d3b6p-1"),  # 5 levels
-    (1.2e8, 2, "0x1.0000000000000p+0"),  # 14 levels
-    (1.2e8, 10, "0x1.0000000000000p+0"),  # 12 levels
-    (1.2e8, 1000, "0x1.fffffff8a72c6p-1"),  # 7 levels
-    (2e8, 100_000, "0x1.5f66dd71d42afp-2"),  # above the erf switch
+    (1e6, 100_000, "0x1.9a9e4e27b02a4p-6"),  # 2 levels
 ]
 
 
@@ -301,6 +260,18 @@ def test_accuracy_of_kappa_bits_are_pinned(kappa, j_classes, bits):
     # a faster quadrature must return the very same doubles: the planners'
     # choices, the sweep CSV and the benchmark's reference bytes depend on them
     assert accuracy_of_kappa(kappa, j_classes).hex() == bits
+
+
+@pytest.mark.parametrize("kappa,j_classes", [
+    (math.nextafter(KAPPA_MAX, math.inf), 10),
+    (1.2e8, 2),
+    (1.2e8, 10),
+    (1.2e8, 1000),
+    (2e8, 100_000),
+])
+def test_accuracy_of_kappa_saturates_at_kappa_max(kappa, j_classes):
+    # the kernel scores concentrations the way sample_von_mises draws them
+    assert accuracy_of_kappa(kappa, j_classes) == accuracy_of_kappa(KAPPA_MAX, j_classes)
 
 
 def test_accuracy_strict_monotonicity_grids():
@@ -498,7 +469,7 @@ def test_min_depth_meets_target_where_accuracy_is_not_monotone():
 def test_min_depth_extreme_inputs_terminate_with_a_passing_depth(
     j_classes, c1, c4, sigma2, target
 ):
-    # c1 = 3e4 takes kappa past the erf switch and, at depth 39, past KAPPA_MAX;
+    # c1 = 3e4 takes kappa_bar past KAPPA_MAX from depth 33.3 on;
     # sigma2 = 50 drives kappa at depth 1 to about 1e-216 when c4 = 3
     profile = FeatureProfile(j_classes=j_classes, c1=c1, c2=0.0, c3=400.0, c4=c4, n_layers=39)
     chance = 1.0 / j_classes
@@ -514,17 +485,19 @@ def test_min_depth_extreme_inputs_terminate_with_a_passing_depth(
 
 
 def test_min_depth_target_beyond_kappa_max_matches_oracle():
-    # without noise the concentration is kappa_bar saturated at KAPPA_MAX, the
-    # cap the sampler draws at, and kappa_bar = 3e4 ell passes it at depth 33.3:
-    # a target above the cap's accuracy is unreachable, while one below it is
-    # found at the depth where kappa_bar crosses it, not at the last layer
+    # without noise the concentration is kappa_bar, and 3e4 ell reaches
+    # KAPPA_MAX at depth 33.3: a target above the cap's accuracy is
+    # unreachable, one at it (a kappa past the cap scores the cap's accuracy)
+    # is found where kappa_bar reaches the cap, and one below it where
+    # kappa_bar crosses it, not at the last layer
     profile = FeatureProfile(j_classes=10_000, c1=3e4, c2=0.0, c3=400.0, c4=0.0, n_layers=39)
     acc = _direct(0.0, profile)
     at_cap = accuracy_of_kappa(KAPPA_MAX, 10_000)
-    for p0 in (float(np.nextafter(at_cap, 1.0)), accuracy_of_kappa(1.05e6, 10_000)):
-        assert min_depth_for_accuracy(0.0, p0, profile) is None
-        assert oracles.min_depth_bisect(acc, p0, 39) is None
-    p0 = accuracy_of_kappa(0.95e6, 10_000)
-    ell = min_depth_for_accuracy(0.0, p0, profile)
-    assert ell == oracles.min_depth_bisect(acc, p0, 39)
-    assert 31.0 < ell < 32.0
+    p0 = float(np.nextafter(at_cap, 1.0))
+    assert min_depth_for_accuracy(0.0, p0, profile) is None
+    assert oracles.min_depth_bisect(acc, p0, 39) is None
+    for kappa, lo, hi in ((1.05e6, 33.3333, 33.3334), (0.95e6, 31.0, 32.0)):
+        p0 = accuracy_of_kappa(kappa, 10_000)
+        ell = min_depth_for_accuracy(0.0, p0, profile)
+        assert ell == oracles.min_depth_bisect(acc, p0, 39)
+        assert lo < ell < hi

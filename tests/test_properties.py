@@ -1,17 +1,25 @@
-"""Property tests of the Bessel inverse, the distorted concentration and the sampler.
+"""Property tests of the Bessel inverse, distorted concentration, sampler and planners.
 
 Hypothesis runs derandomized, without an example database, and with a
 bounded number of examples, so every run checks the same inputs.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from edgeplan.accuracy import FeatureProfile, grad_energy, kappa_bar, kappa_distorted
+from edgeplan.accuracy import (
+    FeatureProfile,
+    QuantizerSpec,
+    accuracy_model,
+    grad_energy,
+    kappa_bar,
+    kappa_distorted,
+)
 from edgeplan.circstats import (
     KAPPA_MAX,
     _RESULTANT_CAP,
@@ -19,7 +27,9 @@ from edgeplan.circstats import (
     bessel_ratio_inv,
     sample_von_mises,
 )
+from edgeplan.optimizer import ExitSet, brute_force, solve_cr, solve_discrete
 from edgeplan.rng import make_rng
+from edgeplan.system import ComputeProfile, LinkState, snr_db_to_linear
 
 
 def bounded(examples: int):
@@ -92,7 +102,8 @@ STEEP_PROFILES = st.builds(
 @bounded(150)
 @given(STEEP_PROFILES, VARIANCES, st.floats(min_value=1.0, max_value=39.0))
 def test_kappa_distorted_saturates_where_the_sampler_does(profile, sigma2, ell):
-    capped = min(kappa_bar(ell, profile), KAPPA_MAX)
+    capped = min(profile.c1 * ell + profile.c2, KAPPA_MAX)
+    assert kappa_bar(ell, profile) == capped
     assert kappa_distorted(sigma2, ell, profile) <= capped
     assert kappa_distorted(0.0, ell, profile) == capped
     assert kappa_distorted(1e-300, ell, profile) == capped
@@ -109,3 +120,86 @@ def test_sample_von_mises_below_1e_8_is_uniform(kappa, mu, seed):
     assert np.all(angles > -np.pi) and np.all(angles <= np.pi)
     # a uniform sample fails this with probability 1e-4 per example
     assert stats.kstest(angles, stats.uniform(-np.pi, 2.0 * np.pi).cdf).pvalue > 1e-4
+
+
+def log_uniform(low: float, high: float):
+    # on a grid of 1,000 steps: hypothesis draws integers more evenly than floats
+    lo, hi = math.log10(low), math.log10(high)
+    steps = st.integers(min_value=0, max_value=1000)
+    return steps.map(lambda i: 10.0 ** (lo + (hi - lo) * i / 1000))
+
+
+@st.composite
+def scenarios(draw):
+    """A planning scenario over wide inputs: J up to 1e4 and kappa_bar past KAPPA_MAX."""
+    j_classes = draw(st.integers(min_value=2, max_value=10_000))
+    profile = FeatureProfile(
+        j_classes=j_classes,
+        # half the profiles from c1 >= 2.6e4, whose kappa_bar passes KAPPA_MAX by depth 39
+        c1=draw(log_uniform(1e-2, 1e5) | log_uniform(2.6e4, 1e5)),
+        c2=draw(st.floats(min_value=0.0, max_value=3.0)),
+        c3=draw(log_uniform(1.0, 1e3)),
+        c4=draw(st.floats(min_value=0.0, max_value=0.5)),
+        n_layers=39,
+    )
+    link = LinkState(
+        bandwidth_hz=draw(log_uniform(1e7, 2e8)),
+        snr=snr_db_to_linear(draw(st.floats(min_value=-5.0, max_value=30.0))),
+        t_max_s=draw(st.floats(min_value=0.002, max_value=0.02)),
+        d=draw(st.integers(min_value=1_000, max_value=200_000)),
+    )
+    comp = ComputeProfile(
+        b1=draw(st.floats(min_value=1e-5, max_value=5e-4)),
+        b2=draw(st.floats(min_value=1e-4, max_value=5e-3)),
+    )
+    entries = st.lists(st.integers(min_value=0, max_value=32), min_size=1, max_size=8, unique=True)
+    alphabet = draw(st.none() | entries.map(lambda a: tuple(sorted(a))))
+    spec = QuantizerSpec(c_min=-1.0, c_max=1.0, q_max=32, bit_alphabet=alphabet)
+    layers = draw(st.lists(st.integers(min_value=1, max_value=39), min_size=1, max_size=6,
+                           unique=True))
+    p0 = draw(st.floats(min_value=1.0 / j_classes, max_value=1.0, exclude_min=True,
+                        exclude_max=True))
+    return link, comp, profile, spec, ExitSet(layers=tuple(sorted(layers))), p0
+
+
+# The tolerance rule: kappa_distorted solves kappa to 1e-10 relative, so it is
+# not monotone in the quantization variance to the last bits, and the
+# bit-width choice is exact only outside that tolerance.  Scenarios where
+# some (alphabet entry, exit) accuracy lies within 1e-9 of a target are
+# assumed away.
+def clear_of_targets(link, comp, profile, spec, exits, *targets):
+    for q in spec.bit_alphabet:
+        for ell in exits.layers:
+            if q and any(abs(accuracy_model(q, float(ell), profile, spec) - p0) <= 1e-9
+                         for p0 in targets):
+                return False
+    return True
+
+
+@bounded(100)
+@given(scenarios())
+def test_solve_discrete_is_brute_force_and_under_the_ceiling(scenario):
+    assume(clear_of_targets(*scenario))
+    plan, exact = solve_discrete(*scenario), brute_force(*scenario)
+    assert (plan.q, plan.ell, plan.feasible, plan.epr) == (
+        exact.q, exact.ell, exact.feasible, exact.epr)
+    link, comp, profile, spec, _, p0 = scenario
+    assert plan.epr <= solve_cr(link, comp, profile, spec, p0).epr
+
+
+@bounded(100)
+@given(scenarios())
+def test_epr_never_falls_when_the_snr_doubles(scenario):
+    assume(clear_of_targets(*scenario))
+    link, *rest = scenario
+    doubled = replace(link, snr=2.0 * link.snr)
+    assert solve_discrete(doubled, *rest).epr >= solve_discrete(*scenario).epr
+
+
+@bounded(100)
+@given(scenarios(), st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_epr_never_rises_when_p0_rises(scenario, step):
+    *rest, p0 = scenario
+    higher = p0 + step * (1.0 - p0)
+    assume(p0 < higher < 1.0 and clear_of_targets(*rest, p0, higher))
+    assert solve_discrete(*rest, higher).epr <= solve_discrete(*scenario).epr

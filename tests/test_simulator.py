@@ -284,6 +284,15 @@ def test_empirical_accuracy_needs_labels():
         empirical_accuracy(AngularSampleSet(angles=np.array([]), labels=[]), PROFILE)
 
 
+def test_empirical_accuracy_rejects_labels_above_j():
+    # the first label above J is named; a label above J is not a miss
+    samples = AngularSampleSet(angles=np.array([0.1, 0.2, 0.3, 0.4]), labels=[1, 2, 3, 7])
+    binary = replace(PROFILE, j_classes=2)
+    with pytest.raises(ValueError, match=r"^labels must be class indices <= 2, got 3$"):
+        empirical_accuracy(samples, binary)
+    assert empirical_accuracy(samples, replace(PROFILE, j_classes=7)).n == 4
+
+
 def test_empirical_accuracy_tracks_analytic_model():
     # one cell of the analytic-vs-empirical agreement grid (full grid in the
     # acceptance suite): q = 8, depth 19, N = 5e4
