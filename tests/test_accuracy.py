@@ -274,6 +274,14 @@ def test_accuracy_of_kappa_saturates_at_kappa_max(kappa, j_classes):
     assert accuracy_of_kappa(kappa, j_classes) == accuracy_of_kappa(KAPPA_MAX, j_classes)
 
 
+@pytest.mark.parametrize("j_classes", [2, 10, 100, 1000, 10_000])
+def test_accuracy_is_continuous_at_kappa_max(j_classes):
+    # saturation adds no step: the last concentration below the cap scores
+    # within the quadrature tolerance of the cap itself
+    below = accuracy_of_kappa(math.nextafter(KAPPA_MAX, 0.0), j_classes)
+    assert abs(accuracy_of_kappa(KAPPA_MAX, j_classes) - below) <= 1e-9
+
+
 def test_accuracy_strict_monotonicity_grids():
     # kappa up, J down, sigma2 down, depth up; every analytic change on these
     # grids exceeds the quadrature tolerance by orders of magnitude

@@ -11,8 +11,10 @@ from edgeplan import circstats
 from edgeplan.accuracy import (
     FeatureProfile,
     QuantizerSpec,
+    accuracy_model,
     accuracy_of_kappa,
     kappa_distorted,
+    min_depth_for_accuracy,
     quant_variance,
 )
 from edgeplan.circstats import (
@@ -368,6 +370,9 @@ SCALAR_ARGUMENTS = [
     ("quant_variance", lambda x: quant_variance(x, _SPEC), "q", 0.0, -1e-12),
     ("kappa_distorted", lambda x: kappa_distorted(x, 10.0, _PROFILE), "sigma2", 0.0, -1e-12),
     ("accuracy_of_kappa", lambda x: accuracy_of_kappa(x, 10), "kappa", 0.0, -1e-12),
+    ("accuracy_model", lambda x: accuracy_model(x, 10.0, _PROFILE, _SPEC), "q", 0.0, -1e-12),
+    ("min_depth_for_accuracy", lambda x: min_depth_for_accuracy(x, 0.5, _PROFILE), "sigma2", 0.0,
+     -1e-12),
     ("comm_latency", lambda x: comm_latency(x, _LINK), "q", 0.0, -1e-12),
     ("comp_latency", lambda x: comp_latency(x, ComputeProfile(b1=1e-4, b2=2e-3)), "ell", 1.0,
      1.0 - 1e-12),
