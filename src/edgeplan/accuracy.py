@@ -234,7 +234,11 @@ def accuracy_of_kappa(kappa: float, j_classes: int) -> float:
 def accuracy_model(
     q: float, ell: float, profile: FeatureProfile, spec: QuantizerSpec
 ) -> float:
-    """End-to-end accuracy at bit-width q and traversal depth ell."""
+    """End-to-end accuracy at bit-width q and traversal depth ell.
+
+    At ``q = 0`` this is the one-level quantizer ``validate`` simulates, not a
+    plan: a plan at 0 bits sends nothing and predicts chance, ``1/J``.
+    """
     sigma2 = quant_variance(q, spec)
     return accuracy_of_kappa(kappa_distorted(sigma2, ell, profile), profile.j_classes)
 

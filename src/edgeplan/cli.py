@@ -66,18 +66,10 @@ def _distinct(values: List[Any]) -> List[Any]:
     return values
 
 
-def _number(text: str) -> Any:
-    """``float(text)``, or ``text`` itself when it is not a number, for ``_check_real`` to name."""
+def _parsed(text: str, kind: Callable[[str], Any]) -> Any:
+    """``kind(text)``, or ``text`` itself when it does not parse, for the field check to name."""
     try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _integer(text: str) -> Any:
-    """``int(text)``, or ``text`` itself when it is not an integer, for ``_check_int`` to name."""
-    try:
-        return int(text)
+        return kind(text)
     except ValueError:
         return text
 
@@ -87,8 +79,9 @@ def _parse_snr_grid(text: str, link: LinkState) -> List[float]:
     if len(parts) != 3:
         raise ValueError(f"expected FROM:TO:STEP, got {text!r}")
     try:  # _flag drops a FieldError's path, so keep the part's name in the message
-        start, stop = _check_real("FROM", _number(parts[0])), _check_real("TO", _number(parts[1]))
-        step = _check_real("STEP", _number(parts[2]), 0.0, strict=True)
+        start, stop, step = (_parsed(part, float) for part in parts)
+        start, stop = _check_real("FROM", start), _check_real("TO", stop)
+        step = _check_real("STEP", step, 0.0, strict=True)
     except FieldError as exc:
         raise ValueError(str(exc)) from exc
     if stop < start:
@@ -112,22 +105,22 @@ def _parse_exit_variants(text: str, profile: FeatureProfile) -> List[ExitSet]:
         clause = clause.strip()
         if not clause:
             raise ValueError("empty exit-set clause")
-        exits = ExitSet(layers=tuple(_integer(tok) for tok in clause.split(",")))
+        exits = ExitSet(layers=tuple(_parsed(tok, int) for tok in clause.split(",")))
         exits.check_within(profile)
         variants.append(exits)
     return _distinct(variants)
 
 
 def _parse_p0_list(text: str, profile: FeatureProfile) -> List[float]:
-    return _distinct([profile.check_target(_number(tok)) for tok in text.split(",")])
+    return _distinct([profile.check_target(_parsed(tok, float)) for tok in text.split(",")])
 
 
 def _parse_validate_grid(text: str, profile: FeatureProfile) -> Tuple[List[int], List[int]]:
     parts = text.split("x")
     if len(parts) != 2:
         raise ValueError(f"expected Q1,Q2,...xL1,L2,..., got {text!r}")
-    qs = [_check_int("q", _integer(tok), 0) for tok in parts[0].split(",")]
-    ells = [_check_int("ell", _integer(tok), 1) for tok in parts[1].split(",")]
+    qs = [_check_int("q", _parsed(tok, int), 0) for tok in parts[0].split(",")]
+    ells = [_check_int("ell", _parsed(tok, int), 1) for tok in parts[1].split(",")]
     for ell in ells:
         profile.check_depth(ell)
     return _distinct(qs), _distinct(ells)

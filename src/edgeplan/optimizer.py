@@ -8,16 +8,17 @@ the quantizer alphabet and the exit-layer set, and ``brute_force`` is the
 independent exhaustive oracle the tests hold the decomposition against.  All
 three differ only in how they search; each fills in its chosen ``(q, ell)``
 the same way, from :func:`~edgeplan.accuracy.accuracy_model` and the latency
-model, so their plans compare field by field.  ``solve_discrete`` uses the
-bisected continuous depth only to find where to start: the plan's exit is the
-first whose own accuracy meets the target.  As only that scan depends on the
-exit set, ``_discrete_plans`` plans several sets from one depth search,
-evaluating each exit layer's accuracy once.  The link enters the discrete
-plan only through its bit-width, so plans change only at the threshold SNRs
-where the alphabet admits a new entry: ``_discrete_plans`` also plans several
-links, choosing exits once per distinct bit-width and filling in latency and
-EPR per link.  Everything is pure; instances may be solved in parallel
-without coordination.
+model, so their plans compare field by field.  The one exception is a plan
+that sends nothing (``q = 0``): it predicts chance accuracy ``1/J``, as the
+simulator scores it.  ``_discrete_plans`` is the one discrete planner, behind
+``solve_discrete`` and ``sweep``.  It uses the bisected continuous depth only
+to find where to start: the plan's exit is the first whose own accuracy meets
+the target.  The link enters a plan only through its bit-width, so plans
+change only at the threshold SNRs where the alphabet admits a new entry; it
+plans several links and exit sets with one depth search per distinct
+bit-width and one accuracy evaluation per (bit-width, exit layer), filling in
+latency and EPR per link.  Everything is pure; instances may be solved in
+parallel without coordination.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ class Plan:
     it by about 2.2e-16 relative.  An infeasible plan (accuracy target
     unreachable, or nothing sent) parks at the deepest depth it may use with
     ``epr = 0`` but still reports the sub-target ``predicted_accuracy`` so
-    sweeps can plot it.
+    sweeps can plot it; one that sends nothing (``q = 0``) predicts chance,
+    ``1/J``, as the simulator scores it, and every target lies above that.
     """
 
     q: float
@@ -155,10 +157,11 @@ def solve_discrete(
     first exit whose ``accuracy_model`` meets ``p0``, scanning up from the
     last exit below the bisected continuous minimum (the bisection carries
     ~1e-6 slack, so that exit may still qualify).  Every feasible plan's exit
-    has thus been compared with ``p0`` directly.  When no exit qualifies, no
-    depth does, or only 0 bits fit (nothing is sent), the plan parks at the
-    deepest exit with zero EPR.  One call of ``_discrete_plans``, which
-    judges the inputs and plans several links and exit sets the same way.
+    has thus been compared with ``p0`` directly.  When no exit qualifies or
+    no depth does, the plan parks at the deepest exit with zero EPR; when
+    only 0 bits fit, nothing is sent, no depth is searched, and it parks
+    there predicting chance, ``1/J``.  One call of ``_discrete_plans``, the
+    one discrete planner, which plans several links and exit sets alike.
     """
     return _discrete_plans([link], comp, profile, spec, [exits], p0)[0][0]
 
@@ -174,57 +177,42 @@ def _discrete_plans(
     """The :func:`solve_discrete` plan for each link and each exit set, in order.
 
     Checks every exit set and ``p0`` once, before any link.  A link enters
-    only through its bit-width ``q*``, which fixes each set's exit, predicted
-    accuracy and feasibility (``_exit_choices``); so those are chosen once
-    per distinct ``q*``, and only the latencies and EPR are filled in per
-    link.  Nothing is kept between calls.
+    only through its bit-width ``q*``: the continuous minimum depth is solved
+    once per distinct ``q* > 0``, and ``accuracy_model`` is evaluated at most
+    once per ``(q*, exit layer)``, for the scans and the plans alike.  At
+    ``q* = 0`` nothing is sent, so every set parks at its deepest exit,
+    infeasible, at chance accuracy ``1/J``.  Nothing is kept between calls.
     """
     for exits in exit_sets:
         exits.check_within(profile)
     p0 = profile.check_target(p0)
-    choices, plans = {}, []  # q* -> _exit_choices at q*
-    for link in links:
-        q = float(max_bitwidth_discrete(link, spec))
-        if q not in choices:
-            choices[q] = _exit_choices(q, profile, spec, exit_sets, p0)
-        plans.append([_plan(q, *choice, link, comp) for choice in choices[q]])
+    q_stars = [float(max_bitwidth_discrete(link, spec)) for link in links]
+    starts = {q: min_depth_for_accuracy(quant_variance(q, spec), p0, profile)
+              for q in dict.fromkeys(q_stars) if q}
+    accuracy_at = {}  # (q*, exit layer) -> accuracy_model
+
+    def accuracy(q: float, layer: int) -> float:
+        if (q, layer) not in accuracy_at:
+            accuracy_at[q, layer] = accuracy_model(q, float(layer), profile, spec)
+        return accuracy_at[q, layer]
+
+    plans = []
+    for q, link in zip(q_stars, links):
+        row = []
+        for exits in exit_sets:
+            ell_plus, ell = starts.get(q), None
+            if ell_plus is not None:
+                # the bisected depth is a start, not a verdict: scan from the last
+                # exit below it for the first whose accuracy meets p0
+                start = max(sum(l < ell_plus for l in exits.layers) - 1, 0)
+                ell = next((l for l in exits.layers[start:] if accuracy(q, l) >= p0), None)
+            feasible = ell is not None
+            ell = ell if feasible else exits.deepest
+            # with nothing sent the tasks are guesses, as the simulator scores them
+            predicted = accuracy(q, ell) if q else 1.0 / profile.j_classes
+            row.append(_plan(q, ell, predicted, feasible, link, comp))
+        plans.append(row)
     return plans
-
-
-def _exit_choices(
-    q_star: float,
-    profile: FeatureProfile,
-    spec: QuantizerSpec,
-    exit_sets: Sequence[ExitSet],
-    p0: float,
-) -> List[Tuple[int, float, bool]]:
-    """Each exit set's ``(ell, predicted accuracy, feasible)`` at bit-width ``q_star``.
-
-    The continuous minimum depth is solved once; each set's exits are then
-    scanned from just below it.  Each exit layer's accuracy is evaluated at
-    most once, for the scans and the plans alike; the memo lives for this
-    call only.  At ``q_star = 0`` nothing is sent, so no exit is feasible.
-    It only chooses: ``_discrete_plans`` has checked the exit sets and ``p0``.
-    """
-    ell_plus = min_depth_for_accuracy(quant_variance(q_star, spec), p0, profile) if q_star else None
-    accuracy_at = {}  # exit layer -> accuracy_model(q_star, layer)
-
-    def accuracy(layer: int) -> float:
-        if layer not in accuracy_at:
-            accuracy_at[layer] = accuracy_model(q_star, float(layer), profile, spec)
-        return accuracy_at[layer]
-
-    choices = []
-    for exits in exit_sets:
-        layers, idx = exits.layers, None
-        if ell_plus is not None:
-            # the bisected depth is a start, not a verdict: scan from the last
-            # exit below it for the first whose accuracy meets p0
-            start = max(sum(l < ell_plus for l in layers) - 1, 0)
-            idx = next((i for i in range(start, len(layers)) if accuracy(layers[i]) >= p0), None)
-        ell = exits.deepest if idx is None else layers[idx]
-        choices.append((ell, accuracy(ell), idx is not None))
-    return choices
 
 
 def brute_force(
@@ -240,7 +228,8 @@ def brute_force(
     Checks the latency and accuracy constraints pair by pair and keeps the
     EPR maximizer, breaking ties toward larger bit-width and then shallower
     depth.  Shares :func:`solve_discrete`'s input rules and infeasible
-    convention, q = 0 included, under its own latency test.
+    convention, the chance accuracy at q = 0 included, under its own latency
+    test.
     """
     exits.check_within(profile)
     p0 = profile.check_target(p0)
@@ -257,7 +246,9 @@ def brute_force(
                 best_key, best_accuracy = key, accuracy
     if best_key is None:
         q_star = float(max(admitted, default=0))
-        accuracy = accuracy_model(q_star, float(exits.deepest), profile, spec)
+        # with nothing sent the tasks are guesses, as the simulator scores them
+        accuracy = (accuracy_model(q_star, float(exits.deepest), profile, spec) if q_star
+                    else 1.0 / profile.j_classes)
         return _plan(q_star, exits.deepest, accuracy, False, link, comp)
     _, q, neg_ell = best_key
     return _plan(q, -neg_ell, best_accuracy, True, link, comp)

@@ -5,7 +5,10 @@ bounded number of examples, so every run checks the same inputs.
 """
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -61,10 +64,17 @@ def test_bessel_ratio_inv_seed_bracket_holds_the_root(r):
     assert bessel_ratio(max(2.0 * kappa0, 1.0)) >= r
 
 
+def log_uniform(low: float, high: float):
+    # on a grid of 1,000 steps: hypothesis draws integers more evenly than floats
+    lo, hi = math.log10(low), math.log10(high)
+    steps = st.integers(min_value=0, max_value=1000)
+    return steps.map(lambda i: 10.0 ** (lo + (hi - lo) * i / 1000))
+
+
 PROFILES = st.builds(
     FeatureProfile,
     j_classes=st.just(10),
-    c1=st.floats(min_value=0.01, max_value=2.0),
+    c1=log_uniform(0.01, 2.0),
     c2=st.floats(min_value=0.0, max_value=3.0),
     c3=st.floats(min_value=1.0, max_value=1000.0),
     c4=st.floats(min_value=0.0, max_value=0.5),
@@ -87,11 +97,12 @@ def test_kappa_distorted_is_kappa_bar_without_noise_and_never_above_it(profile, 
     assert kd <= kbar
 
 
-# profiles whose kappa_bar runs from below the cap to about 4e6 past it
+# profiles whose kappa_bar runs from below the cap to about 4e6 past it; half
+# from c1 >= 2.6e4, whose kappa_bar passes KAPPA_MAX by depth 39
 STEEP_PROFILES = st.builds(
     FeatureProfile,
     j_classes=st.just(10_000),
-    c1=st.floats(min_value=1e3, max_value=1e5),
+    c1=log_uniform(1e3, 1e5) | log_uniform(2.6e4, 1e5),
     c2=st.floats(min_value=0.0, max_value=3.0),
     c3=st.floats(min_value=1.0, max_value=1000.0),
     c4=st.floats(min_value=0.0, max_value=0.5),
@@ -120,13 +131,6 @@ def test_sample_von_mises_below_1e_8_is_uniform(kappa, mu, seed):
     assert np.all(angles > -np.pi) and np.all(angles <= np.pi)
     # a uniform sample fails this with probability 1e-4 per example
     assert stats.kstest(angles, stats.uniform(-np.pi, 2.0 * np.pi).cdf).pvalue > 1e-4
-
-
-def log_uniform(low: float, high: float):
-    # on a grid of 1,000 steps: hypothesis draws integers more evenly than floats
-    lo, hi = math.log10(low), math.log10(high)
-    steps = st.integers(min_value=0, max_value=1000)
-    return steps.map(lambda i: 10.0 ** (lo + (hi - lo) * i / 1000))
 
 
 @st.composite
@@ -180,9 +184,8 @@ def clear_of_targets(link, comp, profile, spec, exits, *targets):
 @given(scenarios())
 def test_solve_discrete_is_brute_force_and_under_the_ceiling(scenario):
     assume(clear_of_targets(*scenario))
-    plan, exact = solve_discrete(*scenario), brute_force(*scenario)
-    assert (plan.q, plan.ell, plan.feasible, plan.epr) == (
-        exact.q, exact.ell, exact.feasible, exact.epr)
+    plan = solve_discrete(*scenario)
+    assert plan == brute_force(*scenario)
     link, comp, profile, spec, _, p0 = scenario
     assert plan.epr <= solve_cr(link, comp, profile, spec, p0).epr
 
@@ -203,3 +206,29 @@ def test_epr_never_rises_when_p0_rises(scenario, step):
     higher = p0 + step * (1.0 - p0)
     assume(p0 < higher < 1.0 and clear_of_targets(*rest, p0, higher))
     assert solve_discrete(*rest, higher).epr <= solve_discrete(*scenario).epr
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(st.integers(min_value=0, max_value=10))
+def test_small(n):
+    assert n < 5
+"""
+
+
+def test_a_failing_property_is_reported_as_a_failure(tmp_path):
+    # under the repo's pytest settings (warnings are errors), hypothesis's
+    # failure report must still print: no INTERNALERROR from its imports
+    repo = Path(__file__).resolve().parent.parent
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(repo / "pyproject.toml"), "--rootdir", str(repo), str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "Falsifying example: test_small(" in result.stdout
+    assert "1 failed" in result.stdout
