@@ -95,13 +95,16 @@ def _check_int(name: str, x: int, low: float = -math.inf) -> int:
 def wrap_angle(theta):
     """Reduce angles to ``(-pi, pi]``; ``-pi`` maps to ``+pi``.
 
-    Accepts scalars or arrays and preserves shape.
+    Accepts scalars or arrays and preserves shape.  ``np.mod`` returns a value
+    already in [0, 2 pi) unchanged, so only the angles off the circle are
+    reduced, with the same result bit for bit.
     """
     th = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(th)):
         raise ValueError("angles must be finite")
     out = np.subtract(np.pi, th, out=np.empty_like(th))
-    np.mod(out, TWO_PI, out=out)
+    off = (out < 0.0) | (out >= TWO_PI)
+    np.mod(out, TWO_PI, out=out, where=off)
     np.subtract(np.pi, out, out=out)
     if out.ndim == 0:
         return float(out)

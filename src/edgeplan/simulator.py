@@ -152,7 +152,9 @@ def classify_map(theta, profile: FeatureProfile):
     bins = np.floor(u)
     u -= bins
     labels = bins.astype(np.intp)
-    labels %= j
+    # on (-pi, pi] only theta = pi lands in bin J; reduce just the bins off range
+    off = (labels < 0) | (labels >= j)
+    np.remainder(labels, j, out=labels, where=off)
     labels += 1
     # near an edge rounding could decide: score the pair on either side
     u -= 0.5

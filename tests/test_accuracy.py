@@ -19,7 +19,7 @@ from edgeplan.accuracy import (
     min_depth_for_accuracy,
     quant_variance,
 )
-from edgeplan.circstats import KAPPA_MAX, FieldError
+from edgeplan.circstats import KAPPA_MAX, FieldError, bessel_ratio_inv
 from edgeplan.system import max_bitwidth_continuous, max_bitwidth_discrete
 
 import oracles
@@ -193,6 +193,19 @@ def test_accuracy_matches_fine_grid_oracle():
         assert accuracy_of_kappa(kappa, 10) == pytest.approx(
             oracles.accuracy_quadrature(kappa, 10), rel=2e-9
         )
+
+
+def test_kernels_match_the_30_digit_oracle():
+    # 14 concentrations log-spaced over [1e-3, 1e5] at J = 2, 10 and 1000:
+    # each kernel within its own stopping tolerance of the mpmath value
+    for kappa in np.geomspace(1e-3, 1e5, 14):
+        for j_classes in (2, 10, 1000):
+            exact = oracles.mp_accuracy(kappa, j_classes)
+            value = accuracy_of_kappa(kappa, j_classes)
+            assert abs(value - exact) <= 1e-9 * exact, (kappa, j_classes)
+        r = float(oracles.mp_ratio(kappa))
+        exact = oracles.mp_ratio_inv(r, 0.5 * kappa, 2.0 * kappa)
+        assert abs(bessel_ratio_inv(r).value - exact) <= 1e-10 * exact, kappa
 
 
 def test_accuracy_bounds():

@@ -141,6 +141,24 @@ def test_wrap_angle_range_and_boundary():
     grid = np.linspace(-20.0, 20.0, 1001)
     wrapped = wrap_angle(grid)
     assert np.all(wrapped > -math.pi) and np.all(wrapped <= math.pi)
+    # bit for bit the full reduction pi - mod(pi - theta, 2 pi), written out
+    # here, whether or not an angle left the circle
+    def full(th):
+        return np.pi - np.mod(np.pi - np.float64(th), 2.0 * np.pi)
+
+    pis = np.array([math.pi, -math.pi])
+    inputs = np.concatenate([
+        np.linspace(-1e3, 1e3, 20_001),
+        pis, np.nextafter(pis, -np.inf), np.nextafter(pis, np.inf),
+        [3.0 * math.pi, -3.0 * math.pi, 0.0, -0.0, 1e300, -1e-300],
+        # about half of these leave (-pi, pi]
+        np.random.default_rng(137).uniform(-2.0 * math.pi, 2.0 * math.pi, 200_000),
+    ])
+    got = wrap_angle(inputs)
+    assert np.array_equal(got.view(np.int64), full(inputs).view(np.int64))
+    for theta in (-3.0 * math.pi, np.array(5.0)):
+        assert np.float64(wrap_angle(theta)).view(np.int64) == full(theta).view(np.int64)
+    assert type(wrap_angle(np.array(5.0))) is float
     for bad in (math.nan, np.array([0.0, math.inf])):
         with pytest.raises(ValueError, match="^angles must be finite"):
             wrap_angle(bad)

@@ -216,7 +216,8 @@ def test_classify_map_matches_density_argmax():
 def test_classify_map_matches_full_argmax_oracle(j_classes):
     # centroids and the midpoints between them written out here, not taken
     # from the profile; each angle costs J scores, so above J = 1000 only
-    # every 40th bin's, with the last bin, and fewer random angles
+    # every 40th bin's, with the last bin, and fewer random angles.  Angles
+    # off (-pi, pi], whose bins leave [0, J), are scored the same way
     profile = replace(PROFILE, j_classes=j_classes)
     k = np.arange(1, j_classes + 1, dtype=float)
     centroids = -np.pi + (2.0 * k - 1.0) * np.pi / j_classes
@@ -228,6 +229,8 @@ def test_classify_map_matches_full_argmax_oracle(j_classes):
     edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
     thetas = np.concatenate([
         np.random.default_rng(608).uniform(-np.pi, np.pi, 100_000 if small else 2_000),
+        np.random.default_rng(610).uniform(-1e3, 1e3, min(100_000, 10_000_000 // j_classes)),
+        [-3.0 * np.pi, -np.pi, 3.0 * np.pi],
         edges,
     ])
     labels = classify_map(thetas, profile)
