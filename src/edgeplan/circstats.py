@@ -95,20 +95,27 @@ def _check_int(name: str, x: int, low: float = -math.inf) -> int:
 def wrap_angle(theta):
     """Reduce angles to ``(-pi, pi]``; ``-pi`` maps to ``+pi``.
 
-    Accepts scalars or arrays and preserves shape.  ``np.mod`` returns a value
-    already in [0, 2 pi) unchanged, so only the angles off the circle are
-    reduced, with the same result bit for bit.
+    Accepts scalars or arrays and preserves shape.
     """
-    th = np.asarray(theta, dtype=float)
+    th = np.array(theta, dtype=float)
     if not np.all(np.isfinite(th)):
         raise ValueError("angles must be finite")
-    out = np.subtract(np.pi, th, out=np.empty_like(th))
-    off = (out < 0.0) | (out >= TWO_PI)
-    np.mod(out, TWO_PI, out=out, where=off)
-    np.subtract(np.pi, out, out=out)
+    out = _wrap(th)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _wrap(th: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` of an array of finite angles, in place and unchecked.
+
+    ``np.mod`` returns a value already in [0, 2 pi) unchanged, so only the
+    angles off the circle are reduced, with the same result bit for bit.
+    """
+    np.subtract(np.pi, th, out=th)
+    off = (th < 0.0) | (th >= TWO_PI)
+    np.mod(th, TWO_PI, out=th, where=off)
+    return np.subtract(np.pi, th, out=th)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ angles from :func:`~edgeplan.circstats.sample_von_mises`, wrapped Gaussian
 noise of variance ``sigma2 * grad_energy(depth)`` added in the angular
 domain (the process the analytic model describes), and MAP classification
 scored into an :class:`AccuracyEstimate` with a binomial interval.
-``validate`` runs them as :func:`generate_dataset` (one stream per class),
-:func:`distort` (one noise stream) and :func:`empirical_accuracy`;
+``validate`` runs them as :func:`generate_dataset` (one stream per class,
+the classes drawn on every usable core with the same output whatever their
+number), :func:`distort` (one noise stream) and :func:`empirical_accuracy`;
 :func:`run_algorithm1` runs them on one stream per batch, angles before
 noise.  :func:`sweep` chooses exits once per (p0, bit-width) for every
 exit set and SNR sharing that bit-width, solves the continuous ceiling once
@@ -21,6 +22,8 @@ mutable state anywhere.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterable, List, NamedTuple, Tuple
@@ -28,7 +31,7 @@ from typing import Iterable, List, NamedTuple, Tuple
 import numpy as np
 
 from .accuracy import FeatureProfile, QuantizerSpec, grad_energy, kappa_bar, quant_variance
-from .circstats import AngularSampleSet, _check_int, _check_real, sample_von_mises, wrap_angle
+from .circstats import AngularSampleSet, _check_int, _check_real, _wrap, sample_von_mises
 from .optimizer import ExitSet, Plan, _discrete_plans, solve_cr, solve_discrete
 from .rng import derive_seed, make_rng
 from .system import ComputeProfile, LinkState, snr_db_to_linear
@@ -76,13 +79,19 @@ class AccuracyEstimate(NamedTuple):
 def _add_noise(
     angles: np.ndarray, sigma2: float, ell: float, profile: FeatureProfile, rng: np.random.Generator
 ) -> np.ndarray:
-    """Add wrapped Gaussian noise of variance ``sigma2 * grad_energy(ell)``; none at variance 0."""
+    """Add wrapped Gaussian noise of variance ``sigma2 * grad_energy(ell)``; none at variance 0.
+
+    ``angles`` are finite, and so is the noise once its variance is, so the
+    sum is wrapped without a finiteness pass.
+    """
     variance = sigma2 * grad_energy(ell, profile)
     if variance == 0.0:
         return angles
+    if not math.isfinite(variance):
+        raise ValueError(f"noise variance must be finite, got {variance!r}")
     noisy = rng.normal(0.0, math.sqrt(variance), size=angles.size)
     noisy += angles
-    return wrap_angle(noisy)
+    return _wrap(noisy)
 
 
 def _score(correct: np.ndarray) -> AccuracyEstimate:
@@ -101,16 +110,42 @@ def generate_dataset(
     """Draw ``n_per_class`` clean labeled samples per class at depth ``ell``.
 
     Class ``j`` is sampled from ``vM(centroid_j, kappa_bar(ell))`` on its own
-    RNG stream, so classes can be generated in parallel and still reproduce.
+    RNG stream.  Classes 1..J are split into one contiguous block per usable
+    core (at most J blocks): the calling thread draws the first block and a
+    pool made for this call draws the rest, and the classes are joined in
+    class order, so the output is the same bit for bit on any number of
+    cores.  numpy releases the GIL while it draws.  Every argument is
+    checked before a thread starts, and the pool is shut down, its threads
+    joined, before this returns or raises.
     """
+    seed = _check_int("seed", seed)
     n_per_class = _check_int("n_per_class", n_per_class, 1)
     kappa = kappa_bar(ell, profile)
-    per_class = [
-        sample_von_mises(make_rng(seed, _STREAM_GENERATE, j), float(mu), kappa, n_per_class)
-        for j, mu in enumerate(profile.centroids, start=1)
-    ]
-    labels = np.repeat(np.arange(1, profile.j_classes + 1), n_per_class)
+    classes = list(enumerate(profile.centroids, start=1))
+
+    def draw(block):
+        return [
+            sample_von_mises(make_rng(seed, _STREAM_GENERATE, j), float(mu), kappa, n_per_class)
+            for j, mu in block
+        ]
+
+    j_classes = len(classes)
+    blocks = min(_usable_cores(), j_classes)
+    bounds = [b * j_classes // blocks for b in range(blocks + 1)]
+    with ThreadPoolExecutor(max_workers=max(blocks - 1, 1)) as pool:
+        rest = [pool.submit(draw, classes[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        per_class = draw(classes[: bounds[1]])
+        for block in rest:
+            per_class += block.result()
+    labels = np.repeat(np.arange(1, j_classes + 1), n_per_class)
     return AngularSampleSet(angles=np.concatenate(per_class), labels=labels)
+
+
+def _usable_cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def distort(
@@ -145,7 +180,14 @@ def classify_map(theta, profile: FeatureProfile):
     th = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(th)):
         raise ValueError("angles must be finite")
-    flat = th.reshape(-1)
+    labels = _classify(th.reshape(-1), profile)
+    if th.ndim == 0:
+        return int(labels[0])
+    return labels.reshape(th.shape)
+
+
+def _classify(flat: np.ndarray, profile: FeatureProfile) -> np.ndarray:
+    """:func:`classify_map` labels of a 1-d array of finite angles, unchecked."""
     j = profile.j_classes
     u = flat + np.pi
     u *= j / (2.0 * np.pi)  # position in bin widths from -pi
@@ -168,9 +210,7 @@ def classify_map(theta, profile: FeatureProfile):
         first, second = np.minimum(lo, hi), np.maximum(lo, hi)
         closer = np.cos(t - centroids[second]) > np.cos(t - centroids[first])
         labels[edge] = np.where(closer, second, first) + 1
-    if th.ndim == 0:
-        return int(labels[0])
-    return labels.reshape(th.shape)
+    return labels
 
 
 def empirical_accuracy(samples: AngularSampleSet, profile: FeatureProfile) -> AccuracyEstimate:
@@ -178,7 +218,7 @@ def empirical_accuracy(samples: AngularSampleSet, profile: FeatureProfile) -> Ac
     if samples.labels is None:
         raise ValueError("empirical accuracy needs labeled samples")
     samples.check_labels(profile.j_classes)
-    return _score(classify_map(samples.angles, profile) == samples.labels)
+    return _score(_classify(samples.angles, profile) == samples.labels)
 
 
 def run_algorithm1(
@@ -223,7 +263,7 @@ def _simulate(
         mu = profile.centroids[true_classes - 1]
         angles = sample_von_mises(rng, mu, kappa_bar(plan.ell, profile), tasks)
         angles = _add_noise(angles, quant_variance(plan.q, spec), plan.ell, profile, rng)
-        predicted = classify_map(angles, profile)
+        predicted = _classify(angles, profile)
     else:
         predicted = rng.integers(1, j + 1, size=tasks)
 

@@ -159,9 +159,13 @@ def test_wrap_angle_range_and_boundary():
     for theta in (-3.0 * math.pi, np.array(5.0)):
         assert np.float64(wrap_angle(theta)).view(np.int64) == full(theta).view(np.int64)
     assert type(wrap_angle(np.array(5.0))) is float
-    for bad in (math.nan, np.array([0.0, math.inf])):
+    for bad in (math.nan, np.array([0.0, math.inf]), np.array([-math.inf, 0.0])):
         with pytest.raises(ValueError, match="^angles must be finite"):
             wrap_angle(bad)
+    # the reduction runs in place on a copy, never on the caller's array
+    kept = inputs.copy()
+    wrap_angle(inputs)
+    assert np.array_equal(inputs.view(np.int64), kept.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,20 @@
 
 import importlib
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edgeplan
 from edgeplan import optimizer, simulator
 from edgeplan.accuracy import (
     FeatureProfile,
@@ -93,11 +100,135 @@ def test_generate_dataset_saturated_concentration_clusters_tightly():
     assert deviation.max() < 5e-3
 
 
-def test_generate_dataset_argument_errors():
+def test_generate_dataset_argument_errors(monkeypatch):
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", _no_pool)
     with pytest.raises(ValueError):
         generate_dataset(PROFILE, 0.5, 10, seed=1)
     with pytest.raises(ValueError):
         generate_dataset(PROFILE, 10.0, 0, seed=1)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a pool was made before every argument was checked")
+
+
+def _force_cores(monkeypatch, cores):
+    """Make the simulator see ``cores`` usable CPUs, where it reads them from ``os``."""
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def _spy_pools(monkeypatch):
+    """Record each pool ``generate_dataset`` makes: its workers and the classes of each block."""
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.workers, self.blocks = max_workers, []
+            pools.append(self)
+
+        def submit(self, fn, block):
+            self.blocks.append([j for j, _ in block])
+            return super().submit(fn, block)
+
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", Pool)
+    return pools
+
+
+def _within(seconds, call):
+    """``call()``'s result; fails instead of hanging if it takes over ``seconds``."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = call()
+        except BaseException as exc:  # re-raised in the test's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no result within {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
+@pytest.mark.parametrize("j_classes", [2, 3, 10, 1000])
+def test_generate_dataset_is_the_serial_oracle_on_any_core_count(monkeypatch, j_classes, cores):
+    # 8 cores is more than J at J = 2 and 3; it runs with a 1 us switch
+    # interval so the threads interleave as often as they can
+    profile = FeatureProfile(j_classes=j_classes, c1=0.35, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
+    n, ell, seed = (20 if j_classes == 1000 else 2_000), 12.0, -1_000_003 * j_classes
+    expected = oracles.serial_class_draws(seed, j_classes, 0.35 * ell + 0.5, n)
+    _force_cores(monkeypatch, cores)
+    pools = _spy_pools(monkeypatch)
+    interval = sys.getswitchinterval()
+    if cores == 8:
+        sys.setswitchinterval(1e-6)
+    try:
+        ds = _within(60.0, lambda: generate_dataset(profile, ell, n, seed))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(ds.angles.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(ds.labels, np.repeat(np.arange(1, j_classes + 1), n))
+    blocks = min(cores, j_classes)
+    (pool,) = pools
+    assert pool.workers == max(blocks - 1, 1) and len(pool.blocks) == blocks - 1
+
+
+def test_the_caller_draws_the_first_block_and_the_pool_the_rest(monkeypatch):
+    _force_cores(monkeypatch, 3)
+    pools = _spy_pools(monkeypatch)
+    make, drawn = simulator.make_rng, []
+
+    def recording(seed, *stream):
+        drawn.append((threading.get_ident(), stream[-1]))
+        return make(seed, *stream)
+
+    monkeypatch.setattr(simulator, "make_rng", recording)
+    generate_dataset(PROFILE, 12.0, 50, seed=1)
+    assert [j for ident, j in drawn if ident == threading.get_ident()] == [1, 2, 3]
+    assert pools[0].blocks == [[4, 5, 6], [7, 8, 9, 10]]
+    assert sorted(j for _, j in drawn) == list(range(1, 11))
+
+
+@pytest.mark.parametrize("failing_class", [None, 1, 10], ids=["none", "caller", "worker"])
+def test_a_failing_class_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, failing_class):
+    # on 2 cores the caller draws classes 1-5 and one worker classes 6-10
+    _force_cores(monkeypatch, 2)
+    sample = simulator.sample_von_mises
+
+    class DrawFailed(Exception):
+        pass
+
+    def failing(rng, mu, kappa, n):
+        if failing_class is not None and mu == PROFILE.centroids[failing_class - 1]:
+            raise DrawFailed(failing_class)
+        return sample(rng, mu, kappa, n)
+
+    monkeypatch.setattr(simulator, "sample_von_mises", failing)
+    before = set(threading.enumerate())
+    if failing_class is None:
+        assert len(generate_dataset(PROFILE, 12.0, 1_000, seed=5)) == 10_000
+    else:
+        with pytest.raises(DrawFailed) as err:
+            generate_dataset(PROFILE, 12.0, 1_000, seed=5)
+        assert err.value.args == (failing_class,)
+    deadline = time.monotonic() + 10.0
+    while set(threading.enumerate()) != before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert set(threading.enumerate()) == before
+
+
+def test_importing_the_package_starts_no_thread():
+    src = Path(edgeplan.__file__).resolve().parents[1]
+    code = "import threading, edgeplan; print(threading.active_count())"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +251,14 @@ def test_distort_records_effective_variance_and_is_deterministic():
     assert np.var(noise) == pytest.approx(1e-3 * grad_energy(15.0, PROFILE), rel=0.1)
     out3 = distort(ds, 1e-3, 15.0, PROFILE, seed=5)
     assert not np.array_equal(out1.angles, out3.angles)
+
+
+def test_distort_rejects_noise_whose_variance_overflows():
+    # the noisy angles are wrapped without a finiteness pass, so the one
+    # non-finite noise that finite angles and a finite sigma2 can make is caught here
+    ds = generate_dataset(PROFILE, 15.0, 10, seed=3)
+    with pytest.raises(ValueError, match="^noise variance must be finite, got inf$"):
+        distort(ds, 1e308, 15.0, PROFILE, seed=4)
 
 
 def _philox(*entropy):
@@ -191,8 +330,9 @@ def test_classify_map_centroids_and_ties():
     assert classify_map(midpoint, PROFILE) == 1
     # the wrap-around point ties classes 10 and 1; smaller index wins
     assert classify_map(np.pi, PROFILE) == 1
-    with pytest.raises(ValueError, match="^angles must be finite"):
-        classify_map(np.array([0.0, math.nan]), PROFILE)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^angles must be finite"):
+            classify_map(np.array([0.0, bad]), PROFILE)
 
 
 def test_classify_map_matches_density_argmax():
@@ -539,8 +679,10 @@ def test_sweep_reads_iterators_like_lists():
 
 
 @pytest.mark.parametrize("seed", ["7", True, 7.9, None], ids=repr)
-def test_seeds_must_be_integers_wherever_streams_are_made(seed):
-    # a string, bool or float seed once drew the stream of int(seed)
+def test_seeds_must_be_integers_wherever_streams_are_made(seed, monkeypatch):
+    # a string, bool or float seed once drew the stream of int(seed); the
+    # dataset's seed is judged before its pool is made
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", _no_pool)
     calls = [
         lambda: make_rng(seed),
         lambda: derive_seed(seed, 1),
