@@ -19,6 +19,7 @@ from scipy import special
 from .circstats import (
     KAPPA_MAX,
     FieldError,
+    _check_increasing,
     _check_int,
     _check_real,
     bessel_ratio,
@@ -121,12 +122,7 @@ class QuantizerSpec:
         if self.bit_alphabet is None:
             object.__setattr__(self, "bit_alphabet", tuple(range(q_max + 1)))
             return
-        entries = enumerate(self.bit_alphabet)
-        alphabet = tuple(_check_int(f"bit_alphabet[{i}]", b, 0) for i, b in entries)
-        if not alphabet:
-            raise FieldError("bit_alphabet", "must be nonempty")
-        if any(b <= a for a, b in zip(alphabet, alphabet[1:])):
-            raise FieldError("bit_alphabet", "must be strictly increasing")
+        alphabet = _check_increasing("bit_alphabet", self.bit_alphabet, 0)
         if alphabet[-1] > q_max:  # increasing, so only the last entry can exceed it
             i = len(alphabet) - 1
             raise FieldError(f"bit_alphabet[{i}]", f"must be <= q_max ({q_max}), got {alphabet[i]}")

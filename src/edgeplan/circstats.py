@@ -15,8 +15,9 @@ state, so parallel callers only need distinct ``(seed, stream)`` pairs (see
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import special
@@ -92,27 +93,54 @@ def _check_int(name: str, x: int, low: float = -math.inf) -> int:
     return int(x)
 
 
+def _check_increasing(name: str, seq: Iterable, low: int) -> Tuple[int, ...]:
+    """``seq`` as a tuple; a :class:`FieldError` naming ``name`` (or its entry
+    ``name[i]``) unless it is a nonempty, strictly increasing sequence of
+    integers >= ``low``.  A number, a string or a mapping is no sequence."""
+    if isinstance(seq, (str, bytes, Mapping)) or not isinstance(seq, Iterable):
+        raise FieldError(name, f"must be a sequence of integers, got {seq!r}")
+    values = tuple(_check_int(f"{name}[{i}]", x, low) for i, x in enumerate(seq))
+    if not values:
+        raise FieldError(name, "must be nonempty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise FieldError(name, "must be strictly increasing")
+    return values
+
+
+def _real_array(name: str, x) -> np.ndarray:
+    """``x`` as a float array; a :class:`FieldError` naming ``name`` if an entry is no number."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FieldError(name, f"must be reals: {exc}") from None
+
+
+def _check_finite(name: str, x) -> np.ndarray:
+    """:func:`_real_array` of ``x``; a :class:`FieldError` naming ``name`` unless all are finite."""
+    values = _real_array(name, x)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise FieldError(name, f"must be finite reals, got {float(values[~finite][0])!r}")
+    return values
+
+
 def wrap_angle(theta):
     """Reduce angles to ``(-pi, pi]``; ``-pi`` maps to ``+pi``.
 
-    Accepts scalars or arrays and preserves shape.
+    Accepts scalars or arrays, preserves shape and never changes its input.
     """
-    th = np.array(theta, dtype=float)
-    if not np.all(np.isfinite(th)):
-        raise ValueError("angles must be finite")
-    out = _wrap(th)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    th = _check_finite("theta", theta)
+    out = _wrap(th, out=np.empty_like(th))
+    return float(out) if out.ndim == 0 else out
 
 
-def _wrap(th: np.ndarray) -> np.ndarray:
-    """:func:`wrap_angle` of an array of finite angles, in place and unchecked.
+def _wrap(th: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` of finite angles ``th`` into ``out`` (``th`` itself or new), unchecked.
 
     ``np.mod`` returns a value already in [0, 2 pi) unchanged, so only the
     angles off the circle are reduced, with the same result bit for bit.
     """
-    np.subtract(np.pi, th, out=th)
+    th = np.subtract(np.pi, th, out=out)
     off = (th < 0.0) | (th >= TWO_PI)
     np.mod(th, TWO_PI, out=th, where=off)
     return np.subtract(np.pi, th, out=th)
@@ -193,30 +221,32 @@ class AngularSampleSet:
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        angles = np.asarray(self.angles, dtype=float)
+        angles = _real_array("angles", self.angles)
         if angles.ndim != 1:
-            raise ValueError("angles must be one-dimensional")
+            raise FieldError("angles", f"must be one-dimensional, got shape {angles.shape}")
         if not (np.all(angles > -np.pi) and np.all(angles <= np.pi)):  # NaN fails both
-            raise ValueError("angles must be finite and lie in (-pi, pi]")
+            raise FieldError("angles", "must be finite and lie in (-pi, pi]")
         object.__setattr__(self, "angles", angles)
         if self.labels is not None:
             labels = np.asarray(self.labels)
             if labels.size and not np.issubdtype(labels.dtype, np.integer):
-                raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+                raise FieldError("labels", f"must be integers, got dtype {labels.dtype}")
             if labels.shape != angles.shape:
-                raise ValueError("labels must match angles in length")
+                raise FieldError("labels", "must match angles in length")
             if labels.size and labels.min() < 1:
-                raise ValueError("labels must be 1-based class indices")
+                raise FieldError("labels", "must be 1-based class indices")
             object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return int(self.angles.size)
 
     def check_labels(self, j_classes: int) -> None:
-        """A ValueError naming the first label above ``j_classes``, if any."""
+        """A :class:`FieldError` unless every sample has a label, none above ``j_classes``."""
+        if self.labels is None:
+            raise FieldError("labels", "must be given")
         if self.labels.size and self.labels.max() > j_classes:
             first = self.labels[np.argmax(self.labels > j_classes)]
-            raise ValueError(f"labels must be class indices <= {j_classes}, got {first}")
+            raise FieldError("labels", f"must be class indices <= {j_classes}, got {first}")
 
 
 def sample_von_mises(
@@ -242,8 +272,11 @@ def sample_von_mises(
 # ---------------------------------------------------------------------------
 
 
-def _kappa_from_angles(angles: np.ndarray) -> KappaResult:
+def _kappa_from_angles(name: str, angles: np.ndarray) -> KappaResult:
+    """``A^-1(Rbar)`` of ``angles``; a :class:`FieldError` naming ``name`` for fewer than 2."""
     n = angles.size
+    if n < 2:
+        raise FieldError(name, f"needs at least 2 samples, got {n}")
     c = float(np.cos(angles).sum())
     s = float(np.sin(angles).sum())
     # normalized resultant length, clipped to the one that saturates
@@ -257,24 +290,17 @@ def estimate_kappa(samples: AngularSampleSet) -> KappaResult:
     that ``Rbar`` reaches ``bessel_ratio(KAPPA_MAX)`` (about ``1 - 5e-7``)
     saturate to ``KAPPA_MAX`` with the flag set.
     """
-    if len(samples) < 2:
-        raise ValueError("estimate_kappa needs at least 2 samples")
-    return _kappa_from_angles(samples.angles)
+    return _kappa_from_angles("angles", samples.angles)
 
 
 def estimate_kappa_pooled(samples: AngularSampleSet, j_classes: int) -> KappaResult:
     """Mean of per-class concentration estimates over classes 1..j_classes."""
     j_classes = _check_int("j_classes", j_classes, 1)
-    if samples.labels is None:
-        raise ValueError("pooled estimation requires labeled samples")
     samples.check_labels(j_classes)
     values = []
     saturated = False
     for j in range(1, j_classes + 1):
-        angles = samples.angles[samples.labels == j]
-        if angles.size < 2:
-            raise ValueError(f"class {j} needs at least 2 samples, got {angles.size}")
-        est = _kappa_from_angles(angles)
+        est = _kappa_from_angles(f"angles[labels == {j}]", samples.angles[samples.labels == j])
         values.append(est.value)
         saturated = saturated or est.saturated
     return KappaResult(float(np.mean(values)), saturated)

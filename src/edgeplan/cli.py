@@ -151,41 +151,29 @@ def _write_csv(path: str, rows: Sequence[Any]) -> None:
 
 
 def _print_plan(tag: str, plan: Plan) -> None:
+    """The plan as a labelled block, then as one line of ``key=value`` fields."""
+    entries = [
+        ("bit-width q", "q", plan.q),
+        ("traversal depth", "ell", plan.ell),
+        ("predicted accuracy", "pred_acc", plan.predicted_accuracy),
+        ("t_comm [s]", "t_comm_s", plan.t_comm),
+        ("t_comp [s]", "t_comp_s", plan.t_comp),
+        ("EPR [bits/s]", "epr_bits_per_s", plan.epr),
+        ("feasible", "feasible", plan.feasible),
+    ]
     print(f"{tag}:")
-    print(f"  bit-width q        : {_fmt(plan.q)}")
-    print(f"  traversal depth    : {_fmt(plan.ell)}")
-    print(f"  predicted accuracy : {_fmt(plan.predicted_accuracy)}")
-    print(f"  t_comm [s]         : {_fmt(plan.t_comm)}")
-    print(f"  t_comp [s]         : {_fmt(plan.t_comp)}")
-    print(f"  EPR [bits/s]       : {_fmt(plan.epr)}")
-    print(f"  feasible           : {'yes' if plan.feasible else 'no'}")
-    fields = (
-        f"q={_fmt(plan.q)} ell={_fmt(plan.ell)} pred_acc={_fmt(plan.predicted_accuracy)} "
-        f"t_comm_s={_fmt(plan.t_comm)} t_comp_s={_fmt(plan.t_comp)} "
-        f"epr_bits_per_s={_fmt(plan.epr)} feasible={_fmt(plan.feasible)}"
-    )
-    print(fields)
+    for label, _, value in entries:
+        shown = ("yes" if value else "no") if isinstance(value, bool) else _fmt(value)
+        print(f"  {label:<18} : {shown}")
+    print(" ".join(f"{key}={_fmt(value)}" for _, key, value in entries))
 
 
 def cmd_plan(config: RunConfig, show_cr: bool) -> int:
-    plan = solve_discrete(
-        config.link,
-        config.compute,
-        config.profile,
-        config.quantizer,
-        config.exits,
-        config.target_accuracy,
-    )
+    scenario = (config.link, config.compute, config.profile, config.quantizer)
+    plan = solve_discrete(*scenario, config.exits, config.target_accuracy)
     _print_plan("plan", plan)
     if show_cr:
-        cr = solve_cr(
-            config.link,
-            config.compute,
-            config.profile,
-            config.quantizer,
-            config.target_accuracy,
-        )
-        _print_plan("plan_cr", cr)
+        _print_plan("plan_cr", solve_cr(*scenario, config.target_accuracy))
     return EXIT_OK if plan.feasible else EXIT_INFEASIBLE
 
 

@@ -1,9 +1,9 @@
 """Run configuration: JSON schema, loading, and validation.
 
-This module checks only the JSON structure: objects, known and required
-keys, and lists.  Each section's keys are the parameters of the dataclass
-(or constructor) it builds, named as in its table of renames.  Number and
-integer types, finiteness, range and order rules live in those builders;
+This module checks only the JSON structure: objects, and known and required
+keys.  Each section's keys are the parameters of the dataclass (or
+constructor) it builds, named as in its table of renames.  Number, integer
+and list types, finiteness, range and order rules live in those builders;
 their :class:`FieldError` is re-raised as a :class:`ConfigError` whose
 message starts with the exact JSON path (``link.bandwidth_hz: ...``), so a
 bad config is diagnosable without reading this module.
@@ -15,7 +15,7 @@ import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List
+from typing import Any, Callable, Dict, Iterable
 
 from .accuracy import FeatureProfile, QuantizerSpec
 from .circstats import FieldError, _check_int
@@ -75,12 +75,6 @@ def _reject_unknown(raw: Dict[str, Any], path: str, known: Iterable[str]) -> Non
     for key in raw:
         if key not in known:
             raise ConfigError(_join(path, key), "unknown field")
-
-
-def _list(value: Any, where: str) -> List[Any]:
-    if not isinstance(value, list):
-        raise ConfigError(where, f"expected a list of integers, got {value!r}")
-    return value
 
 
 def _fields(raw: Any, path: str, make: Callable[..., Any], renames: Dict[str, str],
@@ -143,11 +137,11 @@ def parse_config(raw: Any) -> RunConfig:
     link = _parse_link(top["link"])
     compute = _parse_compute(top["compute"])
     quantizer = _expect_mapping(top["quantizer"], "quantizer")
-    if "bit_alphabet" in quantizer:
-        _list(quantizer["bit_alphabet"], "quantizer.bit_alphabet")
+    if quantizer.get("bit_alphabet", ()) is None:  # QuantizerSpec reads None as the full range
+        raise ConfigError("quantizer.bit_alphabet", "must be a sequence of integers, got null")
     quantizer = _section(quantizer, "quantizer", QuantizerSpec, {}, ["bit_alphabet"])
     exit_keys = {"layers": "exits"}
-    exits = _build("", exit_keys, ExitSet, layers=_list(top["exits"], "exits"))
+    exits = _build("", exit_keys, ExitSet, layers=top["exits"])
     _build("", exit_keys, exits.check_within, profile=profile)
     target = _build("", {"p0": "target_accuracy"}, profile.check_target,
                     p0=top["target_accuracy"])

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circstats import FieldError, _check_finite
+
 __all__ = ["DepthSeries", "AffineFit", "ExponentialFit", "fit_affine", "fit_exponential"]
 
 
@@ -24,16 +26,16 @@ class DepthSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        depths = np.asarray(self.depths, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if depths.ndim != 1 or values.ndim != 1 or depths.shape != values.shape:
-            raise ValueError("depths and values must be equal-length 1-D sequences")
+        depths, values = _check_finite("depths", self.depths), _check_finite("values", self.values)
+        if depths.ndim != 1:
+            raise FieldError("depths", f"must be one-dimensional, got shape {depths.shape}")
+        if values.shape != depths.shape:
+            raise FieldError("values",
+                             f"must have depths' shape {depths.shape}, got {values.shape}")
         if depths.size < 2:
-            raise ValueError("need at least 2 points to fit")
-        if not (np.all(np.isfinite(depths)) and np.all(np.isfinite(values))):
-            raise ValueError("depths and values must be finite")
+            raise FieldError("depths", f"needs at least 2 points to fit, got {depths.size}")
         if np.unique(depths).size != depths.size:
-            raise ValueError("depths must be distinct")
+            raise FieldError("depths", "must be distinct")
         object.__setattr__(self, "depths", depths)
         object.__setattr__(self, "values", values)
 
@@ -79,7 +81,7 @@ def fit_exponential(series: DepthSeries) -> ExponentialFit:
     decay rate of zero or below is flagged rather than rejected.
     """
     if np.any(series.values <= 0.0):
-        raise ValueError("exponential fitting requires strictly positive values")
+        raise FieldError("values", f"must be > 0 for a log fit, got {float(series.values.min())!r}")
     log_fit = fit_affine(DepthSeries(series.depths, np.log(series.values)))
     c4 = -log_fit.c1
     return ExponentialFit(

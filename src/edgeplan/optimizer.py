@@ -33,7 +33,7 @@ from .accuracy import (
     min_depth_for_accuracy,
     quant_variance,
 )
-from .circstats import FieldError, _check_int
+from .circstats import FieldError, _check_increasing
 from .system import (
     ComputeProfile,
     LinkState,
@@ -54,12 +54,7 @@ class ExitSet:
     layers: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        layers = tuple(_check_int(f"layers[{i}]", l, 1) for i, l in enumerate(self.layers))
-        if not layers:
-            raise FieldError("layers", "exit set must be nonempty")
-        if any(b <= a for a, b in zip(layers, layers[1:])):
-            raise FieldError("layers", "exit layers must be strictly increasing")
-        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "layers", _check_increasing("layers", self.layers, 1))
 
     @property
     def deepest(self) -> int:

@@ -31,7 +31,8 @@ from typing import Iterable, List, NamedTuple, Tuple
 import numpy as np
 
 from .accuracy import FeatureProfile, QuantizerSpec, grad_energy, kappa_bar, quant_variance
-from .circstats import AngularSampleSet, _check_int, _check_real, _wrap, sample_von_mises
+from .circstats import (AngularSampleSet, FieldError, _check_finite, _check_int, _check_real,
+                        _wrap, sample_von_mises)
 from .optimizer import ExitSet, Plan, _discrete_plans, solve_cr, solve_discrete
 from .rng import derive_seed, make_rng
 from .system import ComputeProfile, LinkState, snr_db_to_linear
@@ -81,24 +82,22 @@ def _add_noise(
 ) -> np.ndarray:
     """Add wrapped Gaussian noise of variance ``sigma2 * grad_energy(ell)``; none at variance 0.
 
-    ``angles`` are finite, and so is the noise once its variance is, so the
-    sum is wrapped without a finiteness pass.
+    ``angles`` are finite, and so is the noise once its variance is (an
+    overflow is named ``sigma2``), so the sum is wrapped without a finiteness pass.
     """
-    variance = sigma2 * grad_energy(ell, profile)
+    variance = _check_real("sigma2", sigma2 * grad_energy(ell, profile))
     if variance == 0.0:
         return angles
-    if not math.isfinite(variance):
-        raise ValueError(f"noise variance must be finite, got {variance!r}")
     noisy = rng.normal(0.0, math.sqrt(variance), size=angles.size)
     noisy += angles
-    return _wrap(noisy)
+    return _wrap(noisy, out=noisy)
 
 
 def _score(correct: np.ndarray) -> AccuracyEstimate:
     """Accuracy of a boolean ``correct`` array with its 95% Wald half-width."""
     n = int(correct.size)
     if n == 0:
-        raise ValueError("nothing to score")
+        raise FieldError("samples", "nothing to score")
     value = float(np.mean(correct))
     half = _Z_95 * math.sqrt(value * (1.0 - value) / n)
     return AccuracyEstimate(value=value, ci_half_width=half, n=n)
@@ -177,13 +176,9 @@ def classify_map(theta, profile: FeatureProfile):
     argmax over all J bit for bit, in O(n) work and memory for n angles.
     Accepts scalars or arrays.
     """
-    th = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(th)):
-        raise ValueError("angles must be finite")
+    th = _check_finite("theta", theta)
     labels = _classify(th.reshape(-1), profile)
-    if th.ndim == 0:
-        return int(labels[0])
-    return labels.reshape(th.shape)
+    return int(labels[0]) if th.ndim == 0 else labels.reshape(th.shape)
 
 
 def _classify(flat: np.ndarray, profile: FeatureProfile) -> np.ndarray:
@@ -215,8 +210,6 @@ def _classify(flat: np.ndarray, profile: FeatureProfile) -> np.ndarray:
 
 def empirical_accuracy(samples: AngularSampleSet, profile: FeatureProfile) -> AccuracyEstimate:
     """Fraction of labeled samples whose MAP class matches the label."""
-    if samples.labels is None:
-        raise ValueError("empirical accuracy needs labeled samples")
     samples.check_labels(profile.j_classes)
     return _score(_classify(samples.angles, profile) == samples.labels)
 
@@ -319,20 +312,21 @@ def sweep(
     tasks = _check_int("tasks", tasks, 1)
     snr_db_grid, exit_variants = list(snr_db_grid), list(exit_variants)
     p0_list = [profile.check_target(p0) for p0 in p0_list]
-    if not snr_db_grid:
-        raise ValueError("SNR grid must be nonempty")
-    if not exit_variants or not p0_list:
-        raise ValueError("exit variants and p0 list must be nonempty")
+    lists = {"snr_db_grid": snr_db_grid, "exit_variants": exit_variants, "p0_list": p0_list}
+    for name, values in lists.items():
+        if not values:
+            raise FieldError(name, "must be nonempty")
     points = [replace(link, snr=snr_db_to_linear(snr_db)) for snr_db in snr_db_grid]
-    cells = product(range(len(exit_variants)), range(len(p0_list)), range(len(snr_db_grid)))
-    row_seeds = {cell: derive_seed(seed, 101, *cell) for cell in cells}
+    seed = _check_int("seed", seed)
     # the discrete plans judge the exit sets before any ceiling is solved
     plans = [_discrete_plans(points, comp, profile, spec, exit_variants, p0) for p0 in p0_list]
     ceilings = [[solve_cr(point, comp, profile, spec, p0).epr for point in points] for p0 in p0_list]
     rows: List[SweepRow] = []
-    for (vi, pi, si), row_seed in row_seeds.items():
+    cells = product(range(len(exit_variants)), range(len(p0_list)), range(len(snr_db_grid)))
+    for vi, pi, si in cells:
         plan = plans[pi][si][vi]
-        accuracy = _score(_simulate(tasks, plan, profile, spec, make_rng(row_seed, _STREAM_TASKS)))
+        rng = make_rng(derive_seed(seed, 101, vi, pi, si), _STREAM_TASKS)
+        accuracy = _score(_simulate(tasks, plan, profile, spec, rng))
         rows.append(
             SweepRow(
                 snr_db=float(snr_db_grid[si]),

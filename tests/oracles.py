@@ -5,9 +5,10 @@ series / asymptotic expansions, inverses from plain bisection (the depth
 search bisects whatever accuracy function the caller hands it), integrals from
 fixed-grid composite Simpson, and the exact accuracy of the simulated noisy
 process and the von Mises CDF from circular-moment Fourier series (scipy's
-``ive`` is used there, which the package never touches for those
-computation paths).  The ``mp_*`` entries compute the resultant map, its
-inverse and the accuracy integral at 30 significant digits with mpmath alone.
+``ive`` is used there, for every order including 0; the package calls only
+``i0e`` and ``i1e``).  The ``mp_*`` entries compute the resultant map, its
+inverse, the accuracy integral and the noisy process's series at 30
+significant digits with mpmath alone.
 ``serial_class_draws`` makes the clean Monte Carlo angles one class after
 another with numpy's Philox generator alone.
 """
@@ -18,7 +19,6 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.special import i0e as _scipy_i0e
 from scipy.special import ive as _scipy_ive
 from scipy.stats import norm as _norm
 
@@ -148,7 +148,7 @@ def noisy_mixture_accuracy(
     a = math.pi / j_classes
     total = a / math.pi
     for m in range(1, terms + 1):
-        am = float(_scipy_ive(m, kappa) / _scipy_i0e(kappa))
+        am = float(_scipy_ive(m, kappa) / _scipy_ive(0, kappa))
         cm = am * math.exp(-0.5 * m * m * sigma2_eff)
         total += (2.0 / math.pi) * cm * math.sin(m * a) / m
         if abs(cm) < 1e-18:
@@ -182,7 +182,7 @@ def von_mises_cdf(x: np.ndarray, kappa: float) -> np.ndarray:
     total = (x + np.pi) / (2.0 * np.pi)
     m = 1
     while True:
-        am = float(_scipy_ive(m, kappa) / _scipy_i0e(kappa))
+        am = float(_scipy_ive(m, kappa) / _scipy_ive(0, kappa))
         total += am * np.sin(m * x) / (m * np.pi)
         if am < 1e-18:
             return total
@@ -236,6 +236,26 @@ def mp_accuracy(kappa: float, j_classes: int) -> mpmath.mpf:
         points = [0, peak, a] if peak < a else [0, a]
         integral = mpmath.quad(lambda x: mpmath.exp(kappa * (mpmath.cos(x) - 1)), points)
         return integral / (mpmath.pi * mpmath.besseli(0, kappa) * mpmath.exp(-kappa))
+
+
+def mp_noisy_mixture_accuracy(kappa: float, sigma2_eff: float, j_classes: int) -> mpmath.mpf:
+    """:func:`noisy_mixture_accuracy`'s series at 30 digits, with ``mp.besseli``.
+
+    ``1/J + (2/pi) sum_m (I_m(kappa)/I0(kappa)) exp(-m^2 sigma2_eff / 2) sin(m pi/J) / m``,
+    summed until a moment drops below 1e-40; the moments fall at least
+    geometrically from there, so the terms left out are far below 30 digits.
+    """
+    with mpmath.workdps(MP_DIGITS):
+        kappa, sigma2_eff = mpmath.mpf(kappa), mpmath.mpf(sigma2_eff)
+        a = mpmath.pi / j_classes
+        i0 = mpmath.besseli(0, kappa)
+        total, m = a / mpmath.pi, 1
+        while True:
+            cm = mpmath.besseli(m, kappa) / i0 * mpmath.exp(-m * m * sigma2_eff / 2)
+            total += 2 / mpmath.pi * cm * mpmath.sin(m * a) / m
+            if cm < mpmath.mpf("1e-40"):
+                return total
+            m += 1
 
 
 def serial_class_draws(seed: int, j_classes: int, kappa: float, n_per_class: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Tests for the circular-statistics kernel."""
 
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +31,10 @@ from edgeplan.circstats import (
     wrap_angle,
     wrapped_gaussian_kappa,
 )
+from edgeplan.fitting import DepthSeries, fit_exponential
+from edgeplan.optimizer import ExitSet
 from edgeplan.rng import make_rng
-from edgeplan.simulator import distort, generate_dataset
+from edgeplan.simulator import classify_map, distort, empirical_accuracy, generate_dataset, sweep
 from edgeplan.system import ComputeProfile, LinkState, comm_latency, comp_latency, epr
 
 import oracles
@@ -160,9 +164,9 @@ def test_wrap_angle_range_and_boundary():
         assert np.float64(wrap_angle(theta)).view(np.int64) == full(theta).view(np.int64)
     assert type(wrap_angle(np.array(5.0))) is float
     for bad in (math.nan, np.array([0.0, math.inf]), np.array([-math.inf, 0.0])):
-        with pytest.raises(ValueError, match="^angles must be finite"):
+        with pytest.raises(FieldError, match="^theta: must be finite reals, got "):
             wrap_angle(bad)
-    # the reduction runs in place on a copy, never on the caller's array
+    # the reduction writes a new array, never the caller's
     kept = inputs.copy()
     wrap_angle(inputs)
     assert np.array_equal(inputs.view(np.int64), kept.view(np.int64))
@@ -277,9 +281,10 @@ def test_estimate_kappa_pooled_missing_class_errors():
     samples = AngularSampleSet(
         angles=np.array([0.0, 0.1, 1.0, 1.1]), labels=np.array([1, 1, 3, 3])
     )
-    with pytest.raises(ValueError, match="class 2"):
+    few = r"^angles\[labels == 2\]: needs at least 2 samples, got 0$"
+    with pytest.raises(FieldError, match=few):
         estimate_kappa_pooled(samples, 3)
-    with pytest.raises(ValueError, match="requires labeled samples"):
+    with pytest.raises(FieldError, match="^labels: must be given$"):
         estimate_kappa_pooled(AngularSampleSet(angles=samples.angles), 3)
 
 
@@ -287,7 +292,7 @@ def test_estimate_kappa_pooled_rejects_labels_above_j():
     # 100 samples of class 3 must not be dropped silently from a J = 2 estimate
     labels = np.repeat([1, 2, 3], 100)
     samples = AngularSampleSet(angles=np.tile(np.linspace(-0.5, 0.5, 100), 3), labels=labels)
-    with pytest.raises(ValueError, match=r"^labels must be class indices <= 2, got 3$"):
+    with pytest.raises(FieldError, match=r"^labels: must be class indices <= 2, got 3$"):
         estimate_kappa_pooled(samples, 2)
     estimate_kappa_pooled(samples, 3)
 
@@ -364,7 +369,7 @@ def test_sample_set_validation():
         AngularSampleSet(angles=np.zeros((2, 2)))
     # an integral or fractional float is no class label: it is rejected, not truncated
     for labels in ([1.7, 2.2], np.array([1.0, 2.0]), [True, True]):
-        with pytest.raises(ValueError, match="^labels must be integers"):
+        with pytest.raises(FieldError, match="^labels: must be integers"):
             AngularSampleSet(angles=np.array([0.0, 0.1]), labels=labels)
     assert AngularSampleSet(angles=np.array([0.0, 0.1]), labels=[1, 2]).labels.dtype == np.int64
     assert AngularSampleSet(angles=np.array([]), labels=[]).labels.size == 0
@@ -432,3 +437,44 @@ def test_scalar_arguments_must_be_finite_and_within_bound(call, name, lowest, ba
     with pytest.raises(FieldError, match=rf"^{name}: must be {rule}") as err:
         call(bad)
     assert err.value.path == name
+
+
+# ---------------------------------------------------------------------------
+# sequence and array argument checks
+# ---------------------------------------------------------------------------
+
+_COMP = ComputeProfile(b1=1e-4, b2=2e-3)
+
+# (test id, call with one bad sequence or array argument, the path named)
+SEQUENCE_ARGUMENTS = [
+    ("ExitSet-number", lambda: ExitSet(layers=9), "layers"),
+    ("ExitSet-string", lambda: ExitSet(layers="19"), "layers"),
+    ("ExitSet-mapping", lambda: ExitSet(layers={9: 19}), "layers"),
+    ("QuantizerSpec-number", lambda: QuantizerSpec(-1.0, 1.0, bit_alphabet=5), "bit_alphabet"),
+    ("wrap_angle", lambda: wrap_angle(math.nan), "theta"),
+    ("classify_map", lambda: classify_map(math.nan, _PROFILE), "theta"),
+    ("distort", lambda: distort(_LABELED, 1e308, 10.0, _PROFILE, seed=1), "sigma2"),
+    ("DepthSeries", lambda: DepthSeries([1, 2], [1, "a"]), "values"),
+    ("AngularSampleSet", lambda: AngularSampleSet(angles="abc"), "angles"),
+    ("estimate_kappa", lambda: estimate_kappa(AngularSampleSet(angles=[0.1])), "angles"),
+    ("empirical_accuracy",
+     lambda: empirical_accuracy(AngularSampleSet(angles=[0.1, 0.2]), _PROFILE), "labels"),
+    ("sweep", lambda: sweep([], _LINK, _COMP, _PROFILE, _SPEC, [ExitSet((9,))], [0.5],
+                            tasks=10, seed=1), "snr_db_grid"),
+    ("fit_exponential", lambda: fit_exponential(DepthSeries([1.0, 2.0], [1.0, 0.0])), "values"),
+]
+
+
+@pytest.mark.parametrize("call, path", [pytest.param(call, path, id=row)
+                                        for row, call, path in SEQUENCE_ARGUMENTS])
+def test_sequence_and_array_arguments_raise_a_field_error_naming_them(call, path):
+    with pytest.raises(FieldError, match=f"^{re.escape(path)}: ") as err:
+        call()
+    assert err.value.path == path
+
+
+def test_only_the_cli_raises_a_bare_value_error():
+    # the CLI's flag and CSV text errors name the flag or the file line themselves
+    for path in Path(circstats.__file__).parent.glob("*.py"):
+        if path.name != "cli.py":
+            assert "raise ValueError(" not in path.read_text(encoding="utf-8"), path.name

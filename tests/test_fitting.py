@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgeplan.accuracy import FeatureProfile, kappa_bar
-from edgeplan.circstats import estimate_kappa_pooled
+from edgeplan.circstats import FieldError, estimate_kappa_pooled
 from edgeplan.fitting import DepthSeries, fit_affine, fit_exponential
 from edgeplan.rng import make_rng
 from edgeplan.simulator import generate_dataset
@@ -13,7 +13,8 @@ from edgeplan.simulator import generate_dataset
 def test_depth_series_validation():
     with pytest.raises(ValueError):
         DepthSeries(depths=np.array([1.0]), values=np.array([2.0]))
-    with pytest.raises(ValueError, match="equal-length"):
+    shape = r"^values: must have depths' shape \(3,\), got \(2,\)$"
+    with pytest.raises(FieldError, match=shape):
         DepthSeries(depths=np.array([1.0, 2.0, 3.0]), values=np.array([2.0, 3.0]))
     with pytest.raises(ValueError):
         DepthSeries(depths=np.array([1.0, 1.0]), values=np.array([2.0, 3.0]))

@@ -34,6 +34,8 @@ from edgeplan.optimizer import ExitSet, brute_force, solve_cr, solve_discrete
 from edgeplan.rng import make_rng
 from edgeplan.system import ComputeProfile, LinkState, snr_db_to_linear
 
+from helpers import random_instance
+
 
 def bounded(examples: int):
     return settings(derandomize=True, database=None, deadline=None, max_examples=examples)
@@ -208,6 +210,28 @@ def test_epr_never_rises_when_p0_rises(scenario, step):
     higher = p0 + step * (1.0 - p0)
     assume(p0 < higher < 1.0 and clear_of_targets(*rest, p0, higher))
     assert solve_discrete(*rest, higher).epr <= solve_discrete(*scenario).epr
+
+
+def test_adaptive_plan_is_never_below_a_fixed_complexity_baseline():
+    # on seeded random instances, clear of near-ties, the adaptive plan's EPR is
+    # at least that of the fixed-depth baseline (the deepest exit only) and of
+    # each fixed-bit baseline (alphabet {q}), and above some of them
+    rng = np.random.default_rng(20260809)
+    checked = wins = 0
+    for _ in range(150):
+        inst = random_instance(rng)
+        link, comp, profile, spec, exits, p0 = (inst[k] for k in ("link", "comp", "profile",
+                                                                   "spec", "exits", "p0"))
+        if not clear_of_targets(link, comp, profile, spec, exits, p0):
+            continue
+        baselines = [dict(inst, exits=ExitSet((exits.deepest,)))]
+        baselines += [dict(inst, spec=replace(spec, bit_alphabet=(q,))) for q in (4, 8, 16)]
+        adaptive = solve_discrete(**inst).epr
+        for baseline in baselines:
+            fixed = solve_discrete(**baseline).epr
+            assert adaptive >= fixed, baseline
+            checked, wins = checked + 1, wins + (adaptive > fixed)
+    assert checked >= 500 and wins >= checked // 2
 
 
 FAILING_PROPERTY = """

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo simulator against the analytic model."""
 
 import importlib
+import itertools
 import math
 import os
 import subprocess
@@ -257,7 +258,7 @@ def test_distort_rejects_noise_whose_variance_overflows():
     # the noisy angles are wrapped without a finiteness pass, so the one
     # non-finite noise that finite angles and a finite sigma2 can make is caught here
     ds = generate_dataset(PROFILE, 15.0, 10, seed=3)
-    with pytest.raises(ValueError, match="^noise variance must be finite, got inf$"):
+    with pytest.raises(FieldError, match="^sigma2: must be a finite real, got inf$"):
         distort(ds, 1e308, 15.0, PROFILE, seed=4)
 
 
@@ -331,7 +332,7 @@ def test_classify_map_centroids_and_ties():
     # the wrap-around point ties classes 10 and 1; smaller index wins
     assert classify_map(np.pi, PROFILE) == 1
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="^angles must be finite"):
+        with pytest.raises(FieldError, match="^theta: must be finite reals, got "):
             classify_map(np.array([0.0, bad]), PROFILE)
 
 
@@ -421,9 +422,9 @@ def test_empirical_accuracy_uniform_is_chance():
 
 
 def test_empirical_accuracy_needs_labels():
-    with pytest.raises(ValueError, match="labeled"):
+    with pytest.raises(FieldError, match="^labels: must be given$"):
         empirical_accuracy(AngularSampleSet(angles=np.array([0.1, 0.2])), PROFILE)
-    with pytest.raises(ValueError, match="^nothing to score$"):
+    with pytest.raises(FieldError, match="^samples: nothing to score$"):
         empirical_accuracy(AngularSampleSet(angles=np.array([]), labels=[]), PROFILE)
 
 
@@ -431,7 +432,7 @@ def test_empirical_accuracy_rejects_labels_above_j():
     # the first label above J is named; a label above J is not a miss
     samples = AngularSampleSet(angles=np.array([0.1, 0.2, 0.3, 0.4]), labels=[1, 2, 3, 7])
     binary = replace(PROFILE, j_classes=2)
-    with pytest.raises(ValueError, match=r"^labels must be class indices <= 2, got 3$"):
+    with pytest.raises(FieldError, match=r"^labels: must be class indices <= 2, got 3$"):
         empirical_accuracy(samples, binary)
     assert empirical_accuracy(samples, replace(PROFILE, j_classes=7)).n == 4
 
@@ -457,6 +458,18 @@ def test_empirical_accuracy_agrees_with_exact_fourier_oracle():
     noisy = distort(ds, quant_variance(q, SPEC), ell, PROFILE, seed=82)
     est = empirical_accuracy(noisy, PROFILE)
     assert abs(est.value - exact) < 3.0 * math.sqrt(exact * (1 - exact) / est.n)
+
+
+def test_exact_fourier_oracle_matches_its_30_digit_series():
+    # the double-precision series behind the Monte Carlo check, against mpmath
+    # at 12 fixed (kappa, sigma2_eff, J) points: every kappa with every noise
+    # level, J cycling through 2, 10 and 1000
+    classes = itertools.cycle((2, 10, 1000))
+    for kappa, sigma2_eff in itertools.product((0.05, 1.0, 10.0, 100.0), (0.0, 0.01, 1.0)):
+        j_classes = next(classes)
+        exact = oracles.mp_noisy_mixture_accuracy(kappa, sigma2_eff, j_classes)
+        value = oracles.noisy_mixture_accuracy(kappa, sigma2_eff, j_classes)
+        assert abs(value - exact) <= 1e-14 * exact, (kappa, sigma2_eff, j_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +676,11 @@ def test_benchmark_tracer_targets_resolve():
 
 
 def test_sweep_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        sweep([], LINK, COMP, STEEP, SPEC, [EXITS], [0.7], tasks=10, seed=1)
-    for variants, p0s in (([], [0.7]), ([EXITS], [])):
-        with pytest.raises(ValueError, match="^exit variants and p0 list must be nonempty$"):
-            sweep([10.0], LINK, COMP, STEEP, SPEC, variants, p0s, tasks=10, seed=1)
+    cases = {"snr_db_grid": ([], [EXITS], [0.7]), "exit_variants": ([10.0], [], [0.7]),
+             "p0_list": ([10.0], [EXITS], [])}
+    for name, (grid, variants, p0s) in cases.items():
+        with pytest.raises(FieldError, match=f"^{name}: must be nonempty$"):
+            sweep(grid, LINK, COMP, STEEP, SPEC, variants, p0s, tasks=10, seed=1)
 
 
 def test_sweep_reads_iterators_like_lists():
