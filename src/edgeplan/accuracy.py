@@ -115,8 +115,9 @@ class QuantizerSpec:
     def __post_init__(self) -> None:
         for name in ("c_min", "c_max"):
             object.__setattr__(self, name, _check_real(name, getattr(self, name)))
-        if not self.c_max > self.c_min:
-            raise FieldError("c_max", f"must exceed c_min ({self.c_min!r}), got {self.c_max!r}")
+        if not 0.0 < self.c_max - self.c_min < math.inf:  # the range is finite, too
+            message = f"must exceed c_min ({self.c_min!r}) by a finite range, got {self.c_max!r}"
+            raise FieldError("c_max", message)
         q_max = _check_int("q_max", self.q_max, 0)
         object.__setattr__(self, "q_max", q_max)
         if self.bit_alphabet is None:

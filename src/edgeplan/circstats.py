@@ -65,13 +65,18 @@ class FieldError(ValueError):
         self.message = message
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is an int, float or numpy number; a bool is none."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _check_real(name: str, x: float, low: float = -math.inf, strict: bool = False) -> float:
-    """``x`` as a float; a :class:`FieldError` naming ``name`` unless it is an
-    int, float or numpy number (not a bool) that is finite and at least ``low``
-    (above it, if ``strict``)."""
+    """``x`` as a float; a :class:`FieldError` naming ``name`` unless it is a
+    real (:func:`_is_real`) that is finite and at least ``low`` (above it, if
+    ``strict``)."""
     value = x
     if type(x) is not float:  # floats, the common case, skip the type tests
-        if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        if not _is_real(x):
             value = math.nan
         else:
             try:
@@ -108,11 +113,19 @@ def _check_increasing(name: str, seq: Iterable, low: int) -> Tuple[int, ...]:
 
 
 def _real_array(name: str, x) -> np.ndarray:
-    """``x`` as a float array; a :class:`FieldError` naming ``name`` if an entry is no number."""
+    """``x`` as a float array; a :class:`FieldError` naming ``name`` unless it is an array of
+    integer or floating dtype or each entry passes :func:`_is_real`, the scalar rule's test."""
+    if not isinstance(x, np.ndarray):
+        x = np.asarray(x, dtype=object)  # the entries as passed: a float dtype reads True as 1.0
+        for entry in x.flat:
+            if not _is_real(entry):
+                raise FieldError(name, f"must be reals, got {entry!r}")
+    elif x.dtype.kind not in "iuf":
+        raise FieldError(name, f"must be reals, got dtype {x.dtype}")
     try:
         return np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FieldError(name, f"must be reals: {exc}") from None
+    except OverflowError:
+        raise FieldError(name, "must be finite reals, got an int beyond the float range") from None
 
 
 def _check_finite(name: str, x) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .accuracy import FeatureProfile, accuracy_model, quant_variance
 from .circstats import FieldError, _check_int, _check_real
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 from .fitting import DepthSeries, fit_affine, fit_exponential
 from .optimizer import ExitSet, Plan, solve_cr, solve_discrete
 from .rng import derive_seed
@@ -99,31 +99,33 @@ def _parse_snr_grid(text: str, link: LinkState) -> List[float]:
     return grid
 
 
-def _parse_exit_variants(text: str, profile: FeatureProfile) -> List[ExitSet]:
-    variants = []
-    for clause in text.split(";"):
-        clause = clause.strip()
-        if not clause:
-            raise ValueError("empty exit-set clause")
-        exits = ExitSet(layers=tuple(_parsed(tok, int) for tok in clause.split(",")))
-        exits.check_within(profile)
-        variants.append(exits)
-    return _distinct(variants)
+def _entries(text: str, sep: str, read: Callable[[str], Any]) -> List[Any]:
+    """``read(token)`` for each ``sep``-separated token of ``text``; a ValueError names a repeat.
+
+    ``read`` passes the token through :func:`_parsed` and judges it by its value type's check.
+    """
+    return _distinct([read(token) for token in text.split(sep)])
 
 
-def _parse_p0_list(text: str, profile: FeatureProfile) -> List[float]:
-    return _distinct([profile.check_target(_parsed(tok, float)) for tok in text.split(",")])
+def _exit_set(clause: str, profile: FeatureProfile) -> ExitSet:
+    """One ``--exits-variants`` clause as an exit set within the model."""
+    clause = clause.strip()
+    if not clause:
+        raise ValueError("empty exit-set clause")
+    exits = ExitSet(layers=tuple(_parsed(tok, int) for tok in clause.split(",")))
+    exits.check_within(profile)
+    return exits
 
 
 def _parse_validate_grid(text: str, profile: FeatureProfile) -> Tuple[List[int], List[int]]:
     parts = text.split("x")
     if len(parts) != 2:
         raise ValueError(f"expected Q1,Q2,...xL1,L2,..., got {text!r}")
-    qs = [_check_int("q", _parsed(tok, int), 0) for tok in parts[0].split(",")]
-    ells = [_check_int("ell", _parsed(tok, int), 1) for tok in parts[1].split(",")]
-    for ell in ells:
-        profile.check_depth(ell)
-    return _distinct(qs), _distinct(ells)
+    qs = _entries(parts[0], ",", lambda tok: _check_int("q", _parsed(tok, int), 0))
+    # a depth within [1, L] comes back from check_depth as the same integer
+    ells = _entries(parts[1], ",",
+                    lambda tok: int(profile.check_depth(_check_int("ell", _parsed(tok, int), 1))))
+    return qs, ells
 
 
 def _flag(flag: str, parse: Callable[..., Any], *args: Any) -> Any:
@@ -168,11 +170,12 @@ def _print_plan(tag: str, plan: Plan) -> None:
     print(" ".join(f"{key}={_fmt(value)}" for _, key, value in entries))
 
 
-def cmd_plan(config: RunConfig, show_cr: bool) -> int:
+def cmd_plan(args: argparse.Namespace) -> int:
+    config = load_config(args.config)
     scenario = (config.link, config.compute, config.profile, config.quantizer)
     plan = solve_discrete(*scenario, config.exits, config.target_accuracy)
     _print_plan("plan", plan)
-    if show_cr:
+    if args.cr:
         _print_plan("plan_cr", solve_cr(*scenario, config.target_accuracy))
     return EXIT_OK if plan.feasible else EXIT_INFEASIBLE
 
@@ -182,27 +185,21 @@ def cmd_plan(config: RunConfig, show_cr: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_sweep(
-    config: RunConfig,
-    snr_grid: List[float],
-    variants: List[ExitSet],
-    p0_list: List[float],
-    out: str,
-) -> int:
-    rows = sweep(
-        snr_grid,
-        config.link,
-        config.compute,
-        config.profile,
-        config.quantizer,
-        variants,
-        p0_list,
-        tasks=config.monte_carlo.tasks,
-        seed=config.seed,
-    )
+def cmd_sweep(args: argparse.Namespace) -> int:
+    config = load_config(args.config)
+    snr_grid = _flag("--snr-db", _parse_snr_grid, args.snr_db, config.link)
+    variants, p0_list = [config.exits], [config.target_accuracy]
+    if args.exits_variants is not None:
+        variants = _flag("--exits-variants", _entries, args.exits_variants, ";",
+                         lambda clause: _exit_set(clause, config.profile))
+    if args.p0_list is not None:
+        p0_list = _flag("--p0-list", _entries, args.p0_list, ",",
+                        lambda tok: config.profile.check_target(_parsed(tok, float)))
+    rows = sweep(snr_grid, config.link, config.compute, config.profile, config.quantizer, variants,
+                 p0_list, tasks=config.monte_carlo.tasks, seed=config.seed)
     rows.sort(key=lambda r: (r.variant, r.p0, r.snr_db))
-    _write_csv(out, rows)
-    print(f"sweep: wrote {len(rows)} rows to {out}")
+    _write_csv(args.out, rows)
+    print(f"sweep: wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 
@@ -226,15 +223,11 @@ class ValidateRow:
     cell_pass: bool
 
 
-def cmd_validate(
-    config: RunConfig,
-    qs: List[int],
-    ells: List[int],
-    perturb: bool,
-    out: str,
-) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
+    config = load_config(args.config)
+    qs, ells = _flag("--grid", _parse_validate_grid, args.grid, config.profile)
     analytic_profile = config.profile
-    if perturb:
+    if args.perturb:
         # negative control: corrupt the analytic side only
         analytic_profile = replace(config.profile, c1=config.profile.c1 / 2.0)
     rows = []
@@ -250,10 +243,10 @@ def cmd_validate(
             gap = abs(est.value - analytic)
             rows.append(ValidateRow(q, ell, analytic, est.value, est.ci_half_width, est.n,
                                     gap, limit, gap < limit))
-    _write_csv(out, rows)
+    _write_csv(args.out, rows)
     total = len(rows)
     failures = sum(not row.cell_pass for row in rows)
-    print(f"validate: {total - failures}/{total} cells pass; wrote {out}")
+    print(f"validate: {total - failures}/{total} cells pass; wrote {args.out}")
     return EXIT_OK if failures == 0 else EXIT_VALIDATION_FAILED
 
 
@@ -284,18 +277,22 @@ def _read_series_csv(path: str) -> DepthSeries:
     return DepthSeries(depths=np.array(depths), values=np.array(values))
 
 
-def cmd_fit(input_path: str, kind: str, out: Optional[str]) -> int:
-    series = _read_series_csv(input_path)
-    name, fit = ("affine", fit_affine) if kind == "affine" else ("exponential", fit_exponential)
+# --kind choice -> (record name, fit)
+_FITS = {"affine": ("affine", fit_affine), "exp": ("exponential", fit_exponential)}
+
+
+def cmd_fit(args: argparse.Namespace) -> int:
+    series = _read_series_csv(args.input)
+    name, fit = _FITS[args.kind]
     values = asdict(fit(series))
     # the numeric fields go to stdout; a raised flag becomes a warning
     shown = " ".join(f"{k}={_fmt(v)}" for k, v in values.items() if not isinstance(v, bool))
     print(f"fit {name}: {shown}")
     if values.get("nonpositive_decay"):
         print("warning: fitted decay rate is not positive", file=sys.stderr)
-    if out:
+    if args.out:
         record = {"kind": name, **values, "n_points": len(series)}
-        Path(out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -311,6 +308,7 @@ def _build_parser() -> _Parser:
     p_plan = sub.add_parser("plan", help="solve one (bit-width, depth) decision")
     p_plan.add_argument("config", help="path to a JSON run configuration")
     p_plan.add_argument("--cr", action="store_true", help="also print the continuous-relaxation plan")
+    p_plan.set_defaults(run=cmd_plan)
 
     p_sweep = sub.add_parser("sweep", help="SNR sweep over exit-set and target-accuracy variants")
     p_sweep.add_argument("config")
@@ -318,6 +316,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--exits-variants", metavar="L1,L2;L1,L2,L3;...", default=None)
     p_sweep.add_argument("--p0-list", metavar="P1,P2,...", default=None)
     p_sweep.add_argument("--out", required=True)
+    p_sweep.set_defaults(run=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="Monte Carlo check of the analytic accuracy model")
     p_val.add_argument("config")
@@ -325,44 +324,25 @@ def _build_parser() -> _Parser:
     p_val.add_argument("--perturb", action="store_true",
                        help="negative control: halve c1 on the analytic side only")
     p_val.add_argument("--out", required=True)
+    p_val.set_defaults(run=cmd_validate)
 
     p_fit = sub.add_parser("fit", help="least-squares fit of a (depth, value) series")
     p_fit.add_argument("--input", required=True, help="two-column CSV of (depth, value)")
-    p_fit.add_argument("--kind", required=True, choices=["affine", "exp"])
+    p_fit.add_argument("--kind", required=True, choices=_FITS)
     p_fit.add_argument("--out", default=None, help="write the fitted record as JSON")
+    p_fit.set_defaults(run=cmd_fit)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     try:
-        if args.command == "plan":
-            return cmd_plan(load_config(args.config), show_cr=args.cr)
-        if args.command == "sweep":
-            config = load_config(args.config)
-            snr_grid = _flag("--snr-db", _parse_snr_grid, args.snr_db, config.link)
-            variants = (
-                _flag("--exits-variants", _parse_exit_variants, args.exits_variants, config.profile)
-                if args.exits_variants is not None
-                else [config.exits]
-            )
-            p0_list = (
-                _flag("--p0-list", _parse_p0_list, args.p0_list, config.profile)
-                if args.p0_list is not None
-                else [config.target_accuracy]
-            )
-            return cmd_sweep(config, snr_grid, variants, p0_list, args.out)
-        if args.command == "validate":
-            config = load_config(args.config)
-            qs, ells = _flag("--grid", _parse_validate_grid, args.grid, config.profile)
-            return cmd_validate(config, qs, ells, args.perturb, args.out)
-        return cmd_fit(args.input, args.kind, args.out)  # argparse admits no other command
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -70,6 +70,10 @@ def test_quantizer_validation():
         QuantizerSpec(c_min=0.0, c_max=1.0, bit_alphabet=(4, 2))
     with pytest.raises(ValueError):
         QuantizerSpec(c_min=0.0, c_max=1.0, bit_alphabet=())
+    # each bound is finite, but the range between them overflows a float
+    with pytest.raises(FieldError, match=r"^c_max: must exceed c_min .* by a finite range") as err:
+        QuantizerSpec(c_min=-1e308, c_max=1e308)
+    assert err.value.path == "c_max"
     assert QuantizerSpec(c_min=0.0, c_max=1.0, q_max=4).bit_alphabet == (0, 1, 2, 3, 4)
 
 

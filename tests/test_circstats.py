@@ -462,6 +462,13 @@ SEQUENCE_ARGUMENTS = [
     ("sweep", lambda: sweep([], _LINK, _COMP, _PROFILE, _SPEC, [ExitSet((9,))], [0.5],
                             tasks=10, seed=1), "snr_db_grid"),
     ("fit_exponential", lambda: fit_exponential(DepthSeries([1.0, 2.0], [1.0, 0.0])), "values"),
+    # a bool or a string is no real in an array either, though numpy reads both as floats
+    ("wrap_angle-string-and-bool", lambda: wrap_angle(["1.5", True]), "theta"),
+    ("wrap_angle-string-dtype", lambda: wrap_angle(np.array(["1.5"])), "theta"),
+    ("DepthSeries-bool-and-string", lambda: DepthSeries([1, 2], [True, "3"]), "values"),
+    ("AngularSampleSet-bool", lambda: AngularSampleSet(angles=[True, 0.5]), "angles"),
+    ("classify_map-bool-dtype", lambda: classify_map(np.array([True, False]), _PROFILE), "theta"),
+    ("wrap_angle-int-beyond-float", lambda: wrap_angle([1, 10**400]), "theta"),
 ]
 
 
@@ -471,6 +478,13 @@ def test_sequence_and_array_arguments_raise_a_field_error_naming_them(call, path
     with pytest.raises(FieldError, match=f"^{re.escape(path)}: ") as err:
         call()
     assert err.value.path == path
+
+
+def test_integer_and_float_arrays_and_sequences_are_reals():
+    for theta in ([1, 2.5], (np.int8(3), np.float32(0.5)), np.arange(3), np.float32([0.5]), 2):
+        assert np.array_equal(wrap_angle(theta), np.asarray(theta, dtype=float))
+    series = DepthSeries(np.arange(1, 4), [np.uint8(2), 3, 4.5])
+    assert series.depths.dtype == series.values.dtype == np.float64
 
 
 def test_only_the_cli_raises_a_bare_value_error():

@@ -92,6 +92,11 @@ MALFORMED = [
     (lambda c: c["compute"].__setitem__("per_layer_flops", -1.0), "compute.per_layer_flops"),
     (lambda c: c["quantizer"].__setitem__("q_max", -1), "quantizer.q_max"),
     (
+        lambda c: c["quantizer"].update(c_min=-1e308, c_max=1e308),
+        "quantizer.c_max",
+        "quantizer.c_max-c_min=inf",
+    ),
+    (
         lambda c: c["quantizer"].__setitem__("bit_alphabet", [0, 1, 99]),
         "quantizer.bit_alphabet[2]",
     ),
@@ -516,6 +521,9 @@ LIST_TOKEN_ERRORS = [
     ("sweep", "--exits-variants=", "empty exit-set clause"),
     ("validate", "--grid=8x9.5", "must be an integer >= 1, got '9.5'"),
     ("validate", "--grid=8.0x9", "must be an integer >= 0, got '8.0'"),
+    # of several bad entries, the first in reading order is named
+    ("validate", "--grid=8,8x99", "repeated entry 8"),
+    ("validate", "--grid=8x99,9.5", "depth must lie in [1, 39], got 99"),
 ]
 
 

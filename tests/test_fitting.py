@@ -20,6 +20,8 @@ def test_depth_series_validation():
         DepthSeries(depths=np.array([1.0, 1.0]), values=np.array([2.0, 3.0]))
     with pytest.raises(ValueError):
         DepthSeries(depths=np.array([1.0, 2.0]), values=np.array([2.0, np.inf]))
+    with pytest.raises(FieldError, match=r"^depths: must be one-dimensional, got shape \(2, 2\)$"):
+        DepthSeries(depths=np.eye(2), values=np.ones((2, 2)))
     series = DepthSeries(depths=np.array([1.0, 2.0]), values=np.array([2.0, 3.0]))
     assert len(series) == 2
 
