@@ -25,7 +25,7 @@ from .config import ConfigError, load_config
 from .fitting import DepthSeries, fit_affine, fit_exponential
 from .optimizer import ExitSet, Plan, solve_cr, solve_discrete
 from .rng import derive_seed
-from .simulator import distort, empirical_accuracy, generate_dataset, sweep
+from .simulator import _cell_accuracy, sweep
 from .system import LinkState, snr_db_to_linear
 
 EXIT_OK = 0
@@ -234,11 +234,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for qi, q in enumerate(qs):
         for li, ell in enumerate(ells):
             analytic = accuracy_model(q, ell, analytic_profile, config.quantizer)
+            # empirical_accuracy(distort(generate_dataset(...))) in one fused pass, bit for bit
             cell_seed = derive_seed(config.seed, 201, qi, li)
-            clean = generate_dataset(config.profile, ell, config.monte_carlo.n_per_class, cell_seed)
             sigma2 = quant_variance(q, config.quantizer)
-            noisy = distort(clean, sigma2, ell, config.profile, cell_seed)
-            est = empirical_accuracy(noisy, config.profile)
+            est = _cell_accuracy(config.profile, ell, config.monte_carlo.n_per_class, sigma2,
+                                 cell_seed)
             limit = 3.0 * np.sqrt(analytic * (1.0 - analytic) / est.n)
             gap = abs(est.value - analytic)
             rows.append(ValidateRow(q, ell, analytic, est.value, est.ci_half_width, est.n,

@@ -4,15 +4,20 @@ The simulated process has three stages, each implemented once: von Mises
 angles from :func:`~edgeplan.circstats.sample_von_mises`, wrapped Gaussian
 noise of variance ``sigma2 * grad_energy(depth)`` added in the angular
 domain (the process the analytic model describes), and MAP classification
-scored into an :class:`AccuracyEstimate` with a binomial interval.
-``validate`` runs them as :func:`generate_dataset` (one stream per class,
-the classes drawn on every usable core with the same output whatever their
-number), :func:`distort` (one noise stream) and :func:`empirical_accuracy`;
-:func:`run_algorithm1` runs them on one stream per batch, angles before
-noise.  :func:`sweep` chooses exits once per (p0, bit-width) for every
-exit set and SNR sharing that bit-width, solves the continuous ceiling once
-per (p0, SNR), and simulates each row with the batch step ``_simulate`` that
-:func:`run_algorithm1` also runs, each scoring its ``correct`` array itself.
+scored into an :class:`AccuracyEstimate` with a binomial interval by one
+Wald rule over a count of hits.  The public chain runs them as
+:func:`generate_dataset` (one stream per class, the classes drawn on every
+usable core with the same output whatever their number), :func:`distort`
+(one noise stream) and :func:`empirical_accuracy`.  ``validate`` scores
+each cell with ``_cell_accuracy``, which equals that chain bit for bit:
+each core draws a block of classes while the caller draws the noise, then
+adds its slice of the noise, labels and counts class by class, so no
+whole-cell sample set is built.  :func:`run_algorithm1` runs the stages on
+one stream per batch, angles before noise.  :func:`sweep` chooses exits
+once per (p0, bit-width) for every exit set and SNR sharing that
+bit-width, solves the continuous ceiling once per (p0, SNR), and simulates
+each row with the batch step ``_simulate`` that :func:`run_algorithm1` also
+runs.
 
 Every stage draws from an explicit generator addressed by (seed, stream),
 so cells and rows are independent and reproduce bit for bit.  No shared
@@ -23,10 +28,10 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -77,28 +82,32 @@ class AccuracyEstimate(NamedTuple):
     n: int
 
 
-def _add_noise(
-    angles: np.ndarray, sigma2: float, ell: float, profile: FeatureProfile, rng: np.random.Generator
-) -> np.ndarray:
-    """Add wrapped Gaussian noise of variance ``sigma2 * grad_energy(ell)``; none at variance 0.
+def _noise_variance(sigma2: float, ell: float, profile: FeatureProfile) -> float:
+    """The angular noise variance ``sigma2 * grad_energy(ell)``; an overflow is named ``sigma2``."""
+    return _check_real("sigma2", sigma2 * grad_energy(ell, profile))
 
-    ``angles`` are finite, and so is the noise once its variance is (an
-    overflow is named ``sigma2``), so the sum is wrapped without a finiteness pass.
+
+def _draw_noise(variance: float, size: int, rng: np.random.Generator) -> Optional[np.ndarray]:
+    """``size`` Gaussian draws of finite ``variance`` from ``rng``; None, drawing nothing, at 0."""
+    return rng.normal(0.0, math.sqrt(variance), size=size) if variance else None
+
+
+def _add_noise(angles: np.ndarray, noise: Optional[np.ndarray]) -> np.ndarray:
+    """``angles`` plus ``noise`` (None for none), wrapped into ``noise``'s own memory.
+
+    Both are finite, so the sum is wrapped without a finiteness pass.
     """
-    variance = _check_real("sigma2", sigma2 * grad_energy(ell, profile))
-    if variance == 0.0:
+    if noise is None:
         return angles
-    noisy = rng.normal(0.0, math.sqrt(variance), size=angles.size)
-    noisy += angles
-    return _wrap(noisy, out=noisy)
+    noise += angles
+    return _wrap(noise, out=noise)
 
 
-def _score(correct: np.ndarray) -> AccuracyEstimate:
-    """Accuracy of a boolean ``correct`` array with its 95% Wald half-width."""
-    n = int(correct.size)
+def _score(correct: int, n: int) -> AccuracyEstimate:
+    """Accuracy of ``correct`` hits in ``n`` samples with its 95% Wald half-width."""
     if n == 0:
         raise FieldError("samples", "nothing to score")
-    value = float(np.mean(correct))
+    value = int(correct) / n
     half = _Z_95 * math.sqrt(value * (1.0 - value) / n)
     return AccuracyEstimate(value=value, ci_half_width=half, n=n)
 
@@ -109,35 +118,91 @@ def generate_dataset(
     """Draw ``n_per_class`` clean labeled samples per class at depth ``ell``.
 
     Class ``j`` is sampled from ``vM(centroid_j, kappa_bar(ell))`` on its own
-    RNG stream.  Classes 1..J are split into one contiguous block per usable
-    core (at most J blocks): the calling thread draws the first block and a
-    pool made for this call draws the rest, and the classes are joined in
-    class order, so the output is the same bit for bit on any number of
-    cores.  numpy releases the GIL while it draws.  Every argument is
-    checked before a thread starts, and the pool is shut down, its threads
-    joined, before this returns or raises.
+    RNG stream, the classes drawn on every usable core by
+    :func:`_class_blocks`, so the output is the same bit for bit on any
+    number of cores.  numpy releases the GIL while it draws.  Every argument
+    is checked before a thread starts.
     """
     seed = _check_int("seed", seed)
     n_per_class = _check_int("n_per_class", n_per_class, 1)
     kappa = kappa_bar(ell, profile)
-    classes = list(enumerate(profile.centroids, start=1))
 
-    def draw(block):
-        return [
-            sample_von_mises(make_rng(seed, _STREAM_GENERATE, j), float(mu), kappa, n_per_class)
-            for j, mu in block
-        ]
+    def draw(block, ready):
+        return [_draw_class(seed, j, mu, kappa, n_per_class) for j, mu in block]
 
-    j_classes = len(classes)
-    blocks = min(_usable_cores(), j_classes)
-    bounds = [b * j_classes // blocks for b in range(blocks + 1)]
-    with ThreadPoolExecutor(max_workers=max(blocks - 1, 1)) as pool:
-        rest = [pool.submit(draw, classes[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        per_class = draw(classes[: bounds[1]])
-        for block in rest:
-            per_class += block.result()
-    labels = np.repeat(np.arange(1, j_classes + 1), n_per_class)
+    per_class = [angles for block in _class_blocks(profile, draw) for angles in block]
+    labels = np.repeat(np.arange(1, profile.j_classes + 1), n_per_class)
     return AngularSampleSet(angles=np.concatenate(per_class), labels=labels)
+
+
+def _draw_class(seed: int, j: int, mu: float, kappa: float, n: int) -> np.ndarray:
+    """``n`` clean angles of class ``j`` from its stream ``(seed, _STREAM_GENERATE, j)``."""
+    return sample_von_mises(make_rng(seed, _STREAM_GENERATE, j), float(mu), kappa, n)
+
+
+def _class_blocks(
+    profile: FeatureProfile, work: Callable, meanwhile: Callable = lambda: None
+) -> list:
+    """``work(block, ready)`` for each contiguous block of the classes, in class order.
+
+    A block is a list of ``(j, centroid_j)``; classes 1..J are split into one
+    block per usable core (at most J blocks).  A pool made for this call runs
+    every block but the first; the calling thread meanwhile runs
+    ``meanwhile()`` and then the first block.  ``ready`` is a future of
+    ``meanwhile()``'s value, or of its error, so a worker that waits on it
+    always ends.  The pool is shut down, its threads joined, before this
+    returns or raises.
+    """
+    classes = list(enumerate(profile.centroids, start=1))
+    blocks = min(_usable_cores(), len(classes))
+    bounds = [b * len(classes) // blocks for b in range(blocks + 1)]
+    ready = Future()
+
+    def run(block):
+        return work(block, ready)
+
+    with ThreadPoolExecutor(max_workers=max(blocks - 1, 1)) as pool:
+        try:
+            rest = [pool.submit(run, classes[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+            ready.set_result(meanwhile())
+        except BaseException as exc:
+            ready.set_exception(exc)
+            raise
+        return [run(classes[: bounds[1]])] + [block.result() for block in rest]
+
+
+def _cell_accuracy(
+    profile: FeatureProfile, ell: float, n_per_class: int, sigma2: float, seed: int
+) -> AccuracyEstimate:
+    """``empirical_accuracy(distort(generate_dataset(...), sigma2, ...))``, bit for bit.
+
+    The classes are split and drawn as :func:`generate_dataset` draws them,
+    while the calling thread draws the noise vector as :func:`distort`
+    does.  Each block then adds its slice of noise class by class, wraps
+    it, labels it against the known class and counts the hits, so no
+    concatenated angles, labels or sample set are built.  Every argument is
+    checked before a thread starts.
+    """
+    seed = _check_int("seed", seed)
+    n_per_class = _check_int("n_per_class", n_per_class, 1)
+    kappa = kappa_bar(ell, profile)
+    variance = _noise_variance(_check_real("sigma2", sigma2, 0.0), ell, profile)
+    size = profile.j_classes * n_per_class
+
+    def draw_noise():
+        return _draw_noise(variance, size, make_rng(seed, _STREAM_DISTORT))
+
+    def count(block, ready):
+        hits = 0
+        for j, mu in block:
+            angles = _draw_class(seed, j, mu, kappa, n_per_class)
+            noise = ready.result()
+            if noise is not None:  # this class's slice, summed in place
+                angles = _add_noise(angles, noise[(j - 1) * n_per_class : j * n_per_class])
+            hits += np.count_nonzero(_classify(angles, profile) == j)
+        return hits
+
+    return _score(sum(_class_blocks(profile, count, draw_noise)), size)
 
 
 def _usable_cores() -> int:
@@ -155,8 +220,9 @@ def distort(
     Each angle gains an independent Gaussian of variance
     ``sigma2 * grad_energy(ell)``, wrapped back onto the circle; labels are kept.
     """
-    sigma2 = _check_real("sigma2", sigma2, 0.0)
-    angles = _add_noise(samples.angles, sigma2, ell, profile, make_rng(seed, _STREAM_DISTORT))
+    variance = _noise_variance(_check_real("sigma2", sigma2, 0.0), ell, profile)
+    noise = _draw_noise(variance, samples.angles.size, make_rng(seed, _STREAM_DISTORT))
+    angles = _add_noise(samples.angles, noise)
     return AngularSampleSet(angles=angles, labels=samples.labels)
 
 
@@ -211,7 +277,8 @@ def _classify(flat: np.ndarray, profile: FeatureProfile) -> np.ndarray:
 def empirical_accuracy(samples: AngularSampleSet, profile: FeatureProfile) -> AccuracyEstimate:
     """Fraction of labeled samples whose MAP class matches the label."""
     samples.check_labels(profile.j_classes)
-    return _score(_classify(samples.angles, profile) == samples.labels)
+    correct = _classify(samples.angles, profile) == samples.labels
+    return _score(np.count_nonzero(correct), correct.size)
 
 
 def run_algorithm1(
@@ -235,7 +302,7 @@ def run_algorithm1(
     tasks, rng = _check_int("tasks", tasks, 1), make_rng(seed, _STREAM_TASKS)
     plan = solve_discrete(link, comp, profile, spec, exits, p0)
     correct = _simulate(tasks, plan, profile, spec, rng)
-    return correct, plan, _score(correct)
+    return correct, plan, _score(np.count_nonzero(correct), tasks)
 
 
 def _simulate(
@@ -255,7 +322,8 @@ def _simulate(
     if plan.feasible:
         mu = profile.centroids[true_classes - 1]
         angles = sample_von_mises(rng, mu, kappa_bar(plan.ell, profile), tasks)
-        angles = _add_noise(angles, quant_variance(plan.q, spec), plan.ell, profile, rng)
+        variance = _noise_variance(quant_variance(plan.q, spec), plan.ell, profile)
+        angles = _add_noise(angles, _draw_noise(variance, tasks, rng))
         predicted = _classify(angles, profile)
     else:
         predicted = rng.integers(1, j + 1, size=tasks)
@@ -326,7 +394,7 @@ def sweep(
     for vi, pi, si in cells:
         plan = plans[pi][si][vi]
         rng = make_rng(derive_seed(seed, 101, vi, pi, si), _STREAM_TASKS)
-        accuracy = _score(_simulate(tasks, plan, profile, spec, rng))
+        accuracy = _score(np.count_nonzero(_simulate(tasks, plan, profile, spec, rng)), tasks)
         rows.append(
             SweepRow(
                 snr_db=float(snr_db_grid[si]),

@@ -28,6 +28,7 @@ from edgeplan.accuracy import (
     quant_variance,
 )
 from edgeplan.circstats import (
+    KAPPA_MAX,
     AngularSampleSet,
     FieldError,
     bessel_ratio,
@@ -107,6 +108,22 @@ def test_generate_dataset_argument_errors(monkeypatch):
         generate_dataset(PROFILE, 0.5, 10, seed=1)
     with pytest.raises(ValueError):
         generate_dataset(PROFILE, 10.0, 0, seed=1)
+
+
+def test_a_validate_cell_judges_every_argument_before_a_pool_exists(monkeypatch):
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", _no_pool)
+    good = dict(profile=PROFILE, ell=10.0, n_per_class=3, sigma2=1e-3, seed=1)
+    bad = [
+        ("ell", dict(ell=0.5)),
+        ("n_per_class", dict(n_per_class=0)),
+        ("seed", dict(seed="7")),
+        ("sigma2", dict(sigma2=-1e-3)),
+        ("sigma2", dict(sigma2=1e308)),  # finite, but sigma2 * grad_energy overflows
+    ]
+    for path, change in bad:
+        with pytest.raises(FieldError) as err:
+            simulator._cell_accuracy(**{**good, **change})
+        assert err.value.path == path
 
 
 def _no_pool(*args, **kwargs):
@@ -195,32 +212,113 @@ def test_the_caller_draws_the_first_block_and_the_pool_the_rest(monkeypatch):
     assert sorted(j for _, j in drawn) == list(range(1, 11))
 
 
-@pytest.mark.parametrize("failing_class", [None, 1, 10], ids=["none", "caller", "worker"])
-def test_a_failing_class_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, failing_class):
-    # on 2 cores the caller draws classes 1-5 and one worker classes 6-10
+def _chain(profile, ell, n, sigma2, seed):
+    """The public Monte Carlo chain that a validate cell fuses."""
+    clean = generate_dataset(profile, ell, n, seed)
+    return empirical_accuracy(distort(clean, sigma2, ell, profile, seed), profile)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
+@pytest.mark.parametrize("j_classes", [2, 3, 10, 1000])
+def test_a_validate_cell_is_the_public_chain_on_any_core_count(monkeypatch, j_classes, cores):
+    # q = 0 leaves almost uniform angles, q = 64 all but none of the noise;
+    # 8 cores run with a 1 us switch interval, as the dataset test does, so
+    # the blocks' in-place writes to their slices of one noise vector interleave
+    profile = FeatureProfile(j_classes=j_classes, c1=0.35, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
+    n = 5 if j_classes == 1000 else 300
+    _force_cores(monkeypatch, cores)
+    interval = sys.getswitchinterval()
+    if cores == 8:
+        sys.setswitchinterval(1e-6)
+    try:
+        for (qi, q), ell in itertools.product(enumerate([0, 4, 16, 64]), [1, 20, 39]):
+            seed = derive_seed(j_classes, 201, qi, ell)
+            sigma2 = quant_variance(q, SPEC)
+            cell = _within(60.0, lambda: simulator._cell_accuracy(profile, ell, n, sigma2, seed))
+            assert cell == _chain(profile, ell, n, sigma2, seed)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("j_classes", [2, 10])
+def test_a_validate_cell_is_the_public_chain_at_its_edges(monkeypatch, j_classes):
+    # one sample per class, the concentration cap, and no noise at all
+    spiky = FeatureProfile(j_classes=j_classes, c1=1e9, c2=0.0, c3=1.0, c4=0.0, n_layers=39)
+    assert kappa_bar(1.0, spiky) == KAPPA_MAX
     _force_cores(monkeypatch, 2)
-    sample = simulator.sample_von_mises
+    for profile, n, sigma2 in itertools.product([PROFILE, spiky], [1, 7], [0.0, 1e-3, 3.0]):
+        for seed in range(3):
+            assert simulator._cell_accuracy(profile, 1.0, n, sigma2, seed) == _chain(
+                profile, 1.0, n, sigma2, seed
+            )
 
-    class DrawFailed(Exception):
-        pass
 
-    def failing(rng, mu, kappa, n):
-        if failing_class is not None and mu == PROFILE.centroids[failing_class - 1]:
-            raise DrawFailed(failing_class)
+class DrawFailed(Exception):
+    pass
+
+
+def _failing_draws(monkeypatch, failing):
+    """Make the simulator's draw of class ``failing`` (or of the noise) raise ``DrawFailed``."""
+    sample, make = simulator.sample_von_mises, simulator.make_rng
+
+    def failing_class(rng, mu, kappa, n):
+        if mu == PROFILE.centroids[failing - 1]:
+            raise DrawFailed(failing)
         return sample(rng, mu, kappa, n)
 
-    monkeypatch.setattr(simulator, "sample_von_mises", failing)
+    class FailingNoise:
+        def normal(self, *args, **kwargs):
+            raise DrawFailed("noise")
+
+    def failing_noise(seed, *stream):
+        return FailingNoise() if stream == (simulator._STREAM_DISTORT,) else make(seed, *stream)
+
+    if failing == "noise":
+        monkeypatch.setattr(simulator, "make_rng", failing_noise)
+    elif failing is not None:
+        monkeypatch.setattr(simulator, "sample_von_mises", failing_class)
+
+
+def _ends_without_a_thread(call, result_ok, failing):
+    """``call()`` returns ``result_ok`` or, given a failure, raises it, and leaves no thread."""
     before = set(threading.enumerate())
-    if failing_class is None:
-        assert len(generate_dataset(PROFILE, 12.0, 1_000, seed=5)) == 10_000
+    if failing is None:
+        assert result_ok(_within(60.0, call))
     else:
         with pytest.raises(DrawFailed) as err:
-            generate_dataset(PROFILE, 12.0, 1_000, seed=5)
-        assert err.value.args == (failing_class,)
+            _within(60.0, call)
+        assert err.value.args == (failing,)
     deadline = time.monotonic() + 10.0
     while set(threading.enumerate()) != before and time.monotonic() < deadline:
         time.sleep(0.01)
     assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("failing_class", [None, 1, 10], ids=["none", "caller", "worker"])
+def test_a_failing_class_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, failing_class):
+    # on 2 cores the caller draws classes 1-5 and one worker classes 6-10
+    _force_cores(monkeypatch, 2)
+    _failing_draws(monkeypatch, failing_class)
+    _ends_without_a_thread(
+        lambda: generate_dataset(PROFILE, 12.0, 1_000, seed=5),
+        lambda ds: len(ds) == 10_000,
+        failing_class,
+    )
+
+
+@pytest.mark.parametrize("failing", [None, 1, 10, "noise"], ids=["none", "caller", "worker", "noise"])
+def test_a_failing_draw_in_a_validate_cell_reaches_the_caller_and_leaves_no_thread(
+    monkeypatch, failing
+):
+    # the caller draws the noise while the worker draws classes 6-10; a
+    # failed noise draw must release the worker, which waits for its slice
+    _force_cores(monkeypatch, 2)
+    _failing_draws(monkeypatch, failing)
+    _ends_without_a_thread(
+        lambda: simulator._cell_accuracy(PROFILE, 12.0, 1_000, 1e-3, seed=5),
+        lambda est: est.n == 10_000,
+        failing,
+    )
 
 
 def test_importing_the_package_starts_no_thread():
@@ -694,12 +792,13 @@ def test_sweep_reads_iterators_like_lists():
 @pytest.mark.parametrize("seed", ["7", True, 7.9, None], ids=repr)
 def test_seeds_must_be_integers_wherever_streams_are_made(seed, monkeypatch):
     # a string, bool or float seed once drew the stream of int(seed); the
-    # dataset's seed is judged before its pool is made
+    # dataset's and a validate cell's seed are judged before their pool is made
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", _no_pool)
     calls = [
         lambda: make_rng(seed),
         lambda: derive_seed(seed, 1),
         lambda: generate_dataset(PROFILE, 10.0, 3, seed),
+        lambda: simulator._cell_accuracy(PROFILE, 10.0, 3, 1e-3, seed),
         lambda: run_algorithm1(10, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed),
         lambda: sweep([10.0], LINK, COMP, STEEP, SPEC, [EXITS], [0.7], tasks=10, seed=seed),
     ]
