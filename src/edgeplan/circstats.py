@@ -274,6 +274,9 @@ def sample_von_mises(
     """
     kappa = min(_check_real("kappa", kappa, 0.0), KAPPA_MAX)
     n = _check_int("n", n, 0)
+    mu = _check_finite("mu", mu)
+    if mu.ndim and mu.shape != (n,):
+        raise FieldError("mu", f"must be one direction or {n} of them, got shape {mu.shape}")
     angles = rng.vonmises(mu, kappa, size=n)
     # numpy reports the closed interval [-pi, pi]; remap the lone boundary point
     angles[angles <= -np.pi] = np.pi

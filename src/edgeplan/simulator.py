@@ -5,14 +5,14 @@ angles from :func:`~edgeplan.circstats.sample_von_mises`, wrapped Gaussian
 noise of variance ``sigma2 * grad_energy(depth)`` added in the angular
 domain (the process the analytic model describes), and MAP classification
 scored into an :class:`AccuracyEstimate` with a binomial interval by one
-Wald rule over a count of hits.  The public chain runs them as
-:func:`generate_dataset` (one stream per class, the classes drawn on every
-usable core with the same output whatever their number), :func:`distort`
-(one noise stream) and :func:`empirical_accuracy`.  ``validate`` scores
-each cell with ``_cell_accuracy``, which equals that chain bit for bit:
-each core draws a block of classes while the caller draws the noise, then
-adds its slice of the noise, labels and counts class by class, so no
-whole-cell sample set is built.  :func:`run_algorithm1` runs the stages on
+Wald rule over a count of hits.  The public chain runs them serially as
+:func:`generate_dataset` (one stream per class, in class order),
+:func:`distort` (one noise stream) and :func:`empirical_accuracy`.
+``validate`` scores each cell with ``_cell_accuracy``, the one stage that
+uses more than one core, which equals that chain bit for bit: each core
+draws a block of classes while the caller draws the noise, then adds its
+slice of the noise, labels and counts class by class, so no whole-cell
+sample set is built.  :func:`run_algorithm1` runs the stages on
 one stream per batch, angles before noise.  :func:`sweep` chooses exits
 once per (p0, bit-width) for every exit set and SNR sharing that
 bit-width, solves the continuous ceiling once per (p0, SNR), and simulates
@@ -31,7 +31,7 @@ import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -118,21 +118,15 @@ def generate_dataset(
     """Draw ``n_per_class`` clean labeled samples per class at depth ``ell``.
 
     Class ``j`` is sampled from ``vM(centroid_j, kappa_bar(ell))`` on its own
-    RNG stream, the classes drawn on every usable core by
-    :func:`_class_blocks`, so the output is the same bit for bit on any
-    number of cores.  numpy releases the GIL while it draws.  Every argument
-    is checked before a thread starts.
+    RNG stream, the classes drawn in class order on the calling thread.
     """
     seed = _check_int("seed", seed)
     n_per_class = _check_int("n_per_class", n_per_class, 1)
     kappa = kappa_bar(ell, profile)
-
-    def draw(block, ready):
-        return [_draw_class(seed, j, mu, kappa, n_per_class) for j, mu in block]
-
-    per_class = [angles for block in _class_blocks(profile, draw) for angles in block]
+    classes = enumerate(profile.centroids, start=1)
+    angles = np.concatenate([_draw_class(seed, j, mu, kappa, n_per_class) for j, mu in classes])
     labels = np.repeat(np.arange(1, profile.j_classes + 1), n_per_class)
-    return AngularSampleSet(angles=np.concatenate(per_class), labels=labels)
+    return AngularSampleSet(angles=angles, labels=labels)
 
 
 def _draw_class(seed: int, j: int, mu: float, kappa: float, n: int) -> np.ndarray:
@@ -140,59 +134,32 @@ def _draw_class(seed: int, j: int, mu: float, kappa: float, n: int) -> np.ndarra
     return sample_von_mises(make_rng(seed, _STREAM_GENERATE, j), float(mu), kappa, n)
 
 
-def _class_blocks(
-    profile: FeatureProfile, work: Callable, meanwhile: Callable = lambda: None
-) -> list:
-    """``work(block, ready)`` for each contiguous block of the classes, in class order.
-
-    A block is a list of ``(j, centroid_j)``; classes 1..J are split into one
-    block per usable core (at most J blocks).  A pool made for this call runs
-    every block but the first; the calling thread meanwhile runs
-    ``meanwhile()`` and then the first block.  ``ready`` is a future of
-    ``meanwhile()``'s value, or of its error, so a worker that waits on it
-    always ends.  The pool is shut down, its threads joined, before this
-    returns or raises.
-    """
-    classes = list(enumerate(profile.centroids, start=1))
-    blocks = min(_usable_cores(), len(classes))
-    bounds = [b * len(classes) // blocks for b in range(blocks + 1)]
-    ready = Future()
-
-    def run(block):
-        return work(block, ready)
-
-    with ThreadPoolExecutor(max_workers=max(blocks - 1, 1)) as pool:
-        try:
-            rest = [pool.submit(run, classes[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-            ready.set_result(meanwhile())
-        except BaseException as exc:
-            ready.set_exception(exc)
-            raise
-        return [run(classes[: bounds[1]])] + [block.result() for block in rest]
-
-
 def _cell_accuracy(
     profile: FeatureProfile, ell: float, n_per_class: int, sigma2: float, seed: int
 ) -> AccuracyEstimate:
     """``empirical_accuracy(distort(generate_dataset(...), sigma2, ...))``, bit for bit.
 
-    The classes are split and drawn as :func:`generate_dataset` draws them,
-    while the calling thread draws the noise vector as :func:`distort`
-    does.  Each block then adds its slice of noise class by class, wraps
-    it, labels it against the known class and counts the hits, so no
-    concatenated angles, labels or sample set are built.  Every argument is
-    checked before a thread starts.
+    Classes 1..J are split into one contiguous block per usable core (at
+    most J).  A pool made for this call draws every block but the first,
+    while the calling thread draws the noise as :func:`distort` does, then
+    the first block.  Each block adds its slice of noise class by class,
+    wraps it, labels it and counts the hits, so no whole-cell sample set is
+    built.  The noise reaches the workers through a future that carries the
+    caller's error instead if its draw fails, so every worker ends.  Every
+    argument is checked before the pool is made; the pool is joined before
+    this returns or raises.  numpy releases the GIL while it draws.
     """
     seed = _check_int("seed", seed)
     n_per_class = _check_int("n_per_class", n_per_class, 1)
     kappa = kappa_bar(ell, profile)
     variance = _noise_variance(_check_real("sigma2", sigma2, 0.0), ell, profile)
     size = profile.j_classes * n_per_class
+    classes = list(enumerate(profile.centroids, start=1))
+    blocks = min(_usable_cores(), len(classes))
+    bounds = [b * len(classes) // blocks for b in range(blocks + 1)]
+    ready = Future()
 
-    def draw_noise():
-        return _draw_noise(variance, size, make_rng(seed, _STREAM_DISTORT))
-
-    def count(block, ready):
+    def count(block):
         hits = 0
         for j, mu in block:
             angles = _draw_class(seed, j, mu, kappa, n_per_class)
@@ -202,7 +169,15 @@ def _cell_accuracy(
             hits += np.count_nonzero(_classify(angles, profile) == j)
         return hits
 
-    return _score(sum(_class_blocks(profile, count, draw_noise)), size)
+    with ThreadPoolExecutor(max_workers=max(blocks - 1, 1)) as pool:
+        try:
+            rest = [pool.submit(count, classes[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+            ready.set_result(_draw_noise(variance, size, make_rng(seed, _STREAM_DISTORT)))
+        except BaseException as exc:
+            ready.set_exception(exc)
+            raise
+        hits = count(classes[: bounds[1]]) + sum(block.result() for block in rest)
+    return _score(hits, size)
 
 
 def _usable_cores() -> int:

@@ -127,7 +127,7 @@ def test_a_validate_cell_judges_every_argument_before_a_pool_exists(monkeypatch)
 
 
 def _no_pool(*args, **kwargs):
-    raise AssertionError("a pool was made before every argument was checked")
+    raise AssertionError("a pool was made where no thread may start")
 
 
 def _force_cores(monkeypatch, cores):
@@ -135,8 +135,16 @@ def _force_cores(monkeypatch, cores):
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
 
+def test_usable_cores_fall_back_to_the_cpu_count_without_an_affinity_mask(monkeypatch):
+    # platforms without sched_getaffinity read os.cpu_count(), which may not know
+    monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
+    for count, cores in [(None, 1), (3, 3)]:
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: count)
+        assert simulator._usable_cores() == cores
+
+
 def _spy_pools(monkeypatch):
-    """Record each pool ``generate_dataset`` makes: its workers and the classes of each block."""
+    """Record each pool ``_cell_accuracy`` makes: its workers and the classes of each block."""
     pools = []
 
     class Pool(ThreadPoolExecutor):
@@ -175,41 +183,37 @@ def _within(seconds, call):
 @pytest.mark.parametrize("cores", [1, 2, 3, 8])
 @pytest.mark.parametrize("j_classes", [2, 3, 10, 1000])
 def test_generate_dataset_is_the_serial_oracle_on_any_core_count(monkeypatch, j_classes, cores):
-    # 8 cores is more than J at J = 2 and 3; it runs with a 1 us switch
-    # interval so the threads interleave as often as they can
+    # the public chain draws on the calling thread whatever the core count,
+    # so the validate cell's pool is checked against a chain that has none
     profile = FeatureProfile(j_classes=j_classes, c1=0.35, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
     n, ell, seed = (20 if j_classes == 1000 else 2_000), 12.0, -1_000_003 * j_classes
     expected = oracles.serial_class_draws(seed, j_classes, 0.35 * ell + 0.5, n)
     _force_cores(monkeypatch, cores)
-    pools = _spy_pools(monkeypatch)
-    interval = sys.getswitchinterval()
-    if cores == 8:
-        sys.setswitchinterval(1e-6)
-    try:
-        ds = _within(60.0, lambda: generate_dataset(profile, ell, n, seed))
-    finally:
-        sys.setswitchinterval(interval)
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", _no_pool)
+    ds = generate_dataset(profile, ell, n, seed)
     assert np.array_equal(ds.angles.view(np.int64), expected.view(np.int64))
     assert np.array_equal(ds.labels, np.repeat(np.arange(1, j_classes + 1), n))
-    blocks = min(cores, j_classes)
-    (pool,) = pools
-    assert pool.workers == max(blocks - 1, 1) and len(pool.blocks) == blocks - 1
 
 
 def test_the_caller_draws_the_first_block_and_the_pool_the_rest(monkeypatch):
+    # on 3 cores the caller makes the noise stream and draws classes 1-3
     _force_cores(monkeypatch, 3)
     pools = _spy_pools(monkeypatch)
     make, drawn = simulator.make_rng, []
 
     def recording(seed, *stream):
-        drawn.append((threading.get_ident(), stream[-1]))
+        drawn.append((threading.get_ident(), stream))
         return make(seed, *stream)
 
     monkeypatch.setattr(simulator, "make_rng", recording)
-    generate_dataset(PROFILE, 12.0, 50, seed=1)
-    assert [j for ident, j in drawn if ident == threading.get_ident()] == [1, 2, 3]
-    assert pools[0].blocks == [[4, 5, 6], [7, 8, 9, 10]]
-    assert sorted(j for _, j in drawn) == list(range(1, 11))
+    simulator._cell_accuracy(PROFILE, 12.0, 50, 1e-3, seed=1)
+    noise = (simulator._STREAM_DISTORT,)
+    classes = [(simulator._STREAM_GENERATE, j) for j in range(1, 11)]
+    here = [stream for ident, stream in drawn if ident == threading.get_ident()]
+    assert here == [noise] + classes[:3]
+    (pool,) = pools
+    assert pool.workers == 2 and pool.blocks == [[4, 5, 6], [7, 8, 9, 10]]
+    assert sorted(stream for _, stream in drawn) == sorted([noise] + classes)
 
 
 def _chain(profile, ell, n, sigma2, seed):
@@ -222,11 +226,13 @@ def _chain(profile, ell, n, sigma2, seed):
 @pytest.mark.parametrize("j_classes", [2, 3, 10, 1000])
 def test_a_validate_cell_is_the_public_chain_on_any_core_count(monkeypatch, j_classes, cores):
     # q = 0 leaves almost uniform angles, q = 64 all but none of the noise;
-    # 8 cores run with a 1 us switch interval, as the dataset test does, so
-    # the blocks' in-place writes to their slices of one noise vector interleave
+    # 8 cores is more than J at J = 2 and 3, and runs with a 1 us switch
+    # interval so the blocks' in-place writes to their slices of one noise
+    # vector interleave as often as they can
     profile = FeatureProfile(j_classes=j_classes, c1=0.35, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
     n = 5 if j_classes == 1000 else 300
     _force_cores(monkeypatch, cores)
+    pools = _spy_pools(monkeypatch)
     interval = sys.getswitchinterval()
     if cores == 8:
         sys.setswitchinterval(1e-6)
@@ -238,6 +244,11 @@ def test_a_validate_cell_is_the_public_chain_on_any_core_count(monkeypatch, j_cl
             assert cell == _chain(profile, ell, n, sigma2, seed)
     finally:
         sys.setswitchinterval(interval)
+    # one pool per cell, none for the chain: the caller runs the first block
+    blocks = min(cores, j_classes)
+    assert len(pools) == 12
+    for pool in pools:
+        assert pool.workers == max(blocks - 1, 1) and len(pool.blocks) == blocks - 1
 
 
 @pytest.mark.parametrize("j_classes", [2, 10])
@@ -294,9 +305,9 @@ def _ends_without_a_thread(call, result_ok, failing):
     assert set(threading.enumerate()) == before
 
 
-@pytest.mark.parametrize("failing_class", [None, 1, 10], ids=["none", "caller", "worker"])
+@pytest.mark.parametrize("failing_class", [None, 1, 10], ids=["none", "first", "last"])
 def test_a_failing_class_draw_reaches_the_caller_and_leaves_no_thread(monkeypatch, failing_class):
-    # on 2 cores the caller draws classes 1-5 and one worker classes 6-10
+    # the public chain draws every class on the calling thread, on any core count
     _force_cores(monkeypatch, 2)
     _failing_draws(monkeypatch, failing_class)
     _ends_without_a_thread(
@@ -792,7 +803,7 @@ def test_sweep_reads_iterators_like_lists():
 @pytest.mark.parametrize("seed", ["7", True, 7.9, None], ids=repr)
 def test_seeds_must_be_integers_wherever_streams_are_made(seed, monkeypatch):
     # a string, bool or float seed once drew the stream of int(seed); the
-    # dataset's and a validate cell's seed are judged before their pool is made
+    # validate cell's seed is judged before its pool is made
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", _no_pool)
     calls = [
         lambda: make_rng(seed),
