@@ -4,17 +4,20 @@ The chain is: bit-width -> uniform quantization variance -> effective angular
 noise at a given traversal depth -> shrunken von Mises concentration -> MAP
 accuracy for equally spaced class centroids.  Depth is treated as continuous and
 bisected on the concentration scale (:func:`min_depth_for_accuracy`).  Pure
-functions over immutable profile/spec values; safe for concurrent use.
+functions over immutable profile/spec values; safe for concurrent use.  The
+one piece of module state is the Simpson ladder cache of
+:func:`accuracy_of_kappa`: bounded (:data:`_LADDER_ENTRIES` levels) and
+read-only, so it changes no result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import special
 
 from .circstats import (
     KAPPA_MAX,
@@ -22,6 +25,7 @@ from .circstats import (
     _check_increasing,
     _check_int,
     _check_real,
+    _i0e,
     bessel_ratio,
     bessel_ratio_inv,
 )
@@ -41,6 +45,8 @@ __all__ = [
 
 _QUAD_REL_TOL = 1e-9
 _QUAD_MAX_NODES = 2**20
+_LADDER_MAX_NODES = 2**12
+_LADDER_ENTRIES = 64
 _DEPTH_TOL = 1e-6
 _ROOT_REL_TOL = 1e-13
 _ROOT_MAX_STEPS = 500
@@ -189,11 +195,26 @@ def _shrink(sigma2: float, ell: float, profile: FeatureProfile) -> float:
     return math.exp(-0.5 * sigma2 * grad_energy(ell, profile))
 
 
-def _simpson(values: np.ndarray, h: float) -> float:
-    weights = np.ones_like(values)
+def _simpson_level(j_classes: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Level ``n`` of the Simpson ladder on [0, pi/J]: ``cos(x) - 1`` at the
+    ``n + 1`` nodes and the weights 1, 4, 2, ..., 4, 1, both read-only."""
+    a = np.pi / j_classes
+    # linspace(0, a, n + 1)'s own arithmetic, bit for bit: a / n > 0 skips its zero-step branch
+    x = np.arange(n + 1.0)
+    x *= a / n
+    x[-1] = a
+    cos_m1 = np.cos(x) - 1.0
+    weights = np.ones_like(cos_m1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(weights @ values) * h / 3.0
+    cos_m1.flags.writeable = weights.flags.writeable = False
+    return cos_m1, weights
+
+
+# Module state: the levels of up to 2^12 intervals, at most _LADDER_ENTRIES of
+# them (about 4 MB), least recently used first out.  Entries are read-only and
+# equal to a fresh build, so a hit, a miss or an eviction gives the same bits.
+_cached_level = functools.lru_cache(maxsize=_LADDER_ENTRIES)(_simpson_level)
 
 
 def accuracy_of_kappa(kappa: float, j_classes: int) -> float:
@@ -203,21 +224,19 @@ def accuracy_of_kappa(kappa: float, j_classes: int) -> float:
     scaled integrand and composite Simpson refinement until the relative
     change drops below 1e-9; an :class:`ArithmeticError` naming kappa and J
     is raised if 2^20 intervals do not get there.  kappa is saturated at
-    ``KAPPA_MAX``, as the sampler clips it.
+    ``KAPPA_MAX``, as the sampler clips it.  Each level's nodes and weights
+    up to 2^12 intervals come from a bounded read-only cache.
     """
     kappa = min(_check_real("kappa", kappa, 0.0), KAPPA_MAX)
     j_classes = _check_int("j_classes", j_classes, 2)
     a = np.pi / j_classes
-    norm = np.pi * float(special.i0e(kappa))
+    norm = np.pi * _i0e(kappa)
     n = 16
     prev = None
     while True:
-        # linspace(0, a, n + 1)'s own arithmetic, bit for bit: a / n > 0 skips its zero-step branch
-        x = np.arange(n + 1.0)
-        x *= a / n
-        x[-1] = a
-        integral = _simpson(np.exp(kappa * (np.cos(x) - 1.0)), a / n)
-        value = integral / norm
+        level = _cached_level if n <= _LADDER_MAX_NODES else _simpson_level
+        cos_m1, weights = level(j_classes, n)
+        value = float(weights @ np.exp(kappa * cos_m1)) * (a / n) / 3.0 / norm
         if prev is not None and abs(value - prev) <= _QUAD_REL_TOL * abs(value):
             return min(value, 1.0)
         if n >= _QUAD_MAX_NODES:

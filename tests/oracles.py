@@ -5,10 +5,10 @@ series / asymptotic expansions, inverses from plain bisection (the depth
 search bisects whatever accuracy function the caller hands it), integrals from
 fixed-grid composite Simpson, and the exact accuracy of the simulated noisy
 process and the von Mises CDF from circular-moment Fourier series (scipy's
-``ive`` is used there, for every order including 0; the package calls only
-``i0e`` and ``i1e``).  The ``mp_*`` entries compute the resultant map, its
-inverse, the accuracy integral and the noisy process's series at 30
-significant digits with mpmath alone.
+``ive`` is used there, for every order including 0; the package uses no
+scipy).  The ``mp_*`` entries compute the resultant map, its inverse, the
+accuracy integral and the noisy process's series at 30 significant digits
+with mpmath alone, and ``mp_chebyshev_table`` the Bessel tables at 40.
 ``serial_class_draws`` makes the clean Monte Carlo angles one class after
 another with numpy's Philox generator alone.
 """
@@ -256,6 +256,24 @@ def mp_noisy_mixture_accuracy(kappa: float, sigma2_eff: float, j_classes: int) -
             if cm < mpmath.mpf("1e-40"):
                 return total
             m += 1
+
+
+def mp_chebyshev_table(f, x_of_t, terms: int, nodes: int = 80, digits: int = 40) -> tuple:
+    """Chebyshev coefficients of ``f(x_of_t(t))`` on [-1, 1] as doubles, highest order first.
+
+    ``a_k = (2/N) sum_j f(x(t_j)) T_k(t_j)`` at the ``N`` Chebyshev-Gauss nodes
+    ``t_j = cos(theta_j)``, ``theta_j = pi (j + 1/2) / N``, where
+    ``T_k(t_j) = cos(k theta_j)``.  Cephes' layout: the series is
+    ``a_0 / 2 + sum_k a_k T_k(t)``, stored from ``a_{terms-1}`` down to ``a_0``.
+    """
+    with mpmath.workdps(digits):
+        thetas = [mpmath.pi * (j + mpmath.mpf(1) / 2) / nodes for j in range(nodes)]
+        values = [f(x_of_t(mpmath.cos(theta))) for theta in thetas]
+        return tuple(
+            float(2 * mpmath.fsum(v * mpmath.cos(k * theta) for v, theta in zip(values, thetas))
+                  / nodes)
+            for k in reversed(range(terms))
+        )
 
 
 def serial_class_draws(seed: int, j_classes: int, kappa: float, n_per_class: int) -> np.ndarray:

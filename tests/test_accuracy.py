@@ -1,7 +1,9 @@
 """Tests for the quantization-to-accuracy model chain."""
 
 import math
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -233,6 +235,54 @@ def test_accuracy_quadrature_raises_when_not_converged(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"kappa=1000\.0, J=2\b"):
         accuracy_of_kappa(1000.0, 2)
     assert accuracy_of_kappa(0.0, 2) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_cached_simpson_levels_are_read_only():
+    # a cache hit hands out the same arrays to every caller and thread
+    accuracy_module._cached_level.cache_clear()
+    accuracy_of_kappa(3.0, 10)
+    cos_m1, weights = accuracy_module._cached_level(10, 16)
+    assert not cos_m1.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+    assert accuracy_module._cached_level.cache_info().hits == 1
+
+
+def test_simpson_levels_above_2_to_12_intervals_are_computed_but_not_cached():
+    # (1e6, 2) takes 10 levels, 16 to 8192 intervals: the first 9 are cached
+    accuracy_module._cached_level.cache_clear()
+    assert accuracy_of_kappa(1e6, 2).hex() == "0x1.fffffffff8b72p-1"
+    info = accuracy_module._cached_level.cache_info()
+    assert (info.misses, info.currsize) == (9, 9)
+
+
+def test_the_simpson_ladder_cache_holds_at_most_64_levels():
+    # about 4 MB at most: 64 levels of up to 4097 nodes and weights
+    accuracy_module._cached_level.cache_clear()
+    for j in range(2, 80):  # 2 levels each at kappa = 0
+        accuracy_of_kappa(0.0, j)
+    info = accuracy_module._cached_level.cache_info()
+    assert (info.misses, info.maxsize, info.currsize) == (156, 64, 64)
+
+
+def test_threads_sharing_an_evicting_ladder_cache_get_the_serial_values():
+    # 8 threads over 2 x 100 levels, more than the cache holds, so entries are
+    # built, hit and evicted concurrently; every value must be the serial one
+    cases = [(kappa, j) for j in range(2, 102) for kappa in (0.5, 3.0)]
+    accuracy_module._cached_level.cache_clear()
+    serial = [accuracy_of_kappa(kappa, j) for kappa, j in cases]
+    accuracy_module._cached_level.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            rounds = [pool.map(lambda case: accuracy_of_kappa(*case), cases, timeout=60)
+                      for _ in range(4)]
+            results = [list(values) for values in rounds]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(values == serial for values in results)
+    assert accuracy_module._cached_level.cache_info().currsize <= 64
 
 
 # accuracy_of_kappa as float.hex, recorded while the Simpson nodes came from

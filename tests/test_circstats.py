@@ -5,9 +5,10 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from edgeplan import circstats
 from edgeplan.accuracy import (
@@ -51,6 +52,38 @@ def test_bessel_ratio_reference_values():
     assert bessel_ratio(2.0) == pytest.approx(0.6977746579640082, rel=1e-12)
     # asymptotically 1 - 1/(2 kappa)
     assert bessel_ratio(1000.0) == pytest.approx(0.9994998748748043, rel=1e-12)
+
+
+def test_bessel_tables_are_the_chebyshev_coefficients_they_claim():
+    # the four literal tables, regenerated at 40 digits: exp(-x) I0(x) and
+    # exp(-x) I1(x) / x in t = x/4 - 1 on [0, 8], times sqrt(x) in t = 16/x - 1 above
+    def scaled(order, tail=False):
+        def f(x):
+            value = mpmath.exp(-x) * mpmath.besseli(order, x)
+            return value * mpmath.sqrt(x) if tail else value / x**order
+        return f
+
+    def head(t):
+        return 4 * (t + 1)
+
+    def tail(t):
+        return 16 / (t + 1)
+
+    assert oracles.mp_chebyshev_table(scaled(0), head, 30) == circstats._I0E_HEAD
+    assert oracles.mp_chebyshev_table(scaled(0, True), tail, 25) == circstats._I0E_TAIL
+    assert oracles.mp_chebyshev_table(scaled(1), head, 29) == circstats._I1E_HEAD
+    assert oracles.mp_chebyshev_table(scaled(1, True), tail, 25) == circstats._I1E_TAIL
+
+
+def test_scaled_bessel_functions_equal_scipys_bit_for_bit():
+    # the same tables, summed in the same order as Cephes, give the same doubles
+    rng = np.random.default_rng(20260809)
+    points = [0.0, 5e-324, 8.0, math.nextafter(8.0, 0.0), math.nextafter(8.0, math.inf), 1e6]
+    points += rng.uniform(0.0, 10.0, 5_000).tolist()
+    points += np.exp(rng.uniform(math.log(1e-300), math.log(1e6), 5_000)).tolist()
+    for x in points:
+        assert circstats._i0e(x).hex() == float(special.i0e(x)).hex(), x
+        assert circstats._i1e(x).hex() == float(special.i1e(x)).hex(), x
 
 
 def test_bessel_ratio_strictly_increasing_below_one():

@@ -252,17 +252,18 @@ def test_module_entry_point_exits_with_mains_status(tmp_path):
     assert "feasible           : no" in result.stdout
 
 
-def test_import_loads_no_scipy_subpackage_but_special():
-    # importing scipy.optimize as well costs about 0.25 s and 23 MB, which the
-    # benchmark's setup_s and peak_rss_mb would carry
+def test_import_and_a_plan_load_no_scipy_module():
+    # the package needs numpy alone: scipy.special's import would cost about
+    # 0.2 s and 25 MB, which the benchmark's setup_s and peak_rss_mb would carry
     result = _python("-c", (
-        "import sys, edgeplan\n"
-        "print(sorted({name.split('.')[1] for name, module in sys.modules.items()"
-        " if name.startswith('scipy.') and hasattr(module, '__path__')"
-        " and not name.split('.')[1].startswith('_')}))"
+        "import sys, numpy as np, edgeplan\n"
+        f"sys.path.insert(0, {str(REPO_ROOT / 'tests')!r})\n"
+        "from helpers import random_instance\n"
+        "edgeplan.solve_discrete(**random_instance(np.random.default_rng(20260809)))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
     ))
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "['special']\n"
+    assert result.stdout == "[]\n"
 
 
 def test_package_exports_exactly_the_modules_public_names():

@@ -9,10 +9,11 @@ may share.  The planner and simulator are counted where they do the work
 (``_discrete_plans``, ``_simulate``, ``_cell_accuracy``, ``_classify``), not
 at public wrappers the workflows bypass.
 
-Counts fixed by the design (one batch per sweep row, one draw per class per
-cell) are pinned exactly.  Counts of numerical work are pinned as upper
-bounds at today's values: a change that lowers one tightens its pin, and a
-change that raises one says why.
+The Simpson ladder levels ``accuracy_of_kappa`` builds are read from its
+cache's own miss count, from an empty cache.  Counts fixed by the design (one
+batch per sweep row, one draw per class per cell) are pinned exactly.  Counts
+of numerical work are pinned as upper bounds at today's values: a change that
+lowers one tightens its pin, and a change that raises one says why.
 """
 
 import importlib
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeplan import simulator
+from edgeplan import accuracy, simulator
 from edgeplan.cli import main
 from edgeplan.optimizer import solve_discrete
 
@@ -50,7 +51,9 @@ COUNTED = (
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count every call of each :data:`COUNTED` function, from any thread, by its name."""
+    """Count every call of each :data:`COUNTED` function, from any thread, by its name,
+    with the Simpson ladder cache emptied first."""
+    accuracy._cached_level.cache_clear()
     tally, lock = Counter(), threading.Lock()
     modules = [mod for key, mod in list(sys.modules.items())
                if mod is not None and (key == "edgeplan" or key.startswith("edgeplan."))]
@@ -100,6 +103,8 @@ def test_the_readme_sweep_plans_once_per_target_and_simulates_once_per_row(count
     assert counts["kappa_distorted"] <= 474
     assert counts["bessel_ratio_inv"] <= 300
     assert counts["bessel_ratio"] <= 4_241
+    # J = 10 at 16, 32, 64, 128 and 256 intervals
+    assert accuracy._cached_level.cache_info().misses <= 5
 
 
 def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(counts):
@@ -114,6 +119,7 @@ def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(co
     assert counts["bessel_ratio"] <= 9_410
     assert counts["bessel_ratio_inv"] <= 537
     assert counts["kappa_distorted"] <= 1_186
+    assert accuracy._cached_level.cache_info().misses <= 5
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
