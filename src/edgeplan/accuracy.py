@@ -7,7 +7,9 @@ bisected on the concentration scale (:func:`min_depth_for_accuracy`).  Pure
 functions over immutable profile/spec values; safe for concurrent use.  The
 one piece of module state is the Simpson ladder cache of
 :func:`accuracy_of_kappa`: bounded (:data:`_LADDER_ENTRIES` levels) and
-read-only, so it changes no result.
+read-only, so it changes no result.  Public functions check their inputs;
+private cores (``_accuracy``, ``_distorted``, ``_kappa_bar``, ...) hold each
+formula once, take checked values, and are where the work is counted.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .circstats import (
     _check_int,
     _check_real,
     _i0e,
-    bessel_ratio,
-    bessel_ratio_inv,
+    _ratio,
+    _ratio_inv,
 )
 
 __all__ = [
@@ -163,13 +165,19 @@ def kappa_bar(ell: float, profile: FeatureProfile) -> float:
     [0, ``KAPPA_MAX``] is the package's one concentration domain: every
     concentration the model computes, scores or samples lies in it.
     """
-    ell = profile.check_depth(ell)
+    return _kappa_bar(profile.check_depth(ell), profile)
+
+
+def _kappa_bar(ell: float, profile: FeatureProfile) -> float:
     return min(profile.c1 * ell + profile.c2, KAPPA_MAX)
 
 
 def grad_energy(ell: float, profile: FeatureProfile) -> float:
     """Angular noise amplification at depth ell: ``c3 exp(-c4 ell)``."""
-    ell = profile.check_depth(ell)
+    return _grad_energy(profile.check_depth(ell), profile)
+
+
+def _grad_energy(ell: float, profile: FeatureProfile) -> float:
     return profile.c3 * math.exp(-profile.c4 * ell)
 
 
@@ -183,16 +191,20 @@ def kappa_distorted(sigma2: float, ell: float, profile: FeatureProfile) -> float
     to 1 the noise vanishes, and ``kappa_bar(ell)`` is returned exactly
     without evaluating the resultant map.
     """
-    sigma2 = _check_real("sigma2", sigma2, 0.0)
-    kbar, shrink = kappa_bar(ell, profile), _shrink(sigma2, ell, profile)
+    return _distorted(_check_real("sigma2", sigma2, 0.0), profile.check_depth(ell), profile)
+
+
+def _distorted(sigma2: float, ell: float, profile: FeatureProfile) -> float:
+    """:func:`kappa_distorted` of a checked ``sigma2 >= 0`` and depth in [1, L], unchecked."""
+    kbar, shrink = _kappa_bar(ell, profile), _shrink(sigma2, ell, profile)
     if shrink >= 1.0:
         return kbar
-    return min(bessel_ratio_inv(bessel_ratio(kbar) * shrink).value, kbar)
+    return min(_ratio_inv(_ratio(kbar) * shrink).value, kbar)
 
 
 def _shrink(sigma2: float, ell: float, profile: FeatureProfile) -> float:
     """The angular noise's circular first moment ``exp(-sigma2 * grad_energy(ell) / 2)``."""
-    return math.exp(-0.5 * sigma2 * grad_energy(ell, profile))
+    return math.exp(-0.5 * sigma2 * _grad_energy(ell, profile))
 
 
 def _simpson_level(j_classes: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -228,7 +240,11 @@ def accuracy_of_kappa(kappa: float, j_classes: int) -> float:
     up to 2^12 intervals come from a bounded read-only cache.
     """
     kappa = min(_check_real("kappa", kappa, 0.0), KAPPA_MAX)
-    j_classes = _check_int("j_classes", j_classes, 2)
+    return _accuracy(kappa, _check_int("j_classes", j_classes, 2))
+
+
+def _accuracy(kappa: float, j_classes: int) -> float:
+    """:func:`accuracy_of_kappa` of a kappa in [0, ``KAPPA_MAX``] and an int J >= 2, unchecked."""
     a = np.pi / j_classes
     norm = np.pi * _i0e(kappa)
     n = 16
@@ -256,7 +272,7 @@ def accuracy_model(
     plan: a plan at 0 bits sends nothing and predicts chance, ``1/J``.
     """
     sigma2 = quant_variance(q, spec)
-    return accuracy_of_kappa(kappa_distorted(sigma2, ell, profile), profile.j_classes)
+    return _accuracy(_distorted(sigma2, profile.check_depth(ell), profile), profile.j_classes)
 
 
 def error_scaling(ell: float, profile: FeatureProfile) -> float:
@@ -286,20 +302,21 @@ def min_depth_for_accuracy(
     by bisecting on to n_layers with it.
     """
     p0, j, top = profile.check_target(p0), profile.j_classes, float(profile.n_layers)
+    sigma2 = _check_real("sigma2", sigma2, 0.0)
 
     def passes(ell: float) -> bool:
-        return accuracy_of_kappa(kappa_distorted(sigma2, ell, profile), j) >= p0
+        return _accuracy(_distorted(sigma2, ell, profile), j) >= p0
 
     def reaches(ell: float) -> bool:
-        return bessel_ratio(kappa_bar(ell, profile)) * _shrink(sigma2, ell, profile) >= r0
+        return _ratio(_kappa_bar(ell, profile)) * _shrink(sigma2, ell, profile) >= r0
 
-    kappa_lo = kappa_distorted(sigma2, 1.0, profile)
-    if (acc_lo := accuracy_of_kappa(kappa_lo, j)) >= p0:
+    kappa_lo = _distorted(sigma2, 1.0, profile)
+    if (acc_lo := _accuracy(kappa_lo, j)) >= p0:
         return 1.0
-    kappa_hi = kappa_distorted(sigma2, top, profile)
-    if (acc_hi := accuracy_of_kappa(kappa_hi, j)) < p0:
+    kappa_hi = _distorted(sigma2, top, profile)
+    if (acc_hi := _accuracy(kappa_hi, j)) < p0:
         return None
-    r0 = bessel_ratio(_solve_kappa0(p0, j, kappa_lo, acc_lo, kappa_hi, acc_hi))
+    r0 = _ratio(_solve_kappa0(p0, j, kappa_lo, acc_lo, kappa_hi, acc_hi))
     depth = _bisect(reaches, 1.0, top)
     return depth if depth == top or passes(depth) else _bisect(passes, depth, top)
 
@@ -334,7 +351,7 @@ def _solve_kappa0(p0, j_classes, lo, acc_lo, hi, acc_hi) -> float:
         kappa = secant if width <= 0.5 * widths[0] and lo <= secant <= hi else 0.5 * (lo + hi)
         widths, nudge = widths[1:] + [width], 0.5 * _ROOT_REL_TOL * hi
         kappa = min(max(kappa, lo + nudge), hi - nudge)
-        acc = accuracy_of_kappa(kappa, j_classes)
+        acc = _accuracy(kappa, j_classes)
         if acc >= p0:  # Illinois: halve the stale end's gain when one end moves twice
             hi, gain_hi, gain_lo, side = kappa, gain(acc), gain_lo * (0.5 if side > 0 else 1.0), 1
         else:

@@ -6,11 +6,13 @@ estimators.
 
 All angles live on ``(-pi, pi]``; the representative of ``-pi`` is mapped to
 ``+pi``.  Every Bessel path uses exponentially scaled forms so concentrations
-up to :data:`KAPPA_MAX` never overflow; ``_i0e`` and ``_i1e`` sum Cephes'
+up to :data:`KAPPA_MAX` never overflow; ``_i0e`` and ``_ratio`` sum Cephes'
 tables here, so the package needs numpy alone.  All functions are pure and
 reentrant; the sampler draws from a generator the caller passes and owns no
 global state, so parallel callers only need distinct ``(seed, stream)`` pairs
-(see :mod:`edgeplan.rng`).
+(see :mod:`edgeplan.rng`).  Public functions check their inputs; private
+cores (``_ratio``, ``_ratio_inv``, ``_wrap``) do the work on checked values,
+so hot callers call them and the work is counted there.
 """
 
 from __future__ import annotations
@@ -217,38 +219,48 @@ _I1E_TAIL = (
 )
 
 
-def _chbevl(y: float, table: Tuple[float, ...]) -> float:
-    """Cephes' ``chbevl``: the Chebyshev series ``table`` at ``y = 2t``, in its operation order."""
+def _i0e(x: float) -> float:
+    """``exp(-x) I0(x)`` for finite ``x >= 0``, bit for bit as Cephes' ``i0e``: its
+    table summed by Cephes' ``chbevl`` recurrence, in its operation order."""
+    y, table = (x / 2.0 - 2.0, _I0E_HEAD) if x <= 8.0 else (32.0 / x - 2.0, _I0E_TAIL)
     b0 = b1 = b2 = 0.0  # the first step leaves b0 = table[0] and b1 = 0.0 exactly, as chbevl starts
     for c in table:
         b0, b1, b2 = y * b0 - b1 + c, b0, b1
-    return 0.5 * (b0 - b2)
+    return 0.5 * (b0 - b2) if x <= 8.0 else 0.5 * (b0 - b2) / math.sqrt(x)
 
 
-def _i0e(x: float) -> float:
-    """``exp(-x) I0(x)`` for finite ``x >= 0``, bit for bit as Cephes' ``i0e``."""
-    if x <= 8.0:
-        return _chbevl(x / 2.0 - 2.0, _I0E_HEAD)
-    return _chbevl(32.0 / x - 2.0, _I0E_TAIL) / math.sqrt(x)
-
-
-def _i1e(x: float) -> float:
-    """``exp(-x) I1(x)`` for finite ``x >= 0``, bit for bit as Cephes' ``i1e``."""
-    if x <= 8.0:
-        return _chbevl(x / 2.0 - 2.0, _I1E_HEAD) * x
-    return _chbevl(32.0 / x - 2.0, _I1E_TAIL) / math.sqrt(x)
+# I0's and I1's tables side by side for one Clenshaw loop (a leading 0.0 step
+# leaves I1's zero start as it is), as (every pair but the last, the last pair)
+_HEAD_PAIRS = tuple(zip(_I0E_HEAD, (0.0,) + _I1E_HEAD))
+_TAIL_PAIRS = tuple(zip(_I0E_TAIL, _I1E_TAIL))
+_HEAD_STEPS, _TAIL_STEPS = ((pairs[:-1], pairs[-1]) for pairs in (_HEAD_PAIRS, _TAIL_PAIRS))
 
 
 def bessel_ratio(kappa: float) -> float:
     """Mean resultant length ``A(kappa) = I1(kappa)/I0(kappa)`` in [0, 1)."""
-    kappa = _check_real("kappa", kappa, 0.0)
-    # the exponential scales cancel exactly in the ratio
-    return _i1e(kappa) / _i0e(kappa)
+    return _ratio(_check_real("kappa", kappa, 0.0))
+
+
+def _ratio(x: float) -> float:
+    """:func:`bessel_ratio` of a finite ``x >= 0``, unchecked: Cephes' ``i1e(x) / i0e(x)``
+    bit for bit, both series summed in ``chbevl``'s operation order (the scales cancel)."""
+    head = x <= 8.0
+    y = x / 2.0 - 2.0 if head else 32.0 / x - 2.0
+    pairs, (c, d) = _HEAD_STEPS if head else _TAIL_STEPS
+    a0 = a1 = b0 = b1 = 0.0
+    for e, f in pairs:  # chbevl's third term is needed only after the last step
+        a0, a1 = y * a0 - a1 + e, a0
+        b0, b1 = y * b0 - b1 + f, b0
+    a0, a2, b0, b2 = y * a0 - a1 + c, a1, y * b0 - b1 + d, b1
+    if head:
+        return 0.5 * (b0 - b2) * x / (0.5 * (a0 - a2))
+    root = math.sqrt(x)
+    return 0.5 * (b0 - b2) / root / (0.5 * (a0 - a2) / root)
 
 
 # Resultant at the saturation cap; any resultant at or above it inverts to
 # KAPPA_MAX with the flag set, so estimators clip to it rather than test it.
-_RESULTANT_CAP = _i1e(KAPPA_MAX) / _i0e(KAPPA_MAX)
+_RESULTANT_CAP = _ratio(KAPPA_MAX)
 
 
 def bessel_ratio_inv(r: float) -> KappaResult:
@@ -265,6 +277,11 @@ def bessel_ratio_inv(r: float) -> KappaResult:
     r = _check_real("r", r, 0.0)
     if r >= 1.0:
         raise FieldError("r", f"must lie in [0, 1), got {r!r}")
+    return _ratio_inv(r)
+
+
+def _ratio_inv(r: float) -> KappaResult:
+    """:func:`bessel_ratio_inv` of a resultant ``r`` in [0, 1), unchecked."""
     if r == 0.0:
         return KappaResult(0.0, False)
     if r >= _RESULTANT_CAP:
@@ -273,11 +290,11 @@ def bessel_ratio_inv(r: float) -> KappaResult:
     kappa = r * (2.0 - r * r) / (1.0 - r * r)
     lo = 0.0
     hi = max(2.0 * kappa, 1.0)
-    while bessel_ratio(hi) < r:  # a guard: the seed's bracket already holds r
+    while _ratio(hi) < r:  # a guard: the seed's bracket already holds r
         hi *= 2.0
 
     for _ in range(_INV_MAX_ITER):
-        a = bessel_ratio(kappa)
+        a = _ratio(kappa)
         if a < r:
             lo = kappa
         else:

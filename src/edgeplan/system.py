@@ -8,6 +8,7 @@ concurrent use.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 
 from .accuracy import QuantizerSpec
@@ -129,8 +130,7 @@ def max_bitwidth_discrete(link: LinkState, spec: QuantizerSpec) -> int:
     block") when even the smallest positive alphabet entry exceeds the
     budget.
     """
-    # the alphabet is increasing and the latency rises with b: scan down
-    for b in reversed(spec.bit_alphabet):
-        if comm_latency(b, link) <= link.t_max_s:
-            return b
-    return 0
+    # the alphabet is increasing and the latency rises with b, so the entries
+    # within the budget are a prefix: bisect for its end
+    fits = bisect(spec.bit_alphabet, False, key=lambda b: comm_latency(b, link) > link.t_max_s)
+    return spec.bit_alphabet[fits - 1] if fits else 0

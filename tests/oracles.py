@@ -2,7 +2,8 @@
 
 Nothing here may call into the package: Bessel functions come from raw power
 series / asymptotic expansions, inverses from plain bisection (the depth
-search bisects whatever accuracy function the caller hands it), integrals from
+search bisects whatever accuracy function the caller hands it), the largest
+bit-width within the air-latency budget from a downward scan, integrals from
 fixed-grid composite Simpson, and the exact accuracy of the simulated noisy
 process and the von Mises CDF from circular-moment Fourier series (scipy's
 ``ive`` is used there, for every order including 0; the package uses no
@@ -84,6 +85,15 @@ def ratio_inv_bisect(r: float, hi: float = 1e7, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def max_bitwidth_scan(alphabet, d: int, bandwidth_hz: float, snr: float, t_max_s: float) -> int:
+    """The largest entry ``b`` of ``alphabet`` whose upload ``d b / (B log2(1 + snr))``
+    takes at most ``t_max_s``, by a plain downward scan; 0 when none does."""
+    for b in sorted(alphabet, reverse=True):
+        if d * b / (bandwidth_hz * math.log2(1.0 + snr)) <= t_max_s:
+            return b
+    return 0
 
 
 def min_depth_bisect(acc, p0: float, n_layers: int, tol: float = 1e-6):

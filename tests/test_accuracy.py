@@ -146,9 +146,9 @@ def test_kappa_distorted_zero_noise_is_exact():
 
 def test_kappa_distorted_evaluates_no_ratio_without_noise(monkeypatch):
     def fail(kappa):
-        raise AssertionError(f"bessel_ratio({kappa!r}) evaluated without noise")
+        raise AssertionError(f"_ratio({kappa!r}) evaluated without noise")
 
-    monkeypatch.setattr(accuracy_module, "bessel_ratio", fail)
+    monkeypatch.setattr(accuracy_module, "_ratio", fail)
     assert kappa_distorted(0.0, 10.0, DEFAULT) == kappa_bar(10.0, DEFAULT)
     assert kappa_distorted(1e-300, 39.0, DEFAULT) == kappa_bar(39.0, DEFAULT)
 

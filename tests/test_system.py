@@ -1,5 +1,7 @@
 """Tests for the latency model and the EPR metric."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from edgeplan.system import (
     shannon_rate,
     snr_db_to_linear,
 )
+
+import oracles
 
 LINK = LinkState(bandwidth_hz=1e8, snr=15.0, t_max_s=0.012, d=120_000)
 COMP = ComputeProfile(b1=1e-4, b2=2e-3)
@@ -126,6 +130,30 @@ def test_max_bitwidth_discrete_selection():
     assert max_bitwidth_discrete(_link_with_ceiling(0.5), full) == 0
     no_zero = QuantizerSpec(c_min=0.0, c_max=1.0, q_max=32, bit_alphabet=(4, 8))
     assert max_bitwidth_discrete(_link_with_ceiling(0.5), no_zero) == 0
+
+
+@pytest.mark.parametrize("alphabet", [None, (0, 1, 2, 4, 8, 12, 16, 24, 32), (12, 16, 24, 32)])
+def test_max_bitwidth_discrete_equals_a_downward_scan_at_every_threshold(alphabet):
+    # entry b fits from the threshold SNR 2^(b d / (t_max B)) - 1 up.  At
+    # nextafter on both sides of each threshold, where a rounding slip would
+    # show, the bisection must pick what a plain scan down the alphabet picks;
+    # the points 1e-9 out make every entry, and 0, the pick somewhere
+    spec = QuantizerSpec(c_min=0.0, c_max=1.0, q_max=32, bit_alphabet=alphabet)
+    for bandwidth_hz, t_max_s, d in ((1e8, 0.012, 120_000), (3.7e7, 0.0041, 91_337)):
+        picks = set()
+        for b in spec.bit_alphabet:
+            if b == 0:  # fits at any SNR: no threshold
+                continue
+            threshold = 2.0 ** (b * d / (t_max_s * bandwidth_hz)) - 1.0
+            for snr in (threshold * (1.0 - 1e-9), math.nextafter(threshold, 0.0), threshold,
+                        math.nextafter(threshold, math.inf), threshold * (1.0 + 1e-9)):
+                link = LinkState(bandwidth_hz=bandwidth_hz, snr=snr, t_max_s=t_max_s, d=d)
+                expected = oracles.max_bitwidth_scan(spec.bit_alphabet, d, bandwidth_hz, snr,
+                                                     t_max_s)
+                assert max_bitwidth_discrete(link, spec) == expected, (b, snr)
+                picks.add(expected)
+        # every entry is picked at its own threshold, and 0 when nothing fits
+        assert picks == set(spec.bit_alphabet) | {0}
 
 
 def test_max_bitwidth_discrete_respects_budget():

@@ -5,9 +5,10 @@ evaluations, Bessel ratios, inverses, sampler draws and simulator batches a
 workflow makes does not.  Each counted function is wrapped, in every
 ``edgeplan`` module namespace that bound it by name (as
 ``perfbench/tracer.py`` wraps its targets), by a counter that worker threads
-may share.  The planner and simulator are counted where they do the work
-(``_discrete_plans``, ``_simulate``, ``_cell_accuracy``, ``_classify``), not
-at public wrappers the workflows bypass.
+may share.  The kernels, the planner and the simulator are counted where they
+do the work (``_ratio``, ``_accuracy``, ``_discrete_plans``, ``_simulate``,
+``_classify``, ...), not at public wrappers that hot callers bypass; a test
+pins that each kernel's public wrapper calls its core once.
 
 The Simpson ladder levels ``accuracy_of_kappa`` builds are read from its
 cache's own miss count, from an empty cache.  Counts fixed by the design (one
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeplan import accuracy, simulator
+from edgeplan import accuracy, circstats, simulator
 from edgeplan.cli import main
 from edgeplan.optimizer import solve_discrete
 
@@ -35,11 +36,11 @@ from helpers import random_instance
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 COUNTED = (
-    ("circstats", "bessel_ratio"),
-    ("circstats", "bessel_ratio_inv"),
+    ("circstats", "_ratio"),
+    ("circstats", "_ratio_inv"),
     ("circstats", "sample_von_mises"),
-    ("accuracy", "accuracy_of_kappa"),
-    ("accuracy", "kappa_distorted"),
+    ("accuracy", "_accuracy"),
+    ("accuracy", "_distorted"),
     ("optimizer", "_discrete_plans"),
     ("simulator", "_simulate"),
     ("simulator", "_cell_accuracy"),
@@ -76,6 +77,20 @@ def counts(monkeypatch):
     return tally
 
 
+def test_each_public_kernel_calls_its_core_once(counts):
+    # the gate counts the cores, so a public wrapper that did the work itself
+    # would hide it; one call of each wrapper must be one call of its core
+    profile = accuracy.FeatureProfile(j_classes=10, c1=0.5, c2=1.0, c3=200.0, c4=0.1, n_layers=39)
+    calls = {"_ratio": lambda: circstats.bessel_ratio(2.5),
+             "_ratio_inv": lambda: circstats.bessel_ratio_inv(0.6),
+             "_accuracy": lambda: accuracy.accuracy_of_kappa(7.0, 10),
+             "_distorted": lambda: accuracy.kappa_distorted(1e-3, 12.5, profile)}
+    for core, call in calls.items():
+        before = counts[core]
+        call()
+        assert counts[core] == before + 1, core
+
+
 def _config(tmp_path, **monte_carlo):
     raw = json.loads(DEFAULT_CONFIG.read_text())
     raw["monte_carlo"].update(monte_carlo)
@@ -99,10 +114,10 @@ def test_the_readme_sweep_plans_once_per_target_and_simulates_once_per_row(count
     assert counts["_simulate"] == counts["make_rng"] == 248
     assert counts["sample_von_mises"] == counts["_classify"] == counts["_draw_noise"] == feasible
     assert counts["_cell_accuracy"] == 0
-    assert counts["accuracy_of_kappa"] <= 1_194
-    assert counts["kappa_distorted"] <= 474
-    assert counts["bessel_ratio_inv"] <= 300
-    assert counts["bessel_ratio"] <= 4_241
+    assert counts["_accuracy"] <= 1_194
+    assert counts["_distorted"] <= 474
+    assert counts["_ratio_inv"] <= 300
+    assert counts["_ratio"] <= 4_241
     # J = 10 at 16, 32, 64, 128 and 256 intervals
     assert accuracy._cached_level.cache_info().misses <= 5
 
@@ -115,10 +130,10 @@ def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(co
     assert counts["_discrete_plans"] == 300
     assert counts["sample_von_mises"] == counts["_simulate"] == 0
     # 10.06 accuracy evaluations and 31.4 Bessel ratios per plan
-    assert counts["accuracy_of_kappa"] <= 3_019
-    assert counts["bessel_ratio"] <= 9_410
-    assert counts["bessel_ratio_inv"] <= 537
-    assert counts["kappa_distorted"] <= 1_186
+    assert counts["_accuracy"] <= 3_019
+    assert counts["_ratio"] <= 9_410
+    assert counts["_ratio_inv"] <= 537
+    assert counts["_distorted"] <= 1_186
     assert accuracy._cached_level.cache_info().misses <= 5
 
 
@@ -137,4 +152,4 @@ def test_a_validate_cell_draws_each_class_once_and_one_noise_stream(counts, tmp_
     assert counts["sample_von_mises"] == counts["_classify"] == cells * j_classes
     assert counts["make_rng"] == cells * (j_classes + 1)
     assert counts["_simulate"] == counts["_discrete_plans"] == 0
-    assert counts["accuracy_of_kappa"] <= cells
+    assert counts["_accuracy"] <= cells

@@ -14,6 +14,11 @@ it prints each side's median and quartiles, the change's median over the
 base's, and the number of pairs the change won, lost and tied; "better"
 follows the metric's declared direction.  ``beyond_base_iqr`` says whether
 the medians differ by more than the distance between the base's quartiles.
+It then prints each side's unscaled ``items_per_s``, ``op_p50_ms`` and
+``reference_pass_ms`` (the calibration pass that scales the times) with the
+change's median over the base's: a ``reference_pass_ms`` ratio away from 1
+means the scale itself moved, for example when one side runs threads that
+compete with the calibration, and the scaled metrics carry that skew.
 The same numbers, every run's raw metrics, and each side's ``env`` line,
 commit and ``src`` tree go to ``--out`` as JSON.  Standard library only; a
 run that exits non-zero stops the comparison.
@@ -29,6 +34,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("base", "change")
+UNSCALED = ("items_per_s", "op_p50_ms", "reference_pass_ms")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -88,6 +94,23 @@ def summarise(runs: list, end_to_end: list) -> dict:
     return summary
 
 
+def summarise_unscaled(runs: list) -> dict:
+    """Per :data:`UNSCALED` time: each side's spread and the change's median over the base's."""
+    summary = {}
+    for name in UNSCALED:
+        sides = {side: spread([run[side]["unscaled"][name]["value"] for run in runs])
+                 for side in SIDES}
+        base, change = sides["base"]["median"], sides["change"]["median"]
+        summary[name] = {**sides, "change_over_base": change / base if base else None}
+    return summary
+
+
+def printed(row: dict) -> tuple:
+    """A summary row's sides as ``median [q1, q3]`` and its ratio, as printed."""
+    cells = [f"{row[s]['median']:.6g} [{row[s]['q1']:.6g}, {row[s]['q3']:.6g}]" for s in SIDES]
+    return cells, "-" if row["change_over_base"] is None else f"{row['change_over_base']:.4f}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path, help="checkout of the parent")
@@ -113,15 +136,18 @@ def main() -> int:
             print(f"pair {i} {side}: items_per_s {rate:.6g}", file=sys.stderr, flush=True)
         runs.append(pair)
 
-    summary = summarise(runs, spec["end_to_end"])
+    summary, unscaled = summarise(runs, spec["end_to_end"]), summarise_unscaled(runs)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
     print(f"{'metric':<14}{'base median [q1, q3]':>40}  {'change median [q1, q3]':>40}"
           f"{'ratio':>9}{'won':>5}{'lost':>5}{'tied':>5}  beyond base IQR")
     for name, row in summary.items():
-        cells = [f"{row[s]['median']:.6g} [{row[s]['q1']:.6g}, {row[s]['q3']:.6g}]" for s in SIDES]
-        ratio = "-" if row["change_over_base"] is None else f"{row['change_over_base']:.4f}"
+        cells, ratio = printed(row)
         print(f"{name:<14}{cells[0]:>40}  {cells[1]:>40}{ratio:>9}{row['wins']:>5}"
               f"{row['losses']:>5}{row['ties']:>5}  {row['beyond_base_iqr']}")
+    print("unscaled")
+    for name, row in unscaled.items():
+        cells, ratio = printed(row)
+        print(f"{name:<18}{cells[0]:>36}  {cells[1]:>40}{ratio:>9}")
 
     record = {
         "workload": args.workload,
@@ -131,6 +157,7 @@ def main() -> int:
         "sides": {side: {**commit_of(checkouts[side]), "env": runs[0][side]["env"]}
                   for side in SIDES},
         "summary": summary,
+        "unscaled": unscaled,
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
