@@ -150,7 +150,11 @@ def quant_variance(q: float, spec: QuantizerSpec) -> float:
     ``q0 + 1``, giving variance ``(1 + 3 alpha)/4 * range^2 / (12 * 4^q0)``.
     At integer q this reduces exactly to ``range^2 / (12 * 4^q)``.
     """
-    q = _check_real("q", q, 0.0)
+    return _quant_variance(_check_real("q", q, 0.0), spec)
+
+
+def _quant_variance(q: float, spec: QuantizerSpec) -> float:
+    """:func:`quant_variance` of a finite ``q >= 0``, unchecked."""
     q0 = int(math.floor(q))
     alpha = 1.0 - (q - q0)
     # exact power-of-two scaling; underflows to 0 instead of overflowing for

@@ -14,21 +14,27 @@ simulator scores it.  ``_discrete_plans`` is the one discrete planner, behind
 ``solve_discrete`` and ``sweep``.  It uses the bisected continuous depth only
 to find where to start: the plan's exit is the first whose own accuracy meets
 the target.  The link enters a plan only through its bit-width, so plans
-change only at the threshold SNRs where the alphabet admits a new entry; it
-plans several links and exit sets with one depth search per distinct
-bit-width and one accuracy evaluation per (bit-width, exit layer), filling in
-latency and EPR per link.  Everything is pure; instances may be solved in
-parallel without coordination.
+change only at the threshold SNRs where the alphabet admits a new entry.
+The model sees the bit-width only through its quantization variance, and
+not at all once that noise rounds away at depth 1 (on the default config
+from 29.99 bits on).  So a planning call's ``_Target`` runs one depth search
+per (p0, *noise level*), shared by the ceilings and the discrete scans, and
+one accuracy evaluation per (noise level, depth).  Everything is pure;
+instances may be solved in parallel without coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .accuracy import (
     FeatureProfile,
     QuantizerSpec,
+    _accuracy,
+    _distorted,
+    _quant_variance,
+    _shrink,
     accuracy_model,
     min_depth_for_accuracy,
     quant_variance,
@@ -115,6 +121,39 @@ def _plan(
     )
 
 
+class _Target:
+    """The accuracy target of one planning call: (profile, spec, p0), ``p0`` checked once.
+
+    Keeps each depth search and accuracy by *noise level*: the quantization
+    variance, or 0.0 where its shrink at depth 1 rounds to 1.  The key is
+    exact: ``c4 >= 0``, so the shrink is then 1.0 at every depth, and every
+    value the model computes is the noise-free one, bit for bit.
+    """
+
+    def __init__(self, profile: FeatureProfile, spec: QuantizerSpec, p0: float) -> None:
+        self.profile, self.spec, self.p0 = profile, spec, profile.check_target(p0)
+        self._depths = {}  # noise level -> min_depth_for_accuracy
+        self._accuracies = {}  # (noise level, depth) -> accuracy_model
+
+    def level(self, sigma2: float) -> float:
+        """The noise level of a checked variance: 0.0 if its shrink at depth 1 is 1.0."""
+        return 0.0 if _shrink(sigma2, 1.0, self.profile) == 1.0 else sigma2
+
+    def depth(self, noise: float) -> Optional[float]:
+        """The smallest continuous depth meeting ``p0`` at a noise level, or None."""
+        if noise not in self._depths:
+            self._depths[noise] = min_depth_for_accuracy(noise, self.p0, self.profile)
+        return self._depths[noise]
+
+    def accuracy(self, noise: float, ell: float) -> float:
+        """``accuracy_model`` at a noise level and a depth in [1, L]."""
+        key = noise, ell
+        if key not in self._accuracies:
+            kappa = _distorted(noise, ell, self.profile)
+            self._accuracies[key] = _accuracy(kappa, self.profile.j_classes)
+        return self._accuracies[key]
+
+
 def solve_cr(
     link: LinkState,
     comp: ComputeProfile,
@@ -130,12 +169,17 @@ def solve_cr(
     When no depth qualifies the plan parks at the last model layer with zero
     EPR.
     """
+    return _ceiling(link, comp, _Target(profile, spec, p0))
+
+
+def _ceiling(link: LinkState, comp: ComputeProfile, target: _Target) -> Plan:
+    """:func:`solve_cr` under a checked target."""
     q_star = max_bitwidth_continuous(link)
-    ell_star = min_depth_for_accuracy(quant_variance(q_star, spec), p0, profile)
+    noise = target.level(quant_variance(q_star, target.spec))
+    ell_star = target.depth(noise)
     feasible = ell_star is not None
-    ell = float(ell_star if feasible else profile.n_layers)
-    accuracy = accuracy_model(q_star, ell, profile, spec)
-    return _plan(q_star, ell, accuracy, feasible, link, comp)
+    ell = float(ell_star if feasible else target.profile.n_layers)
+    return _plan(q_star, ell, target.accuracy(noise, ell), feasible, link, comp)
 
 
 def solve_discrete(
@@ -158,53 +202,53 @@ def solve_discrete(
     there predicting chance, ``1/J``.  One call of ``_discrete_plans``, the
     one discrete planner, which plans several links and exit sets alike.
     """
-    return _discrete_plans([link], comp, profile, spec, [exits], p0)[0][0]
+    exits.check_within(profile)
+    return _discrete_plans([link], comp, [exits], _Target(profile, spec, p0))[0][0]
 
 
 def _discrete_plans(
     links: Sequence[LinkState],
     comp: ComputeProfile,
-    profile: FeatureProfile,
-    spec: QuantizerSpec,
     exit_sets: Sequence[ExitSet],
-    p0: float,
+    target: _Target,
+    ceilings: Optional[Sequence[Plan]] = None,
 ) -> List[List[Plan]]:
     """The :func:`solve_discrete` plan for each link and each exit set, in order.
 
-    Checks every exit set and ``p0`` once, before any link.  A link enters
-    only through its bit-width ``q*``: the continuous minimum depth is solved
-    once per distinct ``q* > 0``, and ``accuracy_model`` is evaluated at most
-    once per ``(q*, exit layer)``, for the scans and the plans alike.  At
-    ``q* = 0`` nothing is sent, so every set parks at its deepest exit,
-    infeasible, at chance accuracy ``1/J``.  Nothing is kept between calls.
+    The exit sets must have passed ``check_within``.  A link enters only
+    through its bit-width ``q*``: the continuous minimum depth is searched
+    once per noise level, and ``accuracy_model`` is evaluated once per
+    (noise level, exit layer), for the scans and the plans alike.  A link's
+    continuous ceiling, if given, is its scan start instead whenever its
+    bit-width is at least ``q*``: it then sees no more noise, so its depth is
+    at or below the link's own, and an infeasible one leaves the link
+    infeasible too.  At ``q* = 0`` nothing is sent, so every set parks at
+    its deepest exit, infeasible, at chance accuracy ``1/J``.
     """
-    for exits in exit_sets:
-        exits.check_within(profile)
-    p0 = profile.check_target(p0)
-    q_stars = [float(max_bitwidth_discrete(link, spec)) for link in links]
-    starts = {q: min_depth_for_accuracy(quant_variance(q, spec), p0, profile)
-              for q in dict.fromkeys(q_stars) if q}
-    accuracy_at = {}  # (q*, exit layer) -> accuracy_model
-
-    def accuracy(q: float, layer: int) -> float:
-        if (q, layer) not in accuracy_at:
-            accuracy_at[q, layer] = accuracy_model(q, float(layer), profile, spec)
-        return accuracy_at[q, layer]
-
+    profile, p0 = target.profile, target.p0
     plans = []
-    for q, link in zip(q_stars, links):
+    for i, link in enumerate(links):
+        q = float(max_bitwidth_discrete(link, target.spec))
+        if q:
+            noise = target.level(_quant_variance(q, target.spec))
+            ceiling = ceilings[i] if ceilings else None
+            if ceiling is not None and ceiling.q >= q:
+                ell_plus = ceiling.ell if ceiling.feasible else None
+            else:
+                ell_plus = target.depth(noise)
         row = []
         for exits in exit_sets:
-            ell_plus, ell = starts.get(q), None
-            if ell_plus is not None:
+            ell = None
+            if q and ell_plus is not None:
                 # the bisected depth is a start, not a verdict: scan from the last
                 # exit below it for the first whose accuracy meets p0
                 start = max(sum(l < ell_plus for l in exits.layers) - 1, 0)
-                ell = next((l for l in exits.layers[start:] if accuracy(q, l) >= p0), None)
+                ell = next((l for l in exits.layers[start:]
+                            if target.accuracy(noise, float(l)) >= p0), None)
             feasible = ell is not None
             ell = ell if feasible else exits.deepest
             # with nothing sent the tasks are guesses, as the simulator scores them
-            predicted = accuracy(q, ell) if q else 1.0 / profile.j_classes
+            predicted = target.accuracy(noise, float(ell)) if q else 1.0 / profile.j_classes
             row.append(_plan(q, ell, predicted, feasible, link, comp))
         plans.append(row)
     return plans

@@ -13,11 +13,9 @@ uses more than one core, which equals that chain bit for bit: each core
 draws a block of classes while the caller draws the noise, then adds its
 slice of the noise, labels and counts class by class, so no whole-cell
 sample set is built.  :func:`run_algorithm1` runs the stages on
-one stream per batch, angles before noise.  :func:`sweep` chooses exits
-once per (p0, bit-width) for every exit set and SNR sharing that
-bit-width, solves the continuous ceiling once per (p0, SNR), and simulates
-each row with the batch step ``_simulate`` that :func:`run_algorithm1` also
-runs.
+one stream per batch, angles before noise.  :func:`sweep` plans with one
+depth search per (p0, noise level) and simulates each row with the batch
+step ``_simulate`` that :func:`run_algorithm1` also runs.
 
 Every stage draws from an explicit generator addressed by (seed, stream),
 so cells and rows are independent and reproduce bit for bit.  No shared
@@ -38,7 +36,7 @@ import numpy as np
 from .accuracy import FeatureProfile, QuantizerSpec, grad_energy, kappa_bar, quant_variance
 from .circstats import (AngularSampleSet, FieldError, _check_finite, _check_int, _check_real,
                         _wrap, sample_von_mises)
-from .optimizer import ExitSet, Plan, _discrete_plans, solve_cr, solve_discrete
+from .optimizer import ExitSet, Plan, _ceiling, _discrete_plans, _Target, solve_discrete
 from .rng import derive_seed, make_rng
 from .system import ComputeProfile, LinkState, snr_db_to_linear
 
@@ -343,29 +341,31 @@ def sweep(
     Each point simulates ``tasks`` inferences under the :func:`solve_discrete`
     plan, as :func:`run_algorithm1` does, reports that plan with its Monte
     Carlo accuracy estimate, and adds the continuous ceiling's EPR.  The
-    ceiling is solved once per (target accuracy, SNR).  The discrete plans'
-    exits, predicted accuracies and feasibility depend on the SNR only
-    through the bit-width the latency budget admits, so one depth search per
-    (target accuracy, bit-width) serves every exit set and every SNR between
-    two thresholds; only latency and EPR are recomputed per SNR.  Each point
-    draws from a stream derived from its grid indices, so rows are
+    ceilings are solved first, once per (target accuracy, SNR), and each
+    point's ceiling depth is where its discrete scans start, for every exit
+    set: one depth search per (target accuracy, noise level) serves the
+    whole sweep (see :mod:`edgeplan.optimizer`).  Only latency and EPR are
+    recomputed per SNR between two bit-width thresholds.  Each point draws
+    from a stream derived from its grid indices, so rows are
     order-independent.  Each iterable is read once; the seed, the exit sets
     and every target accuracy are judged before anything is planned.
     """
     tasks = _check_int("tasks", tasks, 1)
     snr_db_grid, exit_variants = list(snr_db_grid), list(exit_variants)
-    p0_list = [profile.check_target(p0) for p0 in p0_list]
-    lists = {"snr_db_grid": snr_db_grid, "exit_variants": exit_variants, "p0_list": p0_list}
+    targets = [_Target(profile, spec, p0) for p0 in p0_list]
+    lists = {"snr_db_grid": snr_db_grid, "exit_variants": exit_variants, "p0_list": targets}
     for name, values in lists.items():
         if not values:
             raise FieldError(name, "must be nonempty")
     points = [replace(link, snr=snr_db_to_linear(snr_db)) for snr_db in snr_db_grid]
     seed = _check_int("seed", seed)
-    # the discrete plans judge the exit sets before any ceiling is solved
-    plans = [_discrete_plans(points, comp, profile, spec, exit_variants, p0) for p0 in p0_list]
-    ceilings = [[solve_cr(point, comp, profile, spec, p0).epr for point in points] for p0 in p0_list]
+    for exits in exit_variants:
+        exits.check_within(profile)
+    ceilings = [[_ceiling(point, comp, target) for point in points] for target in targets]
+    plans = [_discrete_plans(points, comp, exit_variants, target, cr)
+             for target, cr in zip(targets, ceilings)]
     rows: List[SweepRow] = []
-    cells = product(range(len(exit_variants)), range(len(p0_list)), range(len(snr_db_grid)))
+    cells = product(range(len(exit_variants)), range(len(targets)), range(len(snr_db_grid)))
     for vi, pi, si in cells:
         plan = plans[pi][si][vi]
         rng = make_rng(derive_seed(seed, 101, vi, pi, si), _STREAM_TASKS)
@@ -374,14 +374,14 @@ def sweep(
             SweepRow(
                 snr_db=float(snr_db_grid[si]),
                 variant=exit_set_label(exit_variants[vi]),
-                p0=p0_list[pi],
+                p0=targets[pi].p0,
                 q=plan.q,
                 ell=plan.ell,
                 pred_acc=plan.predicted_accuracy,
                 emp_acc=accuracy.value,
                 emp_ci=accuracy.ci_half_width,
                 epr_bits_per_s=plan.epr,
-                epr_cr_bits_per_s=ceilings[pi][si],
+                epr_cr_bits_per_s=ceilings[pi][si].epr,
                 feasible=plan.feasible,
             )
         )

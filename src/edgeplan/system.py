@@ -54,6 +54,8 @@ class LinkState:
         for name in ("bandwidth_hz", "snr", "t_max_s"):
             object.__setattr__(self, name, _check_real(name, getattr(self, name), 0.0, strict=True))
         object.__setattr__(self, "d", _check_int("d", self.d, 1))
+        if 1.0 + self.snr == 1.0:
+            raise FieldError("snr", f"1 + snr rounds to 1, so the Shannon rate is 0, got {self.snr!r}")
 
 
 @dataclass(frozen=True)

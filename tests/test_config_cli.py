@@ -491,6 +491,8 @@ SNR_GRID_PART_ERRORS = [
     ("x:1:1", "FROM: must be a finite real, got 'x'"),
     ("0:y:1", "TO: must be a finite real, got 'y'"),
     ("0:1:z", "STEP: must be a finite real > 0, got 'z'"),
+    # a point whose linear SNR vanishes beside 1 has no Shannon rate to plan with
+    ("-170:-170:1", "-170 dB: 1 + snr rounds to 1, so the Shannon rate is 0, got 1e-17"),
 ]
 
 

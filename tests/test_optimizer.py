@@ -2,6 +2,7 @@
 
 import ast
 import math
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import edgeplan
-from edgeplan import optimizer
+from edgeplan import accuracy, optimizer
 from edgeplan.accuracy import (
     FeatureProfile,
     QuantizerSpec,
@@ -309,25 +310,29 @@ def test_cr_dominates_on_random_instances():
 
 def test_discrete_plans_evaluate_each_exit_layer_once(monkeypatch):
     # several exit sets planned in one call share one accuracy evaluation per
-    # exit layer, and each plan is still the exhaustive optimum for its set
-    # and links that share a bit-width (15 and 25 dB) share those evaluations
+    # (noise level, exit layer), and each plan is still the exhaustive optimum
+    # for its set; links that share a bit-width (15 and 25 dB) share those
+    # evaluations
     evaluated = []
 
-    def counted(q, ell, profile, spec):
-        evaluated.append((q, ell))
-        return accuracy_model(q, ell, profile, spec)
+    def counted(sigma2, ell, profile):
+        evaluated.append((sigma2, ell))
+        return distorted(sigma2, ell, profile)
 
-    monkeypatch.setattr(optimizer, "accuracy_model", counted)
+    distorted = optimizer._distorted
+    monkeypatch.setattr(optimizer, "_distorted", counted)
     sets = [ExitSet(layers=(9, 37)), ExitSet(layers=(9, 19, 37)), ExitSet(layers=(37,)), EXITS]
     layers = {float(l) for exits in sets for l in exits.layers}
     links = [replace(LINK, snr=snr_db_to_linear(snr_db)) for snr_db in (-5.0, 5.0, 15.0, 25.0)]
     outcomes = set()
     for p0 in (0.3, 0.6, 0.8, 0.999):
         evaluated.clear()
-        plans = optimizer._discrete_plans(links, COMP, PROFILE, SPEC, sets, p0)
+        target = optimizer._Target(PROFILE, SPEC, p0)
+        plans = optimizer._discrete_plans(links, COMP, sets, target)
         assert len(evaluated) == len(set(evaluated))
         assert {ell for _, ell in evaluated} <= layers
-        assert {q for q, _ in evaluated} <= {plan.q for row in plans for plan in row}
+        levels = {target.level(quant_variance(plan.q, SPEC)) for row in plans for plan in row}
+        assert {sigma2 for sigma2, _ in evaluated} <= levels
         assert plans[2][0].q == plans[3][0].q
         for link, row in zip(links, plans):
             for plan, exits in zip(row, sets):
@@ -335,6 +340,56 @@ def test_discrete_plans_evaluate_each_exit_layer_once(monkeypatch):
                 assert plan.predicted_accuracy == accuracy_model(plan.q, plan.ell, PROFILE, SPEC)
                 outcomes.add(plan.feasible)
     assert outcomes == {True, False}
+
+
+def _largest_noise_free_variance(profile):
+    """The largest float sigma2 whose shrink at depth 1 rounds to 1.0, by bisection
+    over the bit patterns of the floats in [0, 1]."""
+    def bits(x):
+        return struct.unpack("<q", struct.pack("<d", x))[0]
+
+    def value(i):
+        return struct.unpack("<d", struct.pack("<q", i))[0]
+
+    lo, hi = bits(0.0), bits(1.0)
+    assert accuracy._shrink(1.0, 1.0, profile) < 1.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accuracy._shrink(value(mid), 1.0, profile) == 1.0 else (lo, mid)
+    return value(lo)
+
+
+def test_the_noise_level_key_is_exact_on_random_profiles():
+    # below the largest variance whose noise rounds away at depth 1, the model
+    # sees no noise at any depth: the depth search and the accuracy are the
+    # noise-free ones bit for bit, so the planner keys them by 0.0; one float
+    # above, the key is the variance itself
+    rng = np.random.default_rng(20261020)
+    for i in range(12):
+        profile = FeatureProfile(
+            j_classes=int(rng.integers(2, 20)),
+            c1=float(rng.uniform(0.1, 1.0)),
+            c2=float(rng.uniform(0.1, 2.0)),
+            c3=float(rng.uniform(1.0, 1e4)),
+            c4=0.0 if i % 3 == 0 else float(rng.uniform(0.0, 0.5)),
+            n_layers=int(rng.integers(2, 60)),
+        )
+        sigma2 = _largest_noise_free_variance(profile)
+        above = math.nextafter(sigma2, math.inf)
+        target = optimizer._Target(profile, SPEC, 0.5 + 0.5 / profile.j_classes)
+        assert target.level(sigma2) == 0.0
+        assert target.level(above) == above
+        for p0 in (target.p0, 0.9, 0.999):
+            assert (min_depth_for_accuracy(sigma2, p0, profile)
+                    == min_depth_for_accuracy(0.0, p0, profile))
+        # accuracy_model's chain at sigma2 against accuracy_model where the
+        # quantization variance underflows to 0
+        assert quant_variance(4096.0, SPEC) == 0.0
+        for ell in np.linspace(1.0, profile.n_layers, 25):
+            kappa = kappa_distorted(sigma2, float(ell), profile)
+            assert kappa == kappa_distorted(0.0, float(ell), profile)
+            assert (accuracy_of_kappa(kappa, profile.j_classes)
+                    == accuracy_model(4096.0, float(ell), profile, SPEC))
 
 
 def test_benchmark_generator_matches_the_test_generator():

@@ -697,11 +697,12 @@ def test_sweep_plans_every_exit_set_of_a_point_like_brute_force():
     assert feasible >= 200 and infeasible >= 100
 
 
-def test_sweep_runs_one_depth_search_per_point_and_ceiling(monkeypatch):
-    # one continuous depth search per (p0, SNR), and one discrete search per
-    # (p0, bit-width), however many exit sets and SNRs share it: 10 and 25 dB
-    # both admit the whole alphabet, so 2 x 3 ceilings and 2 x 2 discrete;
-    # each exit set is checked against the model once per p0, at the entry
+def test_sweep_runs_one_depth_search_per_target_and_noise_level(monkeypatch):
+    # one continuous depth search per (p0, noise level), shared by the
+    # ceilings and the discrete scans: at 10 and 25 dB the ceilings' noise
+    # rounds away, so per p0 the -5 dB ceiling and one noise-free search serve
+    # all three ceilings and every discrete plan; each exit set is checked
+    # against the model once, at the entry
     calls, checks = [], []
     search, check_within = optimizer.min_depth_for_accuracy, ExitSet.check_within
 
@@ -721,8 +722,10 @@ def test_sweep_runs_one_depth_search_per_point_and_ceiling(monkeypatch):
     variants = [ExitSet(layers=(9, 37)), ExitSet(layers=(9, 19, 37)), EXITS]
     rows = sweep(grid, LINK, COMP, STEEP, SPEC, variants, [0.6, 0.7], tasks=10, seed=4)
     assert len(rows) == 18
-    assert len(calls) == 2 * 3 + 2 * 2
-    assert len(checks) == 2 * 3
+    assert [(p0, sigma2 == 0.0) for sigma2, p0, _ in calls] == [
+        (0.6, False), (0.6, True), (0.7, False), (0.7, True)
+    ]
+    assert len(checks) == 3
 
 
 def test_sweep_shares_plans_between_thresholds_on_random_instances():
@@ -824,9 +827,9 @@ def test_bad_seed_or_exit_set_costs_no_planning(monkeypatch):
     # seed once cost a whole planning pass before its FieldError, and a bad
     # last p0 the searches of every p0 before it
     calls = []
-    search, ceiling = optimizer.min_depth_for_accuracy, simulator.solve_cr
+    search, ceiling = optimizer.min_depth_for_accuracy, simulator._ceiling
     monkeypatch.setattr(optimizer, "min_depth_for_accuracy", lambda *a: calls.append(a) or search(*a))
-    monkeypatch.setattr(simulator, "solve_cr", lambda *a: calls.append(a) or ceiling(*a))
+    monkeypatch.setattr(simulator, "_ceiling", lambda *a: calls.append(a) or ceiling(*a))
     grid, p0s = [-5.0, 10.0, 25.0], [0.6, 0.7]
     bad_inputs = [
         ("seed", lambda: sweep(grid, LINK, COMP, STEEP, SPEC, [EXITS], p0s, tasks=10, seed="7")),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgeplan.accuracy import QuantizerSpec
+from edgeplan.circstats import FieldError
 from edgeplan.system import (
     ComputeProfile,
     LinkState,
@@ -36,6 +37,18 @@ def test_link_state_validation():
         LinkState(bandwidth_hz=1e8, snr=-1.0, t_max_s=0.01, d=100)
     with pytest.raises(ValueError):
         LinkState(bandwidth_hz=1e8, snr=1.0, t_max_s=0.01, d=0)
+
+
+def test_an_snr_that_vanishes_beside_1_is_rejected():
+    # 1 + snr rounds to 1 from snr = 2^-53 down, and the Shannon rate would be
+    # 0: every planner divided by it
+    message = "^snr: 1 [+] snr rounds to 1, so the Shannon rate is 0"
+    for snr in (2.0**-53, 1e-17, 5e-324):
+        with pytest.raises(FieldError, match=message) as err:
+            LinkState(bandwidth_hz=1e8, snr=snr, t_max_s=0.012, d=120_000)
+        assert err.value.path == "snr"
+    smallest = math.nextafter(2.0**-53, 1.0)
+    assert shannon_rate(LinkState(bandwidth_hz=1e8, snr=smallest, t_max_s=0.012, d=120_000)) > 0.0
 
 
 def test_comm_latency_examples():

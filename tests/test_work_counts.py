@@ -8,7 +8,9 @@ workflow makes does not.  Each counted function is wrapped, in every
 may share.  The kernels, the planner and the simulator are counted where they
 do the work (``_ratio``, ``_accuracy``, ``_discrete_plans``, ``_simulate``,
 ``_classify``, ...), not at public wrappers that hot callers bypass; a test
-pins that each kernel's public wrapper calls its core once.
+pins that each kernel's public wrapper calls its core once.  The depth search
+is counted at ``min_depth_for_accuracy``, which has no private core, and the
+argument checks at ``_check_real``, the one rule behind them.
 
 The Simpson ladder levels ``accuracy_of_kappa`` builds are read from its
 cache's own miss count, from an empty cache.  Counts fixed by the design (one
@@ -41,6 +43,8 @@ COUNTED = (
     ("circstats", "sample_von_mises"),
     ("accuracy", "_accuracy"),
     ("accuracy", "_distorted"),
+    ("accuracy", "min_depth_for_accuracy"),
+    ("circstats", "_check_real"),
     ("optimizer", "_discrete_plans"),
     ("simulator", "_simulate"),
     ("simulator", "_cell_accuracy"),
@@ -114,10 +118,16 @@ def test_the_readme_sweep_plans_once_per_target_and_simulates_once_per_row(count
     assert counts["_simulate"] == counts["make_rng"] == 248
     assert counts["sample_von_mises"] == counts["_classify"] == counts["_draw_noise"] == feasible
     assert counts["_cell_accuracy"] == 0
-    assert counts["_accuracy"] <= 1_194
-    assert counts["_distorted"] <= 474
-    assert counts["_ratio_inv"] <= 300
-    assert counts["_ratio"] <= 4_241
+    # one depth search per (p0, noise level), shared by the ceilings and the
+    # discrete scans: per p0, the 14 ceilings below 9 dB each see their own
+    # noise, and every ceiling from 9 dB on (q* >= 29.99 bits) and every
+    # discrete plan share searches already made
+    assert counts["min_depth_for_accuracy"] == 2 * (14 + 1)
+    assert counts["_accuracy"] <= 484
+    assert counts["_distorted"] <= 252
+    assert counts["_ratio_inv"] <= 229
+    assert counts["_ratio"] <= 2_199
+    assert counts["_check_real"] <= 3_395
     # J = 10 at 16, 32, 64, 128 and 256 intervals
     assert accuracy._cached_level.cache_info().misses <= 5
 
@@ -134,6 +144,7 @@ def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(co
     assert counts["_ratio"] <= 9_410
     assert counts["_ratio_inv"] <= 537
     assert counts["_distorted"] <= 1_186
+    assert counts["_check_real"] <= 7_071
     assert accuracy._cached_level.cache_info().misses <= 5
 
 
