@@ -362,7 +362,10 @@ def sample_von_mises(
     ``mu`` is one mean direction or an array of ``n``, one per draw.
     ``kappa`` is clipped at :data:`KAPPA_MAX`.  numpy's Best-Fisher rejection
     sampler draws the angles; below ``kappa = 1e-8`` it draws them uniformly,
-    whatever ``mu``.
+    whatever ``mu``.  Either way numpy draws without holding the interpreter
+    lock and takes the same numbers from ``rng``; an array of means goes
+    through numpy's broadcasting path, which costs more per draw than one
+    scalar mean.
     """
     kappa = min(_check_real("kappa", kappa, 0.0), KAPPA_MAX)
     n = _check_int("n", n, 0)

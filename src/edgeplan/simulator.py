@@ -8,14 +8,16 @@ scored into an :class:`AccuracyEstimate` with a binomial interval by one
 Wald rule over a count of hits.  The public chain runs them serially as
 :func:`generate_dataset` (one stream per class, in class order),
 :func:`distort` (one noise stream) and :func:`empirical_accuracy`.
-``validate`` scores each cell with ``_cell_accuracy``, the one stage that
-uses more than one core, which equals that chain bit for bit: each core
-draws a block of classes while the caller draws the noise, then adds its
-slice of the noise, labels and counts class by class, so no whole-cell
-sample set is built.  :func:`run_algorithm1` runs the stages on
-one stream per batch, angles before noise.  :func:`sweep` plans with one
-depth search per (p0, noise level) and simulates each row with the batch
-step ``_simulate`` that :func:`run_algorithm1` also runs.
+``validate`` scores each cell with ``_cell_accuracy`` on every usable core,
+which equals that chain bit for bit: each core draws a block of classes
+while the caller draws the noise, then adds its slice of the noise, labels
+and counts class by class, so no whole-cell sample set is built.
+:func:`run_algorithm1` runs the stages on one stream per batch, angles
+(drawn at mean 0, then shifted to their class centroids) before noise.
+:func:`sweep` plans serially with one depth search per (p0, noise level),
+then simulates its rows on every usable core with the batch step
+``_simulate`` that :func:`run_algorithm1` also runs; its CSV bytes do not
+depend on the core count.
 
 Every stage draws from an explicit generator addressed by (seed, stream),
 so cells and rows are independent and reproduce bit for bit.  No shared
@@ -284,20 +286,24 @@ def _simulate(
     """Whether each of ``tasks`` (>= 1) inferences under ``plan`` is correct, drawn from ``rng``.
 
     True classes cycle 1..J deterministically (uniform priors without
-    sampling noise).  A feasible plan is simulated end to end: draw the clean
-    angle, add the plan's quantization noise, classify at the chosen depth.
-    An infeasible plan, which includes every zero-bit plan, transmits
-    nothing, so those tasks are scored as uniform random guesses.
+    sampling noise).  A feasible plan is simulated end to end: draw every
+    clean angle at mean 0 (one scalar mean skips numpy's slower broadcasting
+    path), then every noise draw, from ``rng``; add each task's class
+    centroid and its noise, wrap once and classify at the chosen depth.  An
+    infeasible plan, which includes every zero-bit plan, transmits nothing,
+    so those tasks are scored as uniform random guesses.
     """
     j = profile.j_classes
     true_classes = (np.arange(tasks) % j) + 1
 
     if plan.feasible:
-        mu = profile.centroids[true_classes - 1]
-        angles = sample_von_mises(rng, mu, kappa_bar(plan.ell, profile), tasks)
+        angles = sample_von_mises(rng, 0.0, kappa_bar(plan.ell, profile), tasks)
         variance = _noise_variance(quant_variance(plan.q, spec), plan.ell, profile)
-        angles = _add_noise(angles, _draw_noise(variance, tasks, rng))
-        predicted = _classify(angles, profile)
+        noise = _draw_noise(variance, tasks, rng)
+        angles += profile.centroids[true_classes - 1]
+        if noise is not None:
+            angles += noise
+        predicted = _classify(_wrap(angles, out=angles), profile)
     else:
         predicted = rng.integers(1, j + 1, size=tasks)
 
@@ -349,6 +355,10 @@ def sweep(
     from a stream derived from its grid indices, so rows are
     order-independent.  Each iterable is read once; the seed, the exit sets
     and every target accuracy are judged before anything is planned.
+    Planning runs on the calling thread; the rows are then simulated on a
+    pool of one worker per usable core (at most one per row), made after
+    planning and joined before this returns or raises.  Each row draws from
+    its own stream, so the rows do not depend on the core count.
     """
     tasks = _check_int("tasks", tasks, 1)
     snr_db_grid, exit_variants = list(snr_db_grid), list(exit_variants)
@@ -364,25 +374,31 @@ def sweep(
     ceilings = [[_ceiling(point, comp, target) for point in points] for target in targets]
     plans = [_discrete_plans(points, comp, exit_variants, target, cr)
              for target, cr in zip(targets, ceilings)]
-    rows: List[SweepRow] = []
-    cells = product(range(len(exit_variants)), range(len(targets)), range(len(snr_db_grid)))
-    for vi, pi, si in cells:
+
+    def row(vi, pi, si):
         plan = plans[pi][si][vi]
         rng = make_rng(derive_seed(seed, 101, vi, pi, si), _STREAM_TASKS)
         accuracy = _score(np.count_nonzero(_simulate(tasks, plan, profile, spec, rng)), tasks)
-        rows.append(
-            SweepRow(
-                snr_db=float(snr_db_grid[si]),
-                variant=exit_set_label(exit_variants[vi]),
-                p0=targets[pi].p0,
-                q=plan.q,
-                ell=plan.ell,
-                pred_acc=plan.predicted_accuracy,
-                emp_acc=accuracy.value,
-                emp_ci=accuracy.ci_half_width,
-                epr_bits_per_s=plan.epr,
-                epr_cr_bits_per_s=ceilings[pi][si].epr,
-                feasible=plan.feasible,
-            )
+        return SweepRow(
+            snr_db=float(snr_db_grid[si]),
+            variant=exit_set_label(exit_variants[vi]),
+            p0=targets[pi].p0,
+            q=plan.q,
+            ell=plan.ell,
+            pred_acc=plan.predicted_accuracy,
+            emp_acc=accuracy.value,
+            emp_ci=accuracy.ci_half_width,
+            epr_bits_per_s=plan.epr,
+            epr_cr_bits_per_s=ceilings[pi][si].epr,
+            feasible=plan.feasible,
         )
+
+    cells = list(product(range(len(exit_variants)), range(len(targets)), range(len(snr_db_grid))))
+    workers = min(_usable_cores(), len(cells))
+    rows: List[SweepRow] = [None] * len(cells)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        blocks = pool.map(lambda block: [row(*cell) for cell in block],
+                          [cells[w::workers] for w in range(workers)])
+        for w, block in enumerate(blocks):
+            rows[w::workers] = block
     return rows

@@ -56,6 +56,12 @@ class LinkState:
         object.__setattr__(self, "d", _check_int("d", self.d, 1))
         if 1.0 + self.snr == 1.0:
             raise FieldError("snr", f"1 + snr rounds to 1, so the Shannon rate is 0, got {self.snr!r}")
+        if not math.isfinite(shannon_rate(self)):
+            raise FieldError("bandwidth_hz", f"bandwidth_hz * log2(1 + snr) overflows, got "
+                             f"bandwidth_hz={self.bandwidth_hz!r} and snr={self.snr!r}")
+        if not math.isfinite(max_bitwidth_continuous(self)):
+            raise FieldError("t_max_s", f"the bit budget t_max_s * shannon_rate / d overflows, got "
+                             f"t_max_s={self.t_max_s!r} and shannon_rate={shannon_rate(self)!r}")
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,16 @@ def test_plan_config_error_exit_one(tmp_path, capsys):
     assert "link.bandwidth_hz" in capsys.readouterr().err
 
 
+def test_plan_rejects_a_link_whose_bit_budget_overflows(tmp_path, capsys):
+    raw = _base_config()
+    raw["link"].update(bandwidth_hz=1e300, snr_db=3000.0, t_max_s=1e300, d=1)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    assert main(["plan", str(path), "--cr"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: link.t_max_s: the bit budget") and "overflows" in err
+
+
 def test_usage_error_exit_one(capsys):
     assert main(["plan"]) == 1
     assert main(["frobnicate"]) == 1

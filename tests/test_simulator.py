@@ -144,7 +144,7 @@ def test_usable_cores_fall_back_to_the_cpu_count_without_an_affinity_mask(monkey
 
 
 def _spy_pools(monkeypatch):
-    """Record each pool ``_cell_accuracy`` makes: its workers and the classes of each block."""
+    """Record each pool the simulator makes: its workers and the block each task got."""
     pools = []
 
     class Pool(ThreadPoolExecutor):
@@ -154,7 +154,7 @@ def _spy_pools(monkeypatch):
             pools.append(self)
 
         def submit(self, fn, block):
-            self.blocks.append([j for j, _ in block])
+            self.blocks.append(list(block))
             return super().submit(fn, block)
 
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", Pool)
@@ -212,7 +212,8 @@ def test_the_caller_draws_the_first_block_and_the_pool_the_rest(monkeypatch):
     here = [stream for ident, stream in drawn if ident == threading.get_ident()]
     assert here == [noise] + classes[:3]
     (pool,) = pools
-    assert pool.workers == 2 and pool.blocks == [[4, 5, 6], [7, 8, 9, 10]]
+    assert pool.workers == 2
+    assert [[j for j, _ in block] for block in pool.blocks] == [[4, 5, 6], [7, 8, 9, 10]]
     assert sorted(stream for _, stream in drawn) == sorted([noise] + classes)
 
 
@@ -611,15 +612,17 @@ def test_run_algorithm1_degenerates_to_chance_without_bits():
 
 def test_run_algorithm1_draws_match_a_numpy_resimulation():
     # pins the batch stream layout: one stream [seed, 3], classes cycling
-    # 1..J, all von Mises angles first, then all noise
+    # 1..J, all von Mises angles first, drawn at mean 0, then all noise; each
+    # angle gains its class centroid, then its noise, and is wrapped once
     seed, tasks = 5, 257
     correct, plan, accuracy = run_algorithm1(tasks, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed=seed)
     assert plan.feasible and plan.q > 0
     rng = _philox(seed, 3)
     classes = np.arange(tasks) % 10 + 1
-    angles = rng.vonmises(CENTROIDS[classes - 1], kappa_bar(plan.ell, STEEP))
+    angles = rng.vonmises(0.0, kappa_bar(plan.ell, STEEP), tasks)
     sigma2 = quant_variance(plan.q, SPEC) * grad_energy(plan.ell, STEEP)
-    angles = angles + rng.normal(0.0, math.sqrt(sigma2), tasks)
+    noise = rng.normal(0.0, math.sqrt(sigma2), tasks)
+    angles = np.angle(np.exp(1j * (angles + CENTROIDS[classes - 1] + noise)))
     expected = _nearest_centroid(angles) == classes
     assert correct.dtype == bool and np.array_equal(correct, expected)
     assert 0 < expected.sum() < tasks
@@ -761,6 +764,101 @@ def test_sweep_shares_plans_between_thresholds_on_random_instances():
                     )
                     assert row.epr_cr_bits_per_s == ceiling.epr
     assert shared >= 12
+
+
+SWEEP_GRID, SWEEP_P0S = [-5.0, 5.0, 10.0, 25.0], [0.6, 0.999]
+SWEEP_VARIANTS = [ExitSet(layers=(9, 37)), EXITS]
+
+
+def _serial_sweep(grid, variants, p0s, tasks, seed):
+    """Sweep rows built one after another on the calling thread: each cell's
+    own plan, simulated on its stream ``(seed, 101, vi, pi, si)``."""
+    rows = []
+    cells = itertools.product(enumerate(variants), enumerate(p0s), enumerate(grid))
+    for (vi, exits), (pi, p0), (si, snr_db) in cells:
+        point = replace(LINK, snr=snr_db_to_linear(snr_db))
+        plan = solve_discrete(point, COMP, STEEP, SPEC, exits, p0)
+        rng = make_rng(derive_seed(seed, 101, vi, pi, si), 3)
+        correct = simulator._simulate(tasks, plan, STEEP, SPEC, rng)
+        value = np.count_nonzero(correct) / tasks
+        rows.append(simulator.SweepRow(
+            snr_db=snr_db, variant=exit_set_label(exits), p0=p0, q=plan.q, ell=plan.ell,
+            pred_acc=plan.predicted_accuracy, emp_acc=value,
+            emp_ci=1.959963984540054 * math.sqrt(value * (1.0 - value) / tasks),
+            epr_bits_per_s=plan.epr, epr_cr_bits_per_s=solve_cr(point, COMP, STEEP, SPEC, p0).epr,
+            feasible=plan.feasible,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
+def test_sweep_rows_are_the_serial_rows_on_any_core_count(monkeypatch, cores):
+    # 16 rows and 2 rows, so 8 cores is fewer than the rows once and more
+    # once; at 8 cores a 1 us switch interval interleaves the workers as
+    # often as it can
+    _force_cores(monkeypatch, cores)
+    pools = _spy_pools(monkeypatch)
+    cases = [(SWEEP_GRID, SWEEP_VARIANTS, SWEEP_P0S), ([10.0], [EXITS], SWEEP_P0S)]
+    interval = sys.getswitchinterval()
+    if cores == 8:
+        sys.setswitchinterval(1e-6)
+    try:
+        for grid, variants, p0s in cases:
+            rows = _within(60.0, lambda: sweep(grid, LINK, COMP, STEEP, SPEC, variants, p0s,
+                                               tasks=300, seed=11))
+            assert rows == _serial_sweep(grid, variants, p0s, tasks=300, seed=11)
+            # both kinds of batch: drawn end to end, and guessed without bits
+            assert any(row.feasible for row in rows) and not all(row.feasible for row in rows)
+    finally:
+        sys.setswitchinterval(interval)
+    # one pool per sweep, at most one task per worker, each row simulated once
+    assert len(pools) == len(cases)
+    for pool, (grid, variants, p0s) in zip(pools, cases):
+        cells = list(itertools.product(range(len(variants)), range(len(p0s)), range(len(grid))))
+        assert pool.workers == min(cores, len(cells))
+        assert len(pool.blocks) <= pool.workers
+        assert sorted(cell for block in pool.blocks for cell in block) == cells
+
+
+@pytest.mark.parametrize("failing", [None, (0, 0, 0), (1, 1, 3)], ids=["none", "first", "last"])
+def test_a_failing_row_reaches_the_caller_and_leaves_no_thread(monkeypatch, failing):
+    # the row whose stream is the failing cell's raises on a worker thread
+    _force_cores(monkeypatch, 2)
+    simulate, seed = simulator._simulate, 9
+    if failing is not None:
+        entropy = [derive_seed(seed, 101, *failing), simulator._STREAM_TASKS]
+
+        def failing_row(tasks, plan, profile, spec, rng):
+            if rng.bit_generator.seed_seq.entropy == entropy:
+                raise DrawFailed(failing)
+            return simulate(tasks, plan, profile, spec, rng)
+
+        monkeypatch.setattr(simulator, "_simulate", failing_row)
+    _ends_without_a_thread(
+        lambda: sweep(SWEEP_GRID, LINK, COMP, STEEP, SPEC, SWEEP_VARIANTS, SWEEP_P0S, 100, seed),
+        lambda rows: len(rows) == 16,
+        failing,
+    )
+
+
+def test_a_sweep_judges_every_argument_before_a_pool_exists(monkeypatch):
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", _no_pool)
+    wide = LinkState(bandwidth_hz=1e306, snr=1.0, t_max_s=1.0, d=1)
+    good = dict(snr_db_grid=[10.0], link=LINK, comp=COMP, profile=STEEP, spec=SPEC,
+                exit_variants=[EXITS], p0_list=[0.7], tasks=10, seed=1)
+    bad = [
+        ("seed", dict(seed="7")),
+        ("layers[1]", dict(exit_variants=[EXITS, ExitSet((9, 40))])),
+        ("p0", dict(p0_list=[0.7, 1.5])),
+        ("tasks", dict(tasks=0)),
+        ("snr_db_grid", dict(snr_db_grid=[])),
+        # a grid point where bandwidth_hz * log2(1 + snr) overflows
+        ("bandwidth_hz", dict(link=wide, snr_db_grid=[10.0, 3000.0])),
+    ]
+    for path, change in bad:
+        with pytest.raises(FieldError) as err:
+            sweep(**{**good, **change})
+        assert err.value.path == path
 
 
 def test_task_count_must_be_positive(monkeypatch):

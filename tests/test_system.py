@@ -51,6 +51,22 @@ def test_an_snr_that_vanishes_beside_1_is_rejected():
     assert shannon_rate(LinkState(bandwidth_hz=1e8, snr=smallest, t_max_s=0.012, d=120_000)) > 0.0
 
 
+def test_a_link_whose_rate_or_bit_budget_overflows_is_rejected():
+    # the continuous bit budget t_max_s * B log2(1 + snr) / d once overflowed
+    # inside solve_cr, which then blamed q, a value the caller never passed
+    message = r"^bandwidth_hz: bandwidth_hz \* log2\(1 \+ snr\) overflows"
+    with pytest.raises(FieldError, match=message) as err:
+        LinkState(bandwidth_hz=1e308, snr=1e300, t_max_s=0.012, d=120_000)
+    assert err.value.path == "bandwidth_hz"
+    with pytest.raises(FieldError, match=r"^t_max_s: the bit budget t_max_s \* shannon_rate / d "
+                       "overflows") as err:
+        LinkState(bandwidth_hz=1e300, snr=1e300, t_max_s=1e300, d=1)
+    assert err.value.path == "t_max_s"
+    # the largest finite budgets still build a link
+    wide = LinkState(bandwidth_hz=1e300, snr=1e300, t_max_s=1.0, d=1)
+    assert math.isfinite(max_bitwidth_continuous(wide))
+
+
 def test_comm_latency_examples():
     assert comm_latency(0.0, LINK) == 0.0
     # log2(16) = 4 exactly: 120000 * 40 / 4e8

@@ -14,7 +14,8 @@ argument checks at ``_check_real``, the one rule behind them.
 
 The Simpson ladder levels ``accuracy_of_kappa`` builds are read from its
 cache's own miss count, from an empty cache.  Counts fixed by the design (one
-batch per sweep row, one draw per class per cell) are pinned exactly.  Counts
+batch per sweep row, one draw per class per cell, one thread pool per sweep and
+per cell, counted where the simulator makes it) are pinned exactly.  Counts
 of numerical work are pinned as upper bounds at today's values: a change that
 lowers one tightens its pin, and a change that raises one says why.
 """
@@ -50,6 +51,7 @@ COUNTED = (
     ("simulator", "_cell_accuracy"),
     ("simulator", "_classify"),
     ("simulator", "_draw_noise"),
+    ("simulator", "ThreadPoolExecutor"),
     ("rng", "make_rng"),
 )
 
@@ -113,8 +115,10 @@ def test_the_readme_sweep_plans_once_per_target_and_simulates_once_per_row(count
     feasible = sum(row.endswith(",1") for row in rows)
     assert len(rows) == 248
     assert feasible == 236
-    # one stream and one batch per row; only a feasible batch draws and classifies
+    # one stream and one batch per row, on one pool; only a feasible batch
+    # draws and classifies
     assert counts["_discrete_plans"] == 2
+    assert counts["ThreadPoolExecutor"] == 1
     assert counts["_simulate"] == counts["make_rng"] == 248
     assert counts["sample_von_mises"] == counts["_classify"] == counts["_draw_noise"] == feasible
     assert counts["_cell_accuracy"] == 0
@@ -138,7 +142,7 @@ def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(co
     for _ in range(300):
         solve_discrete(**random_instance(rng))
     assert counts["_discrete_plans"] == 300
-    assert counts["sample_von_mises"] == counts["_simulate"] == 0
+    assert counts["sample_von_mises"] == counts["_simulate"] == counts["ThreadPoolExecutor"] == 0
     # 10.06 accuracy evaluations and 31.4 Bessel ratios per plan
     assert counts["_accuracy"] <= 3_019
     assert counts["_ratio"] <= 9_410
@@ -159,7 +163,7 @@ def test_a_validate_cell_draws_each_class_once_and_one_noise_stream(counts, tmp_
             "--out", str(tmp_path / "validate.csv")]
     assert main(args) in (0, 2)
     cells, j_classes = 4, 10
-    assert counts["_cell_accuracy"] == counts["_draw_noise"] == cells
+    assert counts["_cell_accuracy"] == counts["_draw_noise"] == counts["ThreadPoolExecutor"] == cells
     assert counts["sample_von_mises"] == counts["_classify"] == cells * j_classes
     assert counts["make_rng"] == cells * (j_classes + 1)
     assert counts["_simulate"] == counts["_discrete_plans"] == 0
