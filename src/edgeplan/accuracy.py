@@ -3,7 +3,9 @@
 The chain is: bit-width -> uniform quantization variance -> effective angular
 noise at a given traversal depth -> shrunken von Mises concentration -> MAP
 accuracy for equally spaced class centroids.  Depth is treated as continuous and
-bisected on the concentration scale (:func:`min_depth_for_accuracy`).  Pure
+bisected on the concentration scale (:func:`min_depth_for_accuracy`), which
+evaluates only inside a certified band around the Newton root of that scale's
+test and answers every other step without evaluating.  Pure
 functions over immutable profile/spec values; safe for concurrent use.  The
 one piece of module state is the Simpson ladder cache of
 :func:`accuracy_of_kappa`: bounded (:data:`_LADDER_ENTRIES` levels) and
@@ -52,6 +54,9 @@ _LADDER_ENTRIES = 64
 _DEPTH_TOL = 1e-6
 _ROOT_REL_TOL = 1e-13
 _ROOT_MAX_STEPS = 500
+_BAND_ULPS = 1024
+_BAND_REL = 1e-12
+_BAND_MAX_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -301,9 +306,14 @@ def min_depth_for_accuracy(
     p0 -- infeasibility is a value the planner must handle, not an error.  As
     ``kappa = A^-1(A(kappa_bar) * shrink)`` and accuracy rises with it, a step
     tests ``A(kappa_bar) * shrink >= A(kappa0)``, with ``kappa0`` solved once
-    in the end checks' bracket.  As 1 - p0 nears 1e-9 accuracy is not monotone
-    in kappa to the last bit, so a result failing the direct test is certified
-    by bisecting on to n_layers with it.
+    in the end checks' bracket.  A band around that test's root
+    (:func:`_band`) whose lower end fails the test and upper end passes it
+    is certified; steps at or below the band then fail and steps at or above
+    it pass without evaluating, which gives plain bisection's depth bit for
+    bit wherever the test is monotone outside the band.  Without a certified
+    band every step evaluates.  As 1 - p0 nears 1e-9 accuracy is not
+    monotone in kappa to the last bit, so a result failing the direct test
+    is certified by bisecting on to n_layers with it.
     """
     p0, j, top = profile.check_target(p0), profile.j_classes, float(profile.n_layers)
     sigma2 = _check_real("sigma2", sigma2, 0.0)
@@ -320,9 +330,61 @@ def min_depth_for_accuracy(
     kappa_hi = _distorted(sigma2, top, profile)
     if (acc_hi := _accuracy(kappa_hi, j)) < p0:
         return None
-    r0 = _ratio(_solve_kappa0(p0, j, kappa_lo, acc_lo, kappa_hi, acc_hi))
-    depth = _bisect(reaches, 1.0, top)
+    kappa0 = _solve_kappa0(p0, j, kappa_lo, acc_lo, kappa_hi, acc_hi)
+    r0 = _ratio(kappa0)
+    test = reaches
+    band = _band(sigma2, kappa0, r0, profile)
+    if band is not None and not reaches(band[0]) and reaches(band[1]):
+        below, above = band
+
+        def settled(ell: float) -> bool:
+            return ell > below and (ell >= above or reaches(ell))
+
+        test = settled
+    depth = _bisect(test, 1.0, top)
     return depth if depth == top or passes(depth) else _bisect(passes, depth, top)
+
+
+def _band(
+    sigma2: float, kappa0: float, r0: float, profile: FeatureProfile
+) -> Optional[Tuple[float, float]]:
+    """A band ``(g - delta, g + delta)`` inside (1, L) around the root ``g`` of
+    ``A(kappa_bar(ell)) * shrink(ell) = r0``, or None; the caller certifies it.
+
+    Safeguarded Newton in [1, L] from the noise-free root ``(kappa0 - c2) / c1``,
+    with slope ``shrink * (A'(kappa_bar) c1 + A(kappa_bar) sigma2 c4 c3 exp(-c4 ell) / 2)``,
+    ``A' = 1 - A / kappa - A^2`` (no ``c1`` term where ``kappa_bar`` is capped at
+    ``KAPPA_MAX``), stops on a step within
+    ``delta = 1024 ulp(r0) / slope + 1e-12 g``, far wider than the depth over
+    which the test's rounding can move its answer.  None if the slope is not
+    positive, Newton has not stopped within ``_BAND_MAX_STEPS`` (32) steps, or
+    the band leaves (1, L).
+    """
+    c1, c2, c3, c4 = profile.c1, profile.c2, profile.c3, profile.c4
+    first, last = 1.0, float(profile.n_layers)
+    lo, hi = first, last
+    ell = min(max((kappa0 - c2) / c1, lo), hi)
+    for _ in range(_BAND_MAX_STEPS):
+        kbar = c1 * ell + c2
+        capped = kbar >= KAPPA_MAX
+        kbar = min(kbar, KAPPA_MAX)
+        a = _ratio(kbar)
+        half_noise = 0.5 * sigma2 * c3 * math.exp(-c4 * ell)
+        shrink = math.exp(-half_noise)
+        slope = shrink * ((0.0 if capped else (1.0 - a / kbar - a * a) * c1)
+                          + a * half_noise * c4)
+        if not slope > 0.0:
+            return None
+        excess = a * shrink - r0
+        lo, hi = (ell, hi) if excess < 0.0 else (lo, ell)
+        step = excess / slope
+        root = ell - step
+        delta = _BAND_ULPS * math.ulp(r0) / slope + _BAND_REL * root
+        if abs(step) <= delta:
+            below, above = root - delta, root + delta
+            return (below, above) if first < below and above < last else None
+        ell = root if lo < root < hi else 0.5 * (lo + hi)
+    return None
 
 
 def _bisect(passes, lo: float, hi: float) -> float:

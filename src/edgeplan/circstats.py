@@ -354,24 +354,16 @@ class AngularSampleSet:
             raise FieldError("labels", f"must be class indices <= {j_classes}, got {first}")
 
 
-def sample_von_mises(
-    rng: np.random.Generator, mu: float | np.ndarray, kappa: float, n: int
-) -> np.ndarray:
-    """Draw ``n`` von Mises angles on (-pi, pi] from an explicit generator.
+def sample_von_mises(rng: np.random.Generator, mu: float, kappa: float, n: int) -> np.ndarray:
+    """Draw ``n`` von Mises angles on (-pi, pi] about one mean direction ``mu``.
 
-    ``mu`` is one mean direction or an array of ``n``, one per draw.
     ``kappa`` is clipped at :data:`KAPPA_MAX`.  numpy's Best-Fisher rejection
-    sampler draws the angles; below ``kappa = 1e-8`` it draws them uniformly,
-    whatever ``mu``.  Either way numpy draws without holding the interpreter
-    lock and takes the same numbers from ``rng``; an array of means goes
-    through numpy's broadcasting path, which costs more per draw than one
-    scalar mean.
+    sampler draws the angles, without holding the interpreter lock; below
+    ``kappa = 1e-8`` it draws them uniformly, whatever ``mu``.
     """
     kappa = min(_check_real("kappa", kappa, 0.0), KAPPA_MAX)
     n = _check_int("n", n, 0)
-    mu = _check_finite("mu", mu)
-    if mu.ndim and mu.shape != (n,):
-        raise FieldError("mu", f"must be one direction or {n} of them, got shape {mu.shape}")
+    mu = _check_real("mu", mu)
     angles = rng.vonmises(mu, kappa, size=n)
     # numpy reports the closed interval [-pi, pi]; remap the lone boundary point
     angles[angles <= -np.pi] = np.pi

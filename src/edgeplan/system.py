@@ -2,7 +2,10 @@
 
 Units are SI throughout: Hz, seconds, bits.  SNR is stored linear; use
 :func:`snr_db_to_linear` when ingesting dB values.  Pure functions; safe for
-concurrent use.
+concurrent use.  Public functions check their inputs; private cores
+(``_comm_latency``, ``_comp_latency``, ``_epr``) hold each formula once and
+take checked values, so the planner, which has checked them already, calls
+the cores.
 """
 
 from __future__ import annotations
@@ -101,12 +104,22 @@ def shannon_rate(link: LinkState) -> float:
 
 def comm_latency(q: float, link: LinkState) -> float:
     """Time to upload d features at q bits each: ``d q / (B log2(1+snr))``."""
-    return link.d * _check_real("q", q, 0.0) / shannon_rate(link)
+    return _comm_latency(_check_real("q", q, 0.0), link)
+
+
+def _comm_latency(q: float, link: LinkState) -> float:
+    """:func:`comm_latency` of a finite float ``q >= 0``, unchecked."""
+    return link.d * q / shannon_rate(link)
 
 
 def comp_latency(ell: float, comp: ComputeProfile) -> float:
     """Inference time through depth ell: ``b1 ell + b2``."""
-    return comp.b1 * _check_real("ell", ell, 1.0) + comp.b2
+    return _comp_latency(_check_real("ell", ell, 1.0), comp)
+
+
+def _comp_latency(ell: float, comp: ComputeProfile) -> float:
+    """:func:`comp_latency` of a finite float ``ell >= 1``, unchecked."""
+    return comp.b1 * ell + comp.b2
 
 
 def epr(q: float, ell: float, link: LinkState, comp: ComputeProfile) -> float:
@@ -116,10 +129,14 @@ def epr(q: float, ell: float, link: LinkState, comp: ComputeProfile) -> float:
     transmitted.  Strictly below the channel rate whenever compute time is
     positive, and approaches it as compute time vanishes.
     """
-    q = _check_real("q", q, 0.0)
+    return _epr(_check_real("q", q, 0.0), _check_real("ell", ell, 1.0), link, comp)
+
+
+def _epr(q: float, ell: float, link: LinkState, comp: ComputeProfile) -> float:
+    """:func:`epr` of a finite float ``q >= 0`` and ``ell >= 1``, unchecked."""
     if q == 0.0:
         return 0.0
-    return link.d * q / (comm_latency(q, link) + comp_latency(ell, comp))
+    return link.d * q / (_comm_latency(q, link) + _comp_latency(ell, comp))
 
 
 def max_bitwidth_continuous(link: LinkState) -> float:
@@ -140,5 +157,6 @@ def max_bitwidth_discrete(link: LinkState, spec: QuantizerSpec) -> int:
     """
     # the alphabet is increasing and the latency rises with b, so the entries
     # within the budget are a prefix: bisect for its end
-    fits = bisect(spec.bit_alphabet, False, key=lambda b: comm_latency(b, link) > link.t_max_s)
+    fits = bisect(spec.bit_alphabet, False,
+                  key=lambda b: _comm_latency(float(b), link) > link.t_max_s)
     return spec.bit_alphabet[fits - 1] if fits else 0

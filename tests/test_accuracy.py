@@ -576,3 +576,118 @@ def test_min_depth_target_beyond_kappa_max_matches_oracle():
         ell = min_depth_for_accuracy(0.0, p0, profile)
         assert ell == oracles.min_depth_bisect(acc, p0, 39)
         assert lo < ell < hi
+
+
+# ---------------------------------------------------------------------------
+# the certified band of the depth search
+# ---------------------------------------------------------------------------
+
+
+def _noise_free_edge(profile):
+    """The largest variance whose shrink at depth 1 still rounds to 1."""
+    lo, hi = 0.0, 1.0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if accuracy_module._shrink(mid, 1.0, profile) == 1.0 else (lo, mid)
+    return lo
+
+
+def _searches(monkeypatch):
+    """The name of the test each depth bisection runs, in order: ``settled`` inside a
+    certified band, ``reaches`` in the plain bisection, ``passes`` in the last-bit check."""
+    names, bisect = [], accuracy_module._bisect
+
+    def recording(passes, lo, hi):
+        names.append(passes.__name__)
+        return bisect(passes, lo, hi)
+
+    monkeypatch.setattr(accuracy_module, "_bisect", recording)
+    return names
+
+
+_CAPPED = FeatureProfile(j_classes=10_000, c1=3e4, c2=0.0, c3=400.0, c4=0.08, n_layers=39)
+_FLAT_NOISE = FeatureProfile(j_classes=10, c1=0.35, c2=0.5, c3=400.0, c4=0.0, n_layers=39)
+_FLAT_RATIO = FeatureProfile(j_classes=10, c1=1e-6, c2=2.0, c3=400.0, c4=0.08, n_layers=39)
+_EDGE = _noise_free_edge(DEFAULT)
+
+# (id, profile, variance, depth whose accuracy sets p0, offset added to that accuracy,
+# the test the bisection runs: ``settled`` in a certified band, ``reaches`` without one)
+BAND_CASES = [
+    # kappa_bar reaches KAPPA_MAX at depth 33.3: below the cap, across it, and past it,
+    # where only the shrink still rises with depth; without noise nothing does, the
+    # slope is 0 and no band is offered
+    ("capped-below", _CAPPED, 0.0, 31.5, 0.0, "settled"),
+    ("capped-across", _CAPPED, 1e-7, 33.3, 0.0, "settled"),
+    ("capped-past", _CAPPED, 1e-7, 36.0, 0.0, "settled"),
+    ("capped-past-no-noise", _CAPPED, 0.0, 36.0, 0.0, "reaches"),
+    # c4 = 0: the shrink is the same at every depth
+    ("flat-noise", _FLAT_NOISE, 1e-3, 20.3, 0.0, "settled"),
+    ("flat-noise-heavy", _FLAT_NOISE, 8e-3, 37.0, 0.0, "settled"),
+    # c1 = 1e-6: kappa_bar moves by 4e-5 over the whole model
+    ("flat-ratio", _FLAT_RATIO, 0.0, 20.3, 0.0, "settled"),
+    ("flat-ratio-noisy", _FLAT_RATIO, 1e-4, 20.3, 0.0, "settled"),
+    # one float either side of the variance whose shrink at depth 1 rounds to 1
+    ("noise-free-edge", DEFAULT, _EDGE, 17.3, 0.0, "settled"),
+    ("noise-free-edge-above", DEFAULT, float(np.nextafter(_EDGE, 1.0)), 17.3, 0.0, "settled"),
+    # p0 within 1e-9 of the accuracy at a depth
+    *[(f"near-an-accuracy-{offset:g}", DEFAULT, quant_variance(8, UNIT_SPEC), 12.7, offset,
+       "settled") for offset in (-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9)],
+]
+
+
+@pytest.mark.parametrize("profile, sigma2, depth, offset, search",
+                         [pytest.param(*case[1:], id=case[0]) for case in BAND_CASES])
+def test_min_depth_with_its_band_matches_the_plain_bisection(monkeypatch, profile, sigma2,
+                                                             depth, offset, search):
+    acc = _direct(sigma2, profile)
+    p0 = acc(depth) + offset
+    expected = oracles.min_depth_bisect(acc, p0, profile.n_layers)
+    searches = _searches(monkeypatch)
+    assert min_depth_for_accuracy(sigma2, p0, profile) == expected
+    assert searches == [search]
+    monkeypatch.setattr(accuracy_module, "_band", lambda *args: None)
+    assert min_depth_for_accuracy(sigma2, p0, profile) == expected
+    assert searches == [search, "reaches"]
+
+
+def test_a_missing_or_wrong_band_falls_back_to_the_plain_bisection(monkeypatch):
+    # the certificate, not the hint, decides: a band that misses the root on
+    # either side, or is inverted, fails it, and every step then evaluates
+    band, tried = accuracy_module._band, 0
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        inst = random_instance(rng)
+        profile, p0 = inst["profile"], inst["p0"]
+        sigma2 = quant_variance(max_bitwidth_discrete(inst["link"], inst["spec"]), inst["spec"])
+        with monkeypatch.context() as m:
+            searches = _searches(m)
+            expected = min_depth_for_accuracy(sigma2, p0, profile)
+        if searches != ["settled"]:
+            continue  # an end check answered, or no band was certified
+        tried += 1
+        hints = [lambda *args: None,
+                 lambda *args: tuple(end + 0.25 for end in band(*args)),
+                 lambda *args: tuple(end - 0.25 for end in band(*args)),
+                 lambda *args: band(*args)[::-1]]
+        for hint in hints:
+            with monkeypatch.context() as m:
+                m.setattr(accuracy_module, "_band", hint)
+                searches = _searches(m)
+                assert min_depth_for_accuracy(sigma2, p0, profile) == expected
+                assert searches == ["reaches"]
+    assert tried >= 20
+
+
+@pytest.mark.parametrize("miss", [1e-9, 1e-10, 1e-11])
+@pytest.mark.parametrize("c1", [20.0, 50.0, 100.0])
+def test_min_depth_near_accuracy_one_is_the_same_with_or_without_its_band(monkeypatch, c1, miss):
+    # where accuracy is not monotone in kappa to the last bit the depth found may
+    # differ from the plain bisection on the direct test (see above); the band
+    # must still not move it
+    profile = FeatureProfile(j_classes=10, c1=c1, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
+    p0 = 0.1 + 0.9 * (1.0 - miss)
+    for sigma2 in (0.0, 1e-6):
+        with_band = min_depth_for_accuracy(sigma2, p0, profile)
+        with monkeypatch.context() as m:
+            m.setattr(accuracy_module, "_band", lambda *args: None)
+            assert min_depth_for_accuracy(sigma2, p0, profile) == with_band

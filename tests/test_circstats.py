@@ -503,12 +503,13 @@ SEQUENCE_ARGUMENTS = [
     ("AngularSampleSet-bool", lambda: AngularSampleSet(angles=[True, 0.5]), "angles"),
     ("classify_map-bool-dtype", lambda: classify_map(np.array([True, False]), _PROFILE), "theta"),
     ("wrap_angle-int-beyond-float", lambda: wrap_angle([1, 10**400]), "theta"),
-    # a mean direction is one finite real or one per draw; numpy drew NaNs, read True as
-    # 1.0 and raised its own errors for a string or a length other than n
+    # a mean direction is one finite real, so an array of them is rejected even at length
+    # n; numpy drew NaNs, read True as 1.0 and raised its own errors for a string
     *[(f"sample_von_mises-mu-{key}", lambda mu=mu: sample_von_mises(make_rng(1), mu, 1.0, 3), "mu")
       for key, mu in [("nan", math.nan), ("inf", -math.inf), ("text", "a"), ("true", True),
                       ("nan-entry", [0.0, math.nan, 1.0]), ("short", np.zeros(2)),
-                      ("long", [0.0] * 4), ("matrix", np.zeros((3, 1)))]],
+                      ("long", [0.0] * 4), ("matrix", np.zeros((3, 1))),
+                      ("one-per-draw", np.zeros(3))]],
 ]
 
 

@@ -1,9 +1,11 @@
 """Tests for the planner: decomposition vs exhaustive search, dominance, shape."""
 
 import ast
+import copy
 import math
+import pickle
 import struct
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +114,19 @@ def test_solve_discrete_single_exit_benchmark():
     plan = solve_discrete(LINK, COMP, PROFILE, SPEC, ExitSet(layers=(37,)), 0.7)
     assert plan.feasible
     assert plan.ell == 37.0
+
+
+def test_a_plan_is_slotted_and_survives_pickle_copy_and_replace():
+    # slots change a Plan's pickle bytes, so identity is judged on its fields
+    plan = solve_discrete(LINK, COMP, PROFILE, SPEC, EXITS, 0.6)
+    assert not hasattr(plan, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan), replace(plan)):
+        assert type(twin) is optimizer.Plan
+        assert twin == plan and astuple(twin) == astuple(plan)
+    moved = replace(plan, ell=plan.ell + 1.0)
+    assert astuple(moved) == astuple(plan)[:1] + (plan.ell + 1.0,) + astuple(plan)[2:]
+    with pytest.raises(AttributeError):
+        plan.q = 1.0
 
 
 def test_plan_reevaluates_consistently():

@@ -1,9 +1,17 @@
 """Tests for the repository tools that are not part of the package."""
 
+import hashlib
 import importlib.util
+import subprocess
+import sys
+from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import edgeplan
+from helpers import random_instance
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -53,3 +61,50 @@ def test_bench_pairs_summarises_the_unscaled_times_and_the_calibration_skew():
     assert summary["reference_pass_ms"]["change_over_base"] == pytest.approx(4.5 / 3.1)
     cells, ratio = bench_pairs.printed(summary["reference_pass_ms"])
     assert cells == ["3.1 [3.05, 3.15]", "4.5 [4.45, 4.55]"] and ratio == "1.4516"
+
+
+def test_bench_pairs_shows_memory_per_attempted_operation():
+    # the change attempts twice the operations and peaks 10 % higher: per 10k
+    # attempted operations its peak is 0.55 of the base's
+    bench_pairs = _load("bench_pairs")
+    runs = [{side: {"attempted": attempted, "metrics": {"peak_rss_mb": {"value": rss}}}
+             for side, attempted, rss in (("base", n, 80.0), ("change", 2 * n, 88.0))}
+            for n in (40_000, 50_000, 60_000)]
+    memory = bench_pairs.summarise_memory(runs)
+    assert list(memory) == ["attempted", "peak_rss_mb_per_10k_ops"]
+    assert memory["attempted"]["base"]["median"] == 50_000
+    assert memory["attempted"]["change_over_base"] == 2.0
+    per_10k = memory["peak_rss_mb_per_10k_ops"]
+    assert per_10k["base"]["median"] == pytest.approx(16.0)
+    assert per_10k["change"]["median"] == pytest.approx(8.8)
+    assert per_10k["change_over_base"] == pytest.approx(0.55)
+
+
+def _plan_lines(name, scenarios):
+    for seed in range(scenarios):
+        scenario = random_instance(np.random.default_rng(seed))
+        if name == "solve_cr":
+            del scenario["exits"]
+        yield f"{astuple(getattr(edgeplan, name)(**scenario))!r}\n".encode()
+
+
+def test_plan_digest_hashes_each_planners_plan_fields_per_seed():
+    plan_digest = _load("plan_digest")
+    digests = plan_digest.digests(4)
+    assert list(digests) == ["solve_discrete", "solve_cr", "brute_force", "all"]
+    for name in plan_digest.PLANNERS:
+        assert digests[name] == hashlib.md5(b"".join(_plan_lines(name, 4))).hexdigest()
+    # the decomposition and the exhaustive search agree field for field
+    assert digests["solve_discrete"] == digests["brute_force"]
+    assert digests["solve_discrete"] != plan_digest.digests(3)["solve_discrete"]
+    lines = zip(*(_plan_lines(name, 4) for name in plan_digest.PLANNERS))
+    assert digests["all"] == hashlib.md5(b"".join(b"".join(row) for row in lines)).hexdigest()
+
+
+def test_plan_digest_prints_the_digests_of_the_checkout_it_is_given():
+    command = [sys.executable, str(TOOLS / "plan_digest.py"), "--scenarios", "2",
+               "--checkout", str(TOOLS.parent)]
+    out = subprocess.run(command, stdout=subprocess.PIPE, text=True, check=True).stdout
+    expected = _load("plan_digest").digests(2)
+    assert [line.split() for line in out.splitlines()] == [
+        [name, "2", digest] for name, digest in expected.items()]

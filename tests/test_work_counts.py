@@ -9,8 +9,10 @@ may share.  The kernels, the planner and the simulator are counted where they
 do the work (``_ratio``, ``_accuracy``, ``_discrete_plans``, ``_simulate``,
 ``_classify``, ...), not at public wrappers that hot callers bypass; a test
 pins that each kernel's public wrapper calls its core once.  The depth search
-is counted at ``min_depth_for_accuracy``, which has no private core, and the
-argument checks at ``_check_real``, the one rule behind them.
+is counted at ``min_depth_for_accuracy``, which has no private core, with each
+of its bisections tallied by the test it runs, so a search that falls back
+from its certified band to evaluating every step shows; the argument checks
+are counted at ``_check_real``, the one rule behind them.
 
 The Simpson ladder levels ``accuracy_of_kappa`` builds are read from its
 cache's own miss count, from an empty cache.  Counts fixed by the design (one
@@ -83,6 +85,21 @@ def counts(monkeypatch):
     return tally
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """The depth search's bisections by the name of the test each runs: ``settled``
+    inside a certified band, ``reaches`` in the plain bisection that evaluates every
+    step, ``passes`` in the last-bit check on the direct test."""
+    tally, bisect = Counter(), accuracy._bisect
+
+    def recording(passes, lo, hi):
+        tally[passes.__name__] += 1
+        return bisect(passes, lo, hi)
+
+    monkeypatch.setattr(accuracy, "_bisect", recording)
+    return tally
+
+
 def test_each_public_kernel_calls_its_core_once(counts):
     # the gate counts the cores, so a public wrapper that did the work itself
     # would hide it; one call of each wrapper must be one call of its core
@@ -105,7 +122,8 @@ def _config(tmp_path, **monte_carlo):
     return str(path)
 
 
-def test_the_readme_sweep_plans_once_per_target_and_simulates_once_per_row(counts, tmp_path):
+def test_the_readme_sweep_plans_once_per_target_and_simulates_once_per_row(counts, searches,
+                                                                           tmp_path):
     # 31 SNR points x 4 exit sets x 2 targets; tasks per row move no planner count
     args = ["sweep", _config(tmp_path, tasks=200), "--snr-db=-5:25:1",
             "--exits-variants", "9,37;9,19,37;9,19,29,37;9,19,29,34,37", "--p0-list", "0.6,0.7",
@@ -127,28 +145,34 @@ def test_the_readme_sweep_plans_once_per_target_and_simulates_once_per_row(count
     # noise, and every ceiling from 9 dB on (q* >= 29.99 bits) and every
     # discrete plan share searches already made
     assert counts["min_depth_for_accuracy"] == 2 * (14 + 1)
+    # the 29 searches past their end checks each bisect inside a certified band
+    assert searches == Counter(settled=29)
     assert counts["_accuracy"] <= 484
     assert counts["_distorted"] <= 252
     assert counts["_ratio_inv"] <= 229
-    assert counts["_ratio"] <= 2_199
-    assert counts["_check_real"] <= 3_395
+    assert counts["_ratio"] <= 1_580
+    assert counts["_check_real"] <= 1_810
     # J = 10 at 16, 32, 64, 128 and 256 intervals
     assert accuracy._cached_level.cache_info().misses <= 5
 
 
-def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(counts):
+def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(counts, searches):
     # the plan_stream unit: scenarios drawn one after another from one generator
     rng = np.random.default_rng(20260809)
     for _ in range(300):
         solve_discrete(**random_instance(rng))
     assert counts["_discrete_plans"] == 300
     assert counts["sample_von_mises"] == counts["_simulate"] == counts["ThreadPoolExecutor"] == 0
-    # 10.06 accuracy evaluations and 31.4 Bessel ratios per plan
+    # 297 depth searches; the 224 past their end checks each bisect inside a
+    # certified band
+    assert counts["min_depth_for_accuracy"] == 297
+    assert searches == Counter(settled=224)
+    # 10.06 accuracy evaluations and 15.04 Bessel ratios per plan
     assert counts["_accuracy"] <= 3_019
-    assert counts["_ratio"] <= 9_410
+    assert counts["_ratio"] <= 4_513
     assert counts["_ratio_inv"] <= 537
     assert counts["_distorted"] <= 1_186
-    assert counts["_check_real"] <= 7_071
+    assert counts["_check_real"] <= 4_494
     assert accuracy._cached_level.cache_info().misses <= 5
 
 

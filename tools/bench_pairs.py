@@ -19,7 +19,10 @@ It then prints each side's unscaled ``items_per_s``, ``op_p50_ms`` and
 change's median over the base's: a ``reference_pass_ms`` ratio away from 1
 means the scale itself moved, for example when one side runs threads that
 compete with the calibration, and the scaled metrics carry that skew.
-The same numbers, every run's raw metrics, and each side's ``env`` line,
+Last it prints each side's ``attempted`` operations and ``peak_rss_mb`` per
+10k attempted operations: where the harness keeps every output, a faster
+side attempts more operations and so peaks higher, and these rows show when
+an RSS move follows the operation count.  The same numbers, every run's raw metrics, and each side's ``env`` line,
 commit and ``src`` tree go to ``--out`` as JSON.  Standard library only; a
 run that exits non-zero stops the comparison.
 """
@@ -94,15 +97,26 @@ def summarise(runs: list, end_to_end: list) -> dict:
     return summary
 
 
+def compared(runs: list, value) -> dict:
+    """Each side's spread of ``value(result)`` and the change's median over the base's."""
+    sides = {side: spread([value(run[side]) for run in runs]) for side in SIDES}
+    base, change = sides["base"]["median"], sides["change"]["median"]
+    return {**sides, "change_over_base": change / base if base else None}
+
+
 def summarise_unscaled(runs: list) -> dict:
     """Per :data:`UNSCALED` time: each side's spread and the change's median over the base's."""
-    summary = {}
-    for name in UNSCALED:
-        sides = {side: spread([run[side]["unscaled"][name]["value"] for run in runs])
-                 for side in SIDES}
-        base, change = sides["base"]["median"], sides["change"]["median"]
-        summary[name] = {**sides, "change_over_base": change / base if base else None}
-    return summary
+    return {name: compared(runs, lambda result, name=name: result["unscaled"][name]["value"])
+            for name in UNSCALED}
+
+
+def summarise_memory(runs: list) -> dict:
+    """Each side's ``attempted`` operations and ``peak_rss_mb`` per 10k of them, compared."""
+    def per_10k(result: dict) -> float:
+        return result["metrics"]["peak_rss_mb"]["value"] / result["attempted"] * 1e4
+
+    return {"attempted": compared(runs, lambda result: result["attempted"]),
+            "peak_rss_mb_per_10k_ops": compared(runs, per_10k)}
 
 
 def printed(row: dict) -> tuple:
@@ -137,6 +151,7 @@ def main() -> int:
         runs.append(pair)
 
     summary, unscaled = summarise(runs, spec["end_to_end"]), summarise_unscaled(runs)
+    memory = summarise_memory(runs)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
     print(f"{'metric':<14}{'base median [q1, q3]':>40}  {'change median [q1, q3]':>40}"
           f"{'ratio':>9}{'won':>5}{'lost':>5}{'tied':>5}  beyond base IQR")
@@ -144,10 +159,11 @@ def main() -> int:
         cells, ratio = printed(row)
         print(f"{name:<14}{cells[0]:>40}  {cells[1]:>40}{ratio:>9}{row['wins']:>5}"
               f"{row['losses']:>5}{row['ties']:>5}  {row['beyond_base_iqr']}")
-    print("unscaled")
-    for name, row in unscaled.items():
-        cells, ratio = printed(row)
-        print(f"{name:<18}{cells[0]:>36}  {cells[1]:>40}{ratio:>9}")
+    for block, rows in (("unscaled", unscaled), ("memory", memory)):
+        print(block)
+        for name, row in rows.items():
+            cells, ratio = printed(row)
+            print(f"{name:<24}{cells[0]:>30}  {cells[1]:>40}{ratio:>9}")
 
     record = {
         "workload": args.workload,
@@ -158,6 +174,7 @@ def main() -> int:
                   for side in SIDES},
         "summary": summary,
         "unscaled": unscaled,
+        "memory": memory,
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
