@@ -306,14 +306,17 @@ def min_depth_for_accuracy(
     p0 -- infeasibility is a value the planner must handle, not an error.  As
     ``kappa = A^-1(A(kappa_bar) * shrink)`` and accuracy rises with it, a step
     tests ``A(kappa_bar) * shrink >= A(kappa0)``, with ``kappa0`` solved once
-    in the end checks' bracket.  A band around that test's root
+    in the end checks' bracket, 1e-13 wide.  A band around that test's root
     (:func:`_band`) whose lower end fails the test and upper end passes it
     is certified; steps at or below the band then fail and steps at or above
-    it pass without evaluating, which gives plain bisection's depth bit for
-    bit wherever the test is monotone outside the band.  Without a certified
-    band every step evaluates.  As 1 - p0 nears 1e-9 accuracy is not
-    monotone in kappa to the last bit, so a result failing the direct test
-    is certified by bisecting on to n_layers with it.
+    it pass without evaluating.  Without a certified band every step
+    evaluates.  Either way the depth is plain bisection's on the direct test
+    bit for bit wherever the test is monotone outside the band, unless p0 is
+    within kappa0's bracket of a midpoint's accuracy: there the direct test
+    can pass where this one fails, and the depth can be up to the 1e-6
+    tolerance above plain bisection's.  As 1 - p0 nears 1e-9 accuracy is
+    not monotone in kappa to the last bit, so a result failing the direct
+    test is certified by bisecting on to n_layers with it.
     """
     p0, j, top = profile.check_target(p0), profile.j_classes, float(profile.n_layers)
     sigma2 = _check_real("sigma2", sigma2, 0.0)

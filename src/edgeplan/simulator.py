@@ -9,9 +9,9 @@ Wald rule over a count of hits.  The public chain runs them serially as
 :func:`generate_dataset` (one stream per class, in class order),
 :func:`distort` (one noise stream) and :func:`empirical_accuracy`.
 ``validate`` scores each cell with ``_cell_accuracy`` on every usable core,
-which equals that chain bit for bit: each core draws a block of classes
-while the caller draws the noise, then adds its slice of the noise, labels
-and counts class by class, so no whole-cell sample set is built.
+which equals that chain bit for bit: a pool draws the noise, then runs one
+task per class that draws the class, adds its slice of the noise, labels it
+and counts its hits, so no whole-cell sample set is built.
 :func:`run_algorithm1` runs the stages on one stream per batch, angles
 (drawn at mean 0, then shifted to their class centroids) before noise.
 :func:`sweep` plans serially with one depth search per (p0, noise level),
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterable, List, NamedTuple, Optional, Tuple
@@ -139,44 +139,33 @@ def _cell_accuracy(
 ) -> AccuracyEstimate:
     """``empirical_accuracy(distort(generate_dataset(...), sigma2, ...))``, bit for bit.
 
-    Classes 1..J are split into one contiguous block per usable core (at
-    most J).  A pool made for this call draws every block but the first,
-    while the calling thread draws the noise as :func:`distort` does, then
-    the first block.  Each block adds its slice of noise class by class,
-    wraps it, labels it and counts the hits, so no whole-cell sample set is
-    built.  The noise reaches the workers through a future that carries the
-    caller's error instead if its draw fails, so every worker ends.  Every
-    argument is checked before the pool is made; the pool is joined before
-    this returns or raises.  numpy releases the GIL while it draws.
+    A pool of one worker per usable core (at most J), made for this call,
+    runs the noise draw as :func:`distort` does, then one task per class.
+    Each class task draws its class, waits for the noise, adds its slice in
+    place, wraps it, labels it and counts the hits, so no whole-cell sample
+    set is built; the caller sums the counts in class order.  Tasks start in
+    submission order, so a class task waits only on a noise draw already
+    running or done, and a failed draw reaches every class task and the
+    caller.  Every argument is checked before the pool is made; the pool is
+    joined before this returns or raises.  numpy releases the GIL while it
+    draws.
     """
     seed = _check_int("seed", seed)
     n_per_class = _check_int("n_per_class", n_per_class, 1)
     kappa = kappa_bar(ell, profile)
     variance = _noise_variance(_check_real("sigma2", sigma2, 0.0), ell, profile)
     size = profile.j_classes * n_per_class
-    classes = list(enumerate(profile.centroids, start=1))
-    blocks = min(_usable_cores(), len(classes))
-    bounds = [b * len(classes) // blocks for b in range(blocks + 1)]
-    ready = Future()
 
-    def count(block):
-        hits = 0
-        for j, mu in block:
-            angles = _draw_class(seed, j, mu, kappa, n_per_class)
-            noise = ready.result()
-            if noise is not None:  # this class's slice, summed in place
-                angles = _add_noise(angles, noise[(j - 1) * n_per_class : j * n_per_class])
-            hits += np.count_nonzero(_classify(angles, profile) == j)
-        return hits
+    def count(j, mu):
+        angles = _draw_class(seed, j, mu, kappa, n_per_class)
+        noise = drawn.result()
+        if noise is not None:  # this class's slice, summed in place
+            angles = _add_noise(angles, noise[(j - 1) * n_per_class : j * n_per_class])
+        return np.count_nonzero(_classify(angles, profile) == j)
 
-    with ThreadPoolExecutor(max_workers=max(blocks - 1, 1)) as pool:
-        try:
-            rest = [pool.submit(count, classes[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-            ready.set_result(_draw_noise(variance, size, make_rng(seed, _STREAM_DISTORT)))
-        except BaseException as exc:
-            ready.set_exception(exc)
-            raise
-        hits = count(classes[: bounds[1]]) + sum(block.result() for block in rest)
+    with ThreadPoolExecutor(max_workers=min(_usable_cores(), profile.j_classes)) as pool:
+        drawn = pool.submit(_draw_noise, variance, size, make_rng(seed, _STREAM_DISTORT))
+        hits = sum(pool.map(count, range(1, profile.j_classes + 1), profile.centroids))
     return _score(hits, size)
 
 

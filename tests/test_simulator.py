@@ -144,18 +144,18 @@ def test_usable_cores_fall_back_to_the_cpu_count_without_an_affinity_mask(monkey
 
 
 def _spy_pools(monkeypatch):
-    """Record each pool the simulator makes: its workers and the block each task got."""
+    """Record each pool the simulator makes: its workers and each task's function and arguments."""
     pools = []
 
     class Pool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             super().__init__(max_workers)
-            self.workers, self.blocks = max_workers, []
+            self.workers, self.tasks = max_workers, []
             pools.append(self)
 
-        def submit(self, fn, block):
-            self.blocks.append(list(block))
-            return super().submit(fn, block)
+        def submit(self, fn, *args):
+            self.tasks.append((fn, args))
+            return super().submit(fn, *args)
 
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", Pool)
     return pools
@@ -195,8 +195,9 @@ def test_generate_dataset_is_the_serial_oracle_on_any_core_count(monkeypatch, j_
     assert np.array_equal(ds.labels, np.repeat(np.arange(1, j_classes + 1), n))
 
 
-def test_the_caller_draws_the_first_block_and_the_pool_the_rest(monkeypatch):
-    # on 3 cores the caller makes the noise stream and draws classes 1-3
+def test_the_pool_draws_the_noise_then_one_task_per_class(monkeypatch):
+    # on 3 cores the caller makes only the noise stream; the pool's 3 workers
+    # draw the noise first, then classes 1-10 in class order
     _force_cores(monkeypatch, 3)
     pools = _spy_pools(monkeypatch)
     make, drawn = simulator.make_rng, []
@@ -210,10 +211,11 @@ def test_the_caller_draws_the_first_block_and_the_pool_the_rest(monkeypatch):
     noise = (simulator._STREAM_DISTORT,)
     classes = [(simulator._STREAM_GENERATE, j) for j in range(1, 11)]
     here = [stream for ident, stream in drawn if ident == threading.get_ident()]
-    assert here == [noise] + classes[:3]
+    assert here == [noise]
     (pool,) = pools
-    assert pool.workers == 2
-    assert [[j for j, _ in block] for block in pool.blocks] == [[4, 5, 6], [7, 8, 9, 10]]
+    assert pool.workers == 3
+    assert pool.tasks[0][0] is simulator._draw_noise
+    assert [args for _, args in pool.tasks[1:]] == list(zip(range(1, 11), PROFILE.centroids))
     assert sorted(stream for _, stream in drawn) == sorted([noise] + classes)
 
 
@@ -228,8 +230,8 @@ def _chain(profile, ell, n, sigma2, seed):
 def test_a_validate_cell_is_the_public_chain_on_any_core_count(monkeypatch, j_classes, cores):
     # q = 0 leaves almost uniform angles, q = 64 all but none of the noise;
     # 8 cores is more than J at J = 2 and 3, and runs with a 1 us switch
-    # interval so the blocks' in-place writes to their slices of one noise
-    # vector interleave as often as they can
+    # interval so the class tasks' in-place writes to their slices of one
+    # noise vector interleave as often as they can
     profile = FeatureProfile(j_classes=j_classes, c1=0.35, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
     n = 5 if j_classes == 1000 else 300
     _force_cores(monkeypatch, cores)
@@ -245,11 +247,27 @@ def test_a_validate_cell_is_the_public_chain_on_any_core_count(monkeypatch, j_cl
             assert cell == _chain(profile, ell, n, sigma2, seed)
     finally:
         sys.setswitchinterval(interval)
-    # one pool per cell, none for the chain: the caller runs the first block
-    blocks = min(cores, j_classes)
+    # one pool per cell, none for the chain: the noise draw, then one task per class
     assert len(pools) == 12
     for pool in pools:
-        assert pool.workers == max(blocks - 1, 1) and len(pool.blocks) == blocks - 1
+        assert pool.workers == min(cores, j_classes) and len(pool.tasks) == j_classes + 1
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_slow_noise_draw_holds_up_no_class_task_behind_it(monkeypatch, cores):
+    # tasks start in submission order and the noise draw is submitted first,
+    # so a class task waits only on a draw that is running or done, even on
+    # one worker, where a class task taken first would wait forever
+    _force_cores(monkeypatch, cores)
+    draw = simulator._draw_noise
+
+    def slow(*args):
+        time.sleep(0.05)
+        return draw(*args)
+
+    monkeypatch.setattr(simulator, "_draw_noise", slow)
+    cell = _within(10.0, lambda: simulator._cell_accuracy(PROFILE, 12.0, 300, 1e-3, seed=3))
+    assert cell == _chain(PROFILE, 12.0, 300, 1e-3, 3)
 
 
 @pytest.mark.parametrize("j_classes", [2, 10])
@@ -322,8 +340,8 @@ def test_a_failing_class_draw_reaches_the_caller_and_leaves_no_thread(monkeypatc
 def test_a_failing_draw_in_a_validate_cell_reaches_the_caller_and_leaves_no_thread(
     monkeypatch, failing
 ):
-    # the caller draws the noise while the worker draws classes 6-10; a
-    # failed noise draw must release the worker, which waits for its slice
+    # class 1 or class 10 fails in its own task; every class task waits for
+    # the noise, so a failed noise draw must reach each of them
     _force_cores(monkeypatch, 2)
     _failing_draws(monkeypatch, failing)
     _ends_without_a_thread(
@@ -816,8 +834,8 @@ def test_sweep_rows_are_the_serial_rows_on_any_core_count(monkeypatch, cores):
     for pool, (grid, variants, p0s) in zip(pools, cases):
         cells = list(itertools.product(range(len(variants)), range(len(p0s)), range(len(grid))))
         assert pool.workers == min(cores, len(cells))
-        assert len(pool.blocks) <= pool.workers
-        assert sorted(cell for block in pool.blocks for cell in block) == cells
+        assert len(pool.tasks) <= pool.workers
+        assert sorted(cell for _, (block,) in pool.tasks for cell in block) == cells
 
 
 @pytest.mark.parametrize("failing", [None, (0, 0, 0), (1, 1, 3)], ids=["none", "first", "last"])
