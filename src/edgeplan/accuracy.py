@@ -128,8 +128,10 @@ class QuantizerSpec:
     def __post_init__(self) -> None:
         for name in ("c_min", "c_max"):
             object.__setattr__(self, name, _check_real(name, getattr(self, name)))
-        if not 0.0 < self.c_max - self.c_min < math.inf:  # the range is finite, too
-            message = f"must exceed c_min ({self.c_min!r}) by a finite range, got {self.c_max!r}"
+        span = self.c_max - self.c_min
+        if not (span > 0.0 and math.isfinite(span * span)):  # the variance squares the range
+            message = (f"must exceed c_min ({self.c_min!r}) by a finite range whose square "
+                       f"is finite, got {self.c_max!r}")
             raise FieldError("c_max", message)
         q_max = _check_int("q_max", self.q_max, 0)
         object.__setattr__(self, "q_max", q_max)
@@ -208,7 +210,7 @@ def _distorted(sigma2: float, ell: float, profile: FeatureProfile) -> float:
     kbar, shrink = _kappa_bar(ell, profile), _shrink(sigma2, ell, profile)
     if shrink >= 1.0:
         return kbar
-    return min(_ratio_inv(_ratio(kbar) * shrink).value, kbar)
+    return min(_ratio_inv(_ratio(kbar) * shrink), kbar)
 
 
 def _shrink(sigma2: float, ell: float, profile: FeatureProfile) -> float:
@@ -306,11 +308,12 @@ def min_depth_for_accuracy(
     p0 -- infeasibility is a value the planner must handle, not an error.  As
     ``kappa = A^-1(A(kappa_bar) * shrink)`` and accuracy rises with it, a step
     tests ``A(kappa_bar) * shrink >= A(kappa0)``, with ``kappa0`` solved once
-    in the end checks' bracket, 1e-13 wide.  A band around that test's root
-    (:func:`_band`) whose lower end fails the test and upper end passes it
-    is certified; steps at or below the band then fail and steps at or above
-    it pass without evaluating.  Without a certified band every step
-    evaluates.  Either way the depth is plain bisection's on the direct test
+    in the end checks' bracket, 1e-13 wide.  :func:`_band` brackets that
+    test's root; a bracket narrower than (1, L) is certified when its lower
+    end fails the test and its upper end passes it, and is otherwise widened
+    to (1, L).  Steps at or below the bracket fail and steps at or above it
+    pass without evaluating, so with the whole range every step evaluates.
+    Either way the depth is plain bisection's on the direct test
     bit for bit wherever the test is monotone outside the band, unless p0 is
     within kappa0's bracket of a midpoint's accuracy: there the direct test
     can pass where this one fails, and the depth can be up to the 1e-6
@@ -327,6 +330,9 @@ def min_depth_for_accuracy(
     def reaches(ell: float) -> bool:
         return _ratio(_kappa_bar(ell, profile)) * _shrink(sigma2, ell, profile) >= r0
 
+    def settled(ell: float) -> bool:
+        return ell > below and (ell >= above or reaches(ell))
+
     kappa_lo = _distorted(sigma2, 1.0, profile)
     if (acc_lo := _accuracy(kappa_lo, j)) >= p0:
         return 1.0
@@ -335,59 +341,50 @@ def min_depth_for_accuracy(
         return None
     kappa0 = _solve_kappa0(p0, j, kappa_lo, acc_lo, kappa_hi, acc_hi)
     r0 = _ratio(kappa0)
-    test = reaches
-    band = _band(sigma2, kappa0, r0, profile)
-    if band is not None and not reaches(band[0]) and reaches(band[1]):
-        below, above = band
-
-        def settled(ell: float) -> bool:
-            return ell > below and (ell >= above or reaches(ell))
-
-        test = settled
-    depth = _bisect(test, 1.0, top)
+    below, above = _band(sigma2, kappa0, r0, profile)
+    if (below, above) != (1.0, top) and (reaches(below) or not reaches(above)):
+        below, above = 1.0, top
+    depth = _bisect(settled, 1.0, top)
     return depth if depth == top or passes(depth) else _bisect(passes, depth, top)
 
 
-def _band(
-    sigma2: float, kappa0: float, r0: float, profile: FeatureProfile
-) -> Optional[Tuple[float, float]]:
+def _band(sigma2: float, kappa0: float, r0: float, profile: FeatureProfile) -> Tuple[float, float]:
     """A band ``(g - delta, g + delta)`` inside (1, L) around the root ``g`` of
-    ``A(kappa_bar(ell)) * shrink(ell) = r0``, or None; the caller certifies it.
+    ``A(kappa_bar(ell)) * shrink(ell) = r0``, or else the whole range (1, L);
+    the caller certifies a band.
 
     Safeguarded Newton in [1, L] from the noise-free root ``(kappa0 - c2) / c1``,
-    with slope ``shrink * (A'(kappa_bar) c1 + A(kappa_bar) sigma2 c4 c3 exp(-c4 ell) / 2)``,
+    with slope ``shrink * (A'(kappa_bar) c1 + A(kappa_bar) sigma2 c4 grad_energy / 2)``,
     ``A' = 1 - A / kappa - A^2`` (no ``c1`` term where ``kappa_bar`` is capped at
     ``KAPPA_MAX``), stops on a step within
     ``delta = 1024 ulp(r0) / slope + 1e-12 g``, far wider than the depth over
-    which the test's rounding can move its answer.  None if the slope is not
-    positive, Newton has not stopped within ``_BAND_MAX_STEPS`` (32) steps, or
-    the band leaves (1, L).
+    which the test's rounding can move its answer.  The whole range if the
+    slope is not positive, Newton has not stopped within ``_BAND_MAX_STEPS``
+    (32) steps, or the band leaves (1, L).
     """
-    c1, c2, c3, c4 = profile.c1, profile.c2, profile.c3, profile.c4
     first, last = 1.0, float(profile.n_layers)
     lo, hi = first, last
-    ell = min(max((kappa0 - c2) / c1, lo), hi)
+    ell = min(max((kappa0 - profile.c2) / profile.c1, lo), hi)
     for _ in range(_BAND_MAX_STEPS):
-        kbar = c1 * ell + c2
-        capped = kbar >= KAPPA_MAX
-        kbar = min(kbar, KAPPA_MAX)
+        kbar = _kappa_bar(ell, profile)
         a = _ratio(kbar)
-        half_noise = 0.5 * sigma2 * c3 * math.exp(-c4 * ell)
-        shrink = math.exp(-half_noise)
-        slope = shrink * ((0.0 if capped else (1.0 - a / kbar - a * a) * c1)
-                          + a * half_noise * c4)
+        half_noise = 0.5 * sigma2 * _grad_energy(ell, profile)
+        shrink = math.exp(-half_noise)  # _shrink's value, bit for bit
+        slope = shrink * ((0.0 if kbar >= KAPPA_MAX else (1.0 - a / kbar - a * a) * profile.c1)
+                          + a * half_noise * profile.c4)
         if not slope > 0.0:
-            return None
+            break
         excess = a * shrink - r0
         lo, hi = (ell, hi) if excess < 0.0 else (lo, ell)
         step = excess / slope
         root = ell - step
         delta = _BAND_ULPS * math.ulp(r0) / slope + _BAND_REL * root
         if abs(step) <= delta:
-            below, above = root - delta, root + delta
-            return (below, above) if first < below and above < last else None
+            if first < root - delta and root + delta < last:
+                return root - delta, root + delta
+            break
         ell = root if lo < root < hi else 0.5 * (lo + hi)
-    return None
+    return first, last
 
 
 def _bisect(passes, lo: float, hi: float) -> float:

@@ -277,21 +277,22 @@ def bessel_ratio_inv(r: float) -> KappaResult:
     r = _check_real("r", r, 0.0)
     if r >= 1.0:
         raise FieldError("r", f"must lie in [0, 1), got {r!r}")
-    return _ratio_inv(r)
+    kappa = _ratio_inv(r)
+    return KappaResult(kappa, kappa == KAPPA_MAX)
 
 
-def _ratio_inv(r: float) -> KappaResult:
-    """:func:`bessel_ratio_inv` of a resultant ``r`` in [0, 1), unchecked."""
+def _ratio_inv(r: float) -> float:
+    """:func:`bessel_ratio_inv`'s value for a resultant ``r`` in [0, 1), unchecked;
+    ``KAPPA_MAX`` exactly when saturated, as every other value lies below it."""
     if r == 0.0:
-        return KappaResult(0.0, False)
+        return 0.0
     if r >= _RESULTANT_CAP:
-        return KappaResult(KAPPA_MAX, True)
+        return KAPPA_MAX
 
     kappa = r * (2.0 - r * r) / (1.0 - r * r)
-    lo = 0.0
-    hi = max(2.0 * kappa, 1.0)
-    while _ratio(hi) < r:  # a guard: the seed's bracket already holds r
-        hi *= 2.0
+    # A(hi) >= r by at least 2.5e-7 for every r below the cap, so [lo, hi] brackets
+    # the root unchecked; tests/test_circstats.py checks it on a dense grid
+    lo, hi = 0.0, max(2.0 * kappa, 1.0)
 
     for _ in range(_INV_MAX_ITER):
         a = _ratio(kappa)
@@ -306,9 +307,7 @@ def _ratio_inv(r: float) -> KappaResult:
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - kappa) <= _INV_TOL * abs(nxt):
-            if nxt >= KAPPA_MAX:
-                return KappaResult(KAPPA_MAX, True)
-            return KappaResult(float(nxt), False)
+            return min(float(nxt), KAPPA_MAX)
         kappa = nxt
     raise ArithmeticError(f"kappa with resultant {r!r} not found in [{lo!r}, {hi!r}]")
 

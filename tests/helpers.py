@@ -1,9 +1,11 @@
-"""Shared randomized-instance generation for optimizer and acceptance tests."""
+"""Shared randomized-instance generation for optimizer and acceptance tests, and a
+recorder of the depth search's bisections."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from edgeplan import accuracy
 from edgeplan.accuracy import FeatureProfile, QuantizerSpec
 from edgeplan.optimizer import ExitSet
 from edgeplan.system import ComputeProfile, LinkState, snr_db_to_linear
@@ -44,3 +46,30 @@ def random_instance(rng: np.random.Generator) -> dict:
         "exits": exits,
         "p0": p0,
     }
+
+
+def record_depth_bisections(monkeypatch) -> list:
+    """Record each bisection ``accuracy.min_depth_for_accuracy`` runs, in order:
+    ``"band"`` when its certified band answered a step without evaluating the test,
+    ``"every step"`` when each step evaluated it (one ``accuracy._shrink`` call each)."""
+    names, evaluations = [], [0]
+    bisect, shrink = accuracy._bisect, accuracy._shrink
+
+    def counted_shrink(*args):
+        evaluations[0] += 1
+        return shrink(*args)
+
+    def recording(test, lo, hi):
+        steps, before = [0], evaluations[0]
+
+        def step(ell):
+            steps[0] += 1
+            return test(ell)
+
+        depth = bisect(step, lo, hi)
+        names.append("every step" if evaluations[0] - before == steps[0] else "band")
+        return depth
+
+    monkeypatch.setattr(accuracy, "_shrink", counted_shrink)
+    monkeypatch.setattr(accuracy, "_bisect", recording)
+    return names

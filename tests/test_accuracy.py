@@ -25,7 +25,7 @@ from edgeplan.circstats import KAPPA_MAX, FieldError, bessel_ratio_inv
 from edgeplan.system import max_bitwidth_continuous, max_bitwidth_discrete
 
 import oracles
-from helpers import random_instance
+from helpers import random_instance, record_depth_bisections
 
 DEFAULT = FeatureProfile(j_classes=10, c1=0.35, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
 UNIT_SPEC = QuantizerSpec(c_min=0.0, c_max=1.0, q_max=32)
@@ -72,10 +72,16 @@ def test_quantizer_validation():
         QuantizerSpec(c_min=0.0, c_max=1.0, bit_alphabet=(4, 2))
     with pytest.raises(ValueError):
         QuantizerSpec(c_min=0.0, c_max=1.0, bit_alphabet=())
-    # each bound is finite, but the range between them overflows a float
-    with pytest.raises(FieldError, match=r"^c_max: must exceed c_min .* by a finite range") as err:
-        QuantizerSpec(c_min=-1e308, c_max=1e308)
-    assert err.value.path == "c_max"
+    # each bound is finite, but the range between them overflows a float, or
+    # the range is finite and its square, which the variance takes, overflows
+    widest = math.sqrt(sys.float_info.max)
+    past_widest = math.nextafter(widest, math.inf)
+    message = r"^c_max: must exceed c_min .* by a finite range"
+    for c_min, c_max in ((-1e308, 1e308), (-1e200, 1e200), (0.0, past_widest)):
+        with pytest.raises(FieldError, match=message) as err:
+            QuantizerSpec(c_min=c_min, c_max=c_max)
+        assert err.value.path == "c_max"
+    assert quant_variance(0, QuantizerSpec(c_min=0.0, c_max=widest)) == widest * widest / 12.0
     assert QuantizerSpec(c_min=0.0, c_max=1.0, q_max=4).bit_alphabet == (0, 1, 2, 3, 4)
 
 
@@ -593,17 +599,9 @@ def _noise_free_edge(profile):
     return lo
 
 
-def _searches(monkeypatch):
-    """The name of the test each depth bisection runs, in order: ``settled`` inside a
-    certified band, ``reaches`` in the plain bisection, ``passes`` in the last-bit check."""
-    names, bisect = [], accuracy_module._bisect
-
-    def recording(passes, lo, hi):
-        names.append(passes.__name__)
-        return bisect(passes, lo, hi)
-
-    monkeypatch.setattr(accuracy_module, "_bisect", recording)
-    return names
+def _whole_range(sigma2, kappa0, r0, profile):
+    """A band hint that certifies nothing: the whole range, where every step evaluates."""
+    return 1.0, float(profile.n_layers)
 
 
 _CAPPED = FeatureProfile(j_classes=10_000, c1=3e4, c2=0.0, c3=400.0, c4=0.08, n_layers=39)
@@ -612,27 +610,27 @@ _FLAT_RATIO = FeatureProfile(j_classes=10, c1=1e-6, c2=2.0, c3=400.0, c4=0.08, n
 _EDGE = _noise_free_edge(DEFAULT)
 
 # (id, profile, variance, depth whose accuracy sets p0, offset added to that accuracy,
-# the test the bisection runs: ``settled`` in a certified band, ``reaches`` without one)
+# the bisection run: ``band`` with a certified band, ``every step`` without one)
 BAND_CASES = [
     # kappa_bar reaches KAPPA_MAX at depth 33.3: below the cap, across it, and past it,
     # where only the shrink still rises with depth; without noise nothing does, the
-    # slope is 0 and no band is offered
-    ("capped-below", _CAPPED, 0.0, 31.5, 0.0, "settled"),
-    ("capped-across", _CAPPED, 1e-7, 33.3, 0.0, "settled"),
-    ("capped-past", _CAPPED, 1e-7, 36.0, 0.0, "settled"),
-    ("capped-past-no-noise", _CAPPED, 0.0, 36.0, 0.0, "reaches"),
+    # slope is 0 and the whole range is offered
+    ("capped-below", _CAPPED, 0.0, 31.5, 0.0, "band"),
+    ("capped-across", _CAPPED, 1e-7, 33.3, 0.0, "band"),
+    ("capped-past", _CAPPED, 1e-7, 36.0, 0.0, "band"),
+    ("capped-past-no-noise", _CAPPED, 0.0, 36.0, 0.0, "every step"),
     # c4 = 0: the shrink is the same at every depth
-    ("flat-noise", _FLAT_NOISE, 1e-3, 20.3, 0.0, "settled"),
-    ("flat-noise-heavy", _FLAT_NOISE, 8e-3, 37.0, 0.0, "settled"),
+    ("flat-noise", _FLAT_NOISE, 1e-3, 20.3, 0.0, "band"),
+    ("flat-noise-heavy", _FLAT_NOISE, 8e-3, 37.0, 0.0, "band"),
     # c1 = 1e-6: kappa_bar moves by 4e-5 over the whole model
-    ("flat-ratio", _FLAT_RATIO, 0.0, 20.3, 0.0, "settled"),
-    ("flat-ratio-noisy", _FLAT_RATIO, 1e-4, 20.3, 0.0, "settled"),
+    ("flat-ratio", _FLAT_RATIO, 0.0, 20.3, 0.0, "band"),
+    ("flat-ratio-noisy", _FLAT_RATIO, 1e-4, 20.3, 0.0, "band"),
     # one float either side of the variance whose shrink at depth 1 rounds to 1
-    ("noise-free-edge", DEFAULT, _EDGE, 17.3, 0.0, "settled"),
-    ("noise-free-edge-above", DEFAULT, float(np.nextafter(_EDGE, 1.0)), 17.3, 0.0, "settled"),
+    ("noise-free-edge", DEFAULT, _EDGE, 17.3, 0.0, "band"),
+    ("noise-free-edge-above", DEFAULT, float(np.nextafter(_EDGE, 1.0)), 17.3, 0.0, "band"),
     # p0 within 1e-9 of the accuracy at a depth
     *[(f"near-an-accuracy-{offset:g}", DEFAULT, quant_variance(8, UNIT_SPEC), 12.7, offset,
-       "settled") for offset in (-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9)],
+       "band") for offset in (-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9)],
 ]
 
 
@@ -643,12 +641,12 @@ def test_min_depth_with_its_band_matches_the_plain_bisection(monkeypatch, profil
     acc = _direct(sigma2, profile)
     p0 = acc(depth) + offset
     expected = oracles.min_depth_bisect(acc, p0, profile.n_layers)
-    searches = _searches(monkeypatch)
+    searches = record_depth_bisections(monkeypatch)
     assert min_depth_for_accuracy(sigma2, p0, profile) == expected
     assert searches == [search]
-    monkeypatch.setattr(accuracy_module, "_band", lambda *args: None)
+    monkeypatch.setattr(accuracy_module, "_band", _whole_range)
     assert min_depth_for_accuracy(sigma2, p0, profile) == expected
-    assert searches == [search, "reaches"]
+    assert searches == [search, "every step"]
 
 
 @pytest.mark.parametrize("profile, depth", [(DEFAULT, 20.0), (_FLAT_RATIO, 10.5),
@@ -675,21 +673,21 @@ def test_a_missing_or_wrong_band_falls_back_to_the_plain_bisection(monkeypatch):
         profile, p0 = inst["profile"], inst["p0"]
         sigma2 = quant_variance(max_bitwidth_discrete(inst["link"], inst["spec"]), inst["spec"])
         with monkeypatch.context() as m:
-            searches = _searches(m)
+            searches = record_depth_bisections(m)
             expected = min_depth_for_accuracy(sigma2, p0, profile)
-        if searches != ["settled"]:
+        if searches != ["band"]:
             continue  # an end check answered, or no band was certified
         tried += 1
-        hints = [lambda *args: None,
+        hints = [_whole_range,
                  lambda *args: tuple(end + 0.25 for end in band(*args)),
                  lambda *args: tuple(end - 0.25 for end in band(*args)),
                  lambda *args: band(*args)[::-1]]
         for hint in hints:
             with monkeypatch.context() as m:
                 m.setattr(accuracy_module, "_band", hint)
-                searches = _searches(m)
+                searches = record_depth_bisections(m)
                 assert min_depth_for_accuracy(sigma2, p0, profile) == expected
-                assert searches == ["reaches"]
+                assert searches == ["every step"]
     assert tried >= 20
 
 
@@ -698,11 +696,15 @@ def test_a_missing_or_wrong_band_falls_back_to_the_plain_bisection(monkeypatch):
 def test_min_depth_near_accuracy_one_is_the_same_with_or_without_its_band(monkeypatch, c1, miss):
     # where accuracy is not monotone in kappa to the last bit the depth found may
     # differ from the plain bisection on the direct test (see above); the band
-    # must still not move it
+    # must still not move it, nor whether the last-bit check runs
     profile = FeatureProfile(j_classes=10, c1=c1, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
     p0 = 0.1 + 0.9 * (1.0 - miss)
     for sigma2 in (0.0, 1e-6):
-        with_band = min_depth_for_accuracy(sigma2, p0, profile)
         with monkeypatch.context() as m:
-            m.setattr(accuracy_module, "_band", lambda *args: None)
+            searches = record_depth_bisections(m)
+            with_band = min_depth_for_accuracy(sigma2, p0, profile)
+            banded = list(searches)
+            m.setattr(accuracy_module, "_band", _whole_range)
             assert min_depth_for_accuracy(sigma2, p0, profile) == with_band
+        assert banded[0] == "band"
+        assert searches[len(banded):] == ["every step", *banded[1:]]

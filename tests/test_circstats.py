@@ -139,6 +139,22 @@ def test_bessel_ratio_inv_round_trips_or_saturates_across_its_domain():
     assert 3000 < below < grid.size
 
 
+def test_bessel_ratio_inv_seed_bracket_holds_every_resultant_below_the_cap():
+    # the inverse brackets its root by hi = max(2 seed, 1) without testing A(hi) >= r:
+    # it holds, by at least 2.5e-7, from the smallest subnormal to one ulp below the
+    # resultant cap, the last 5,000 floats included
+    cap = circstats._RESULTANT_CAP
+    below_cap = float(np.nextafter(cap, 0.0))
+    last = below_cap - math.ulp(below_cap) * np.arange(4999.0, -1.0, -1.0)
+    grid = np.concatenate([np.geomspace(5e-324, 0.5, 20_000),
+                           1.0 - np.geomspace(0.5, 1.0 - cap, 20_000)[:-1], last])
+    assert grid.min() == 5e-324 and grid.max() == below_cap and np.all(grid < cap)
+    assert np.all(np.nextafter(last[:-1], 1.0) == last[1:])  # consecutive floats
+    for r in grid.tolist():
+        seed = r * (2.0 - r * r) / (1.0 - r * r)
+        assert circstats._ratio(max(2.0 * seed, 1.0)) - r >= 2.5e-7, r
+
+
 def test_bessel_ratio_inv_saturation_and_domain():
     sat = bessel_ratio_inv(1.0 - 1e-15)
     assert sat == (KAPPA_MAX, True)

@@ -97,6 +97,11 @@ MALFORMED = [
         "quantizer.c_max-c_min=inf",
     ),
     (
+        lambda c: c["quantizer"].update(c_min=-1e200, c_max=1e200),
+        "quantizer.c_max",
+        "quantizer.c_max-c_min=2e200",
+    ),
+    (
         lambda c: c["quantizer"].__setitem__("bit_alphabet", [0, 1, 99]),
         "quantizer.bit_alphabet[2]",
     ),
@@ -233,6 +238,20 @@ def test_plan_rejects_a_link_whose_bit_budget_overflows(tmp_path, capsys):
     assert main(["plan", str(path), "--cr"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: link.t_max_s: the bit budget") and "overflows" in err
+
+
+@pytest.mark.parametrize("command, flags", [("plan", ["--cr"]), ("validate", ["--out", "v.csv"])])
+def test_a_quantizer_range_whose_square_overflows_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                                     command, flags):
+    # the range 2e200 is finite, but the quantization variance squares it
+    monkeypatch.chdir(tmp_path)
+    raw = _base_config()
+    raw["quantizer"].update(c_min=-1e200, c_max=1e200)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, str(path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: quantizer.c_max: must exceed c_min"), err
 
 
 def test_usage_error_exit_one(capsys):

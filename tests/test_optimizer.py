@@ -5,6 +5,7 @@ import copy
 import math
 import pickle
 import struct
+import sys
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -147,6 +148,19 @@ def test_solve_cr_upper_bounds_discrete():
         if cr.feasible:
             assert cr.q >= disc.q
             assert cr.ell <= disc.ell or not disc.feasible
+
+
+def test_the_widest_quantizer_range_still_plans():
+    # the widest range whose square is finite: at 600 bits its variance is
+    # small enough to meet the target, and every planner agrees
+    widest = math.sqrt(sys.float_info.max)
+    spec = QuantizerSpec(c_min=0.0, c_max=widest, q_max=600, bit_alphabet=(8, 32, 512, 600))
+    link = replace(LINK, t_max_s=0.25)
+    disc = solve_discrete(link, COMP, PROFILE, spec, EXITS, 0.7)
+    assert disc.feasible and disc.q == 600.0
+    assert disc == brute_force(link, COMP, PROFILE, spec, EXITS, 0.7)
+    cr = solve_cr(link, COMP, PROFILE, spec, 0.7)
+    assert cr.feasible and cr.epr >= disc.epr
 
 
 def test_solve_cr_latency_tight():

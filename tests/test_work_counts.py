@@ -10,8 +10,8 @@ do the work (``_ratio``, ``_accuracy``, ``_discrete_plans``, ``_simulate``,
 ``_classify``, ...), not at public wrappers that hot callers bypass; a test
 pins that each kernel's public wrapper calls its core once.  The depth search
 is counted at ``min_depth_for_accuracy``, which has no private core, with each
-of its bisections tallied by the test it runs, so a search that falls back
-from its certified band to evaluating every step shows; the argument checks
+of its bisections tallied by whether a certified band spared it evaluations,
+so a search that falls back to evaluating every step shows; the argument checks
 are counted at ``_check_real``, the one rule behind them.
 
 The Simpson ladder levels ``accuracy_of_kappa`` builds are read from its
@@ -36,7 +36,7 @@ from edgeplan import accuracy, circstats, simulator
 from edgeplan.cli import main
 from edgeplan.optimizer import solve_discrete
 
-from helpers import random_instance
+from helpers import random_instance, record_depth_bisections
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -87,17 +87,10 @@ def counts(monkeypatch):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """The depth search's bisections by the name of the test each runs: ``settled``
-    inside a certified band, ``reaches`` in the plain bisection that evaluates every
-    step, ``passes`` in the last-bit check on the direct test."""
-    tally, bisect = Counter(), accuracy._bisect
-
-    def recording(passes, lo, hi):
-        tally[passes.__name__] += 1
-        return bisect(passes, lo, hi)
-
-    monkeypatch.setattr(accuracy, "_bisect", recording)
-    return tally
+    """The depth search's bisections: ``band`` where a certified band answered a step
+    without evaluating, ``every step`` where each step evaluated (a bisection without
+    a certified band, or the last-bit check on the direct test)."""
+    return record_depth_bisections(monkeypatch)
 
 
 def test_each_public_kernel_calls_its_core_once(counts):
@@ -145,12 +138,13 @@ def test_the_readme_sweep_plans_once_per_target_and_simulates_once_per_row(count
     # noise, and every ceiling from 9 dB on (q* >= 29.99 bits) and every
     # discrete plan share searches already made
     assert counts["min_depth_for_accuracy"] == 2 * (14 + 1)
-    # the 29 searches past their end checks each bisect inside a certified band
-    assert searches == Counter(settled=29)
+    # the 29 searches past their end checks each bisect inside a certified band,
+    # and none falls back to evaluating every step
+    assert Counter(searches) == Counter(band=29)
     assert counts["_accuracy"] <= 484
     assert counts["_distorted"] <= 252
     assert counts["_ratio_inv"] <= 229
-    assert counts["_ratio"] <= 1_580
+    assert counts["_ratio"] <= 1_351
     assert counts["_check_real"] <= 1_810
     # J = 10 at 16, 32, 64, 128 and 256 intervals
     assert accuracy._cached_level.cache_info().misses <= 5
@@ -164,12 +158,12 @@ def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(co
     assert counts["_discrete_plans"] == 300
     assert counts["sample_von_mises"] == counts["_simulate"] == counts["ThreadPoolExecutor"] == 0
     # 297 depth searches; the 224 past their end checks each bisect inside a
-    # certified band
+    # certified band, and none falls back to evaluating every step
     assert counts["min_depth_for_accuracy"] == 297
-    assert searches == Counter(settled=224)
-    # 10.06 accuracy evaluations and 15.04 Bessel ratios per plan
+    assert Counter(searches) == Counter(band=224)
+    # 10.06 accuracy evaluations and 13.25 Bessel ratios per plan
     assert counts["_accuracy"] <= 3_019
-    assert counts["_ratio"] <= 4_513
+    assert counts["_ratio"] <= 3_976
     assert counts["_ratio_inv"] <= 537
     assert counts["_distorted"] <= 1_186
     assert counts["_check_real"] <= 4_494
