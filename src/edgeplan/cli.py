@@ -25,7 +25,7 @@ from .config import ConfigError, load_config
 from .fitting import DepthSeries, fit_affine, fit_exponential
 from .optimizer import ExitSet, Plan, solve_cr, solve_discrete
 from .rng import derive_seed
-from .simulator import _cell_accuracy, sweep
+from .simulator import _grid_accuracy, sweep
 from .system import LinkState, snr_db_to_linear
 
 EXIT_OK = 0
@@ -230,19 +230,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.perturb:
         # negative control: corrupt the analytic side only
         analytic_profile = replace(config.profile, c1=config.profile.c1 / 2.0)
+    points = [(qi, q, li, ell) for qi, q in enumerate(qs) for li, ell in enumerate(ells)]
+    # empirical_accuracy(distort(generate_dataset(...))) of every cell, bit for bit, on one pool
+    estimates = _grid_accuracy(config.profile, config.monte_carlo.n_per_class, [
+        (ell, quant_variance(q, config.quantizer), derive_seed(config.seed, 201, qi, li))
+        for qi, q, li, ell in points])
     rows = []
-    for qi, q in enumerate(qs):
-        for li, ell in enumerate(ells):
-            analytic = accuracy_model(q, ell, analytic_profile, config.quantizer)
-            # empirical_accuracy(distort(generate_dataset(...))) in one fused pass, bit for bit
-            cell_seed = derive_seed(config.seed, 201, qi, li)
-            sigma2 = quant_variance(q, config.quantizer)
-            est = _cell_accuracy(config.profile, ell, config.monte_carlo.n_per_class, sigma2,
-                                 cell_seed)
-            limit = 3.0 * np.sqrt(analytic * (1.0 - analytic) / est.n)
-            gap = abs(est.value - analytic)
-            rows.append(ValidateRow(q, ell, analytic, est.value, est.ci_half_width, est.n,
-                                    gap, limit, gap < limit))
+    for (_, q, _, ell), est in zip(points, estimates):
+        analytic = accuracy_model(q, ell, analytic_profile, config.quantizer)
+        limit = 3.0 * np.sqrt(analytic * (1.0 - analytic) / est.n)
+        gap = abs(est.value - analytic)
+        rows.append(ValidateRow(q, ell, analytic, est.value, est.ci_half_width, est.n,
+                                gap, limit, gap < limit))
     _write_csv(args.out, rows)
     total = len(rows)
     failures = sum(not row.cell_pass for row in rows)

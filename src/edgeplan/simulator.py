@@ -8,10 +8,9 @@ scored into an :class:`AccuracyEstimate` with a binomial interval by one
 Wald rule over a count of hits.  The public chain runs them serially as
 :func:`generate_dataset` (one stream per class, in class order),
 :func:`distort` (one noise stream) and :func:`empirical_accuracy`.
-``validate`` scores each cell with ``_cell_accuracy`` on every usable core,
-which equals that chain bit for bit: a pool draws the noise, then runs one
-task per class that draws the class, adds its slice of the noise, labels it
-and counts its hits, so no whole-cell sample set is built.
+``validate`` scores its whole grid bit for bit as that chain with
+``_grid_accuracy``: one pool of every usable core runs each cell's noise draw,
+then one task per class, with no barrier between cells.
 :func:`run_algorithm1` runs the stages on one stream per batch, angles
 (drawn at mean 0, then shifted to their class centroids) before noise.
 :func:`sweep` plans serially with one depth search per (p0, noise level),
@@ -28,10 +27,11 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,39 +134,50 @@ def _draw_class(seed: int, j: int, mu: float, kappa: float, n: int) -> np.ndarra
     return sample_von_mises(make_rng(seed, _STREAM_GENERATE, j), float(mu), kappa, n)
 
 
-def _cell_accuracy(
-    profile: FeatureProfile, ell: float, n_per_class: int, sigma2: float, seed: int
-) -> AccuracyEstimate:
-    """``empirical_accuracy(distort(generate_dataset(...), sigma2, ...))``, bit for bit.
+def _grid_accuracy(
+    profile: FeatureProfile, n_per_class: int, cells: Sequence[Tuple[float, float, int]]
+) -> List[AccuracyEstimate]:
+    """Each ``(ell, sigma2, seed)`` cell's ``empirical_accuracy(distort(generate_dataset(...)))``.
 
-    A pool of one worker per usable core (at most J), made for this call,
-    runs the noise draw as :func:`distort` does, then one task per class.
-    Each class task draws its class, waits for the noise, adds its slice in
-    place, wraps it, labels it and counts the hits, so no whole-cell sample
-    set is built; the caller sums the counts in class order.  Tasks start in
-    submission order, so a class task waits only on a noise draw already
-    running or done, and a failed draw reaches every class task and the
-    caller.  Every argument is checked before the pool is made; the pool is
-    joined before this returns or raises.  numpy releases the GIL while it
-    draws.
+    Every cell is checked first.  Then one pool of one worker per usable core
+    (at most J) runs, per cell in grid order, the noise draw as :func:`distort`
+    does and one task per class: it draws its class, adds its noise slice in
+    place, wraps, labels and counts the hits; the caller sums each cell's
+    counts in class order, bit for bit as the chain.  Tasks start in submission
+    order once all are submitted, so a class task waits only on a noise draw
+    running or done, no cell waits for the one before it, and at most
+    workers + 1 noise vectors are alive.  The first failure cancels every task
+    not yet started and reaches the caller.  The pool is joined on every exit.
     """
-    seed = _check_int("seed", seed)
     n_per_class = _check_int("n_per_class", n_per_class, 1)
-    kappa = kappa_bar(ell, profile)
-    variance = _noise_variance(_check_real("sigma2", sigma2, 0.0), ell, profile)
+    judged = [(_check_int("seed", seed), kappa_bar(ell, profile),
+               _noise_variance(_check_real("sigma2", sigma2, 0.0), ell, profile))
+              for ell, sigma2, seed in cells]
     size = profile.j_classes * n_per_class
 
-    def count(j, mu):
-        angles = _draw_class(seed, j, mu, kappa, n_per_class)
-        noise = drawn.result()
-        if noise is not None:  # this class's slice, summed in place
-            angles = _add_noise(angles, noise[(j - 1) * n_per_class : j * n_per_class])
-        return np.count_nonzero(_classify(angles, profile) == j)
+    def count(drawn, seed, kappa, j, mu):
+        try:
+            angles = _draw_class(seed, j, mu, kappa, n_per_class)
+            noise = drawn.result()
+            if noise is not None:  # this class's slice, summed in place
+                angles = _add_noise(angles, noise[(j - 1) * n_per_class : j * n_per_class])
+            return np.count_nonzero(_classify(angles, profile) == j)
+        except BaseException:  # on this worker, before it can take another task
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
-    with ThreadPoolExecutor(max_workers=min(_usable_cores(), profile.j_classes)) as pool:
+    def submit(seed, kappa, variance):
         drawn = pool.submit(_draw_noise, variance, size, make_rng(seed, _STREAM_DISTORT))
-        hits = sum(pool.map(count, range(1, profile.j_classes + 1), profile.centroids))
-    return _score(hits, size)
+        return [pool.submit(count, drawn, seed, kappa, j, mu)
+                for j, mu in enumerate(profile.centroids, start=1)]
+
+    gate = threading.Event()  # so no task starts, or shuts the pool, mid-submission
+    with ThreadPoolExecutor(min(_usable_cores(), profile.j_classes), initializer=gate.wait) as pool:
+        try:
+            grid = [submit(*cell) for cell in judged]
+        finally:
+            gate.set()
+        return [_score(sum(task.result() for task in tasks), size) for tasks in grid]
 
 
 def _usable_cores() -> int:

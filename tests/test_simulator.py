@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -111,18 +112,19 @@ def test_generate_dataset_argument_errors(monkeypatch):
 
 
 def test_a_validate_cell_judges_every_argument_before_a_pool_exists(monkeypatch):
+    # a bad argument in the last cell of a grid is found before the first cell is drawn
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", _no_pool)
-    good = dict(profile=PROFILE, ell=10.0, n_per_class=3, sigma2=1e-3, seed=1)
+    good = [(10.0, 1e-3, 1), (20.0, 0.0, 2), (30.0, 1e-2, 3)]
     bad = [
-        ("ell", dict(ell=0.5)),
-        ("n_per_class", dict(n_per_class=0)),
-        ("seed", dict(seed="7")),
-        ("sigma2", dict(sigma2=-1e-3)),
-        ("sigma2", dict(sigma2=1e308)),  # finite, but sigma2 * grad_energy overflows
+        ("ell", 3, (0.5, 1e-3, 3)),
+        ("n_per_class", 0, good[2]),
+        ("seed", 3, (30.0, 1e-2, "7")),
+        ("sigma2", 3, (30.0, -1e-3, 3)),
+        ("sigma2", 3, (30.0, 1e308, 3)),  # finite, but sigma2 * grad_energy overflows
     ]
-    for path, change in bad:
+    for path, n, last in bad:
         with pytest.raises(FieldError) as err:
-            simulator._cell_accuracy(**{**good, **change})
+            simulator._grid_accuracy(PROFILE, n, good[:2] + [last])
         assert err.value.path == path
 
 
@@ -144,18 +146,20 @@ def test_usable_cores_fall_back_to_the_cpu_count_without_an_affinity_mask(monkey
 
 
 def _spy_pools(monkeypatch):
-    """Record each pool the simulator makes: its workers and each task's function and arguments."""
+    """Record each pool the simulator makes: its workers, each task's function and arguments,
+    and each task's future."""
     pools = []
 
     class Pool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers)
-            self.workers, self.tasks = max_workers, []
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            self.workers, self.tasks, self.futures = max_workers, [], []
             pools.append(self)
 
         def submit(self, fn, *args):
             self.tasks.append((fn, args))
-            return super().submit(fn, *args)
+            self.futures.append(super().submit(fn, *args))
+            return self.futures[-1]
 
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", Pool)
     return pools
@@ -195,28 +199,48 @@ def test_generate_dataset_is_the_serial_oracle_on_any_core_count(monkeypatch, j_
     assert np.array_equal(ds.labels, np.repeat(np.arange(1, j_classes + 1), n))
 
 
-def test_the_pool_draws_the_noise_then_one_task_per_class(monkeypatch):
-    # on 3 cores the caller makes only the noise stream; the pool's 3 workers
-    # draw the noise first, then classes 1-10 in class order
-    _force_cores(monkeypatch, 3)
+def _assert_grid_order(pool, profile, seeds):
+    """The grid's one pool took, for each cell in grid order, its noise draw and then one
+    task per class in class order, each class task of a cell waiting on that cell's noise."""
+    j_classes = profile.j_classes
+    assert len(pool.tasks) == len(seeds) * (j_classes + 1)
+    for k, seed in enumerate(seeds):
+        (noise, noise_args), *classes = pool.tasks[k * (j_classes + 1) : (k + 1) * (j_classes + 1)]
+        assert noise is simulator._draw_noise
+        assert noise_args[2].bit_generator.seed_seq.entropy == [seed, simulator._STREAM_DISTORT]
+        drawn = pool.futures[k * (j_classes + 1)]
+        assert [args[0] for _, args in classes] == [drawn] * j_classes
+        assert [args[1] for _, args in classes] == [seed] * j_classes
+        assert [args[3:] for _, args in classes] == list(zip(range(1, j_classes + 1),
+                                                             profile.centroids))
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_the_pool_draws_the_noise_then_one_task_per_class(monkeypatch, cores):
+    # the caller makes only each cell's noise stream, in grid order; the
+    # grid's one pool draws cell 1's noise, then its classes 1-10 in class
+    # order, then cell 2's noise and classes, and starts no task before the
+    # caller has submitted them all
+    _force_cores(monkeypatch, cores)
     pools = _spy_pools(monkeypatch)
     make, drawn = simulator.make_rng, []
 
     def recording(seed, *stream):
-        drawn.append((threading.get_ident(), stream))
+        drawn.append((threading.get_ident(), seed, stream, len(pools[0].tasks)))
         return make(seed, *stream)
 
     monkeypatch.setattr(simulator, "make_rng", recording)
-    simulator._cell_accuracy(PROFILE, 12.0, 50, 1e-3, seed=1)
+    simulator._grid_accuracy(PROFILE, 50, [(12.0, 1e-3, 1), (30.0, 1e-2, 2)])
     noise = (simulator._STREAM_DISTORT,)
     classes = [(simulator._STREAM_GENERATE, j) for j in range(1, 11)]
-    here = [stream for ident, stream in drawn if ident == threading.get_ident()]
-    assert here == [noise]
+    here = [(seed, stream) for ident, seed, stream, _ in drawn if ident == threading.get_ident()]
+    assert here == [(1, noise), (2, noise)]
     (pool,) = pools
-    assert pool.workers == 3
-    assert pool.tasks[0][0] is simulator._draw_noise
-    assert [args for _, args in pool.tasks[1:]] == list(zip(range(1, 11), PROFILE.centroids))
-    assert sorted(stream for _, stream in drawn) == sorted([noise] + classes)
+    assert pool.workers == cores
+    _assert_grid_order(pool, PROFILE, [1, 2])
+    expected = [(seed, stream) for seed in (1, 2) for stream in [noise] + classes]
+    assert sorted((seed, stream) for _, seed, stream, _ in drawn) == sorted(expected)
+    assert {submitted for _, _, stream, submitted in drawn if stream != noise} == {22}
 
 
 def _chain(profile, ell, n, sigma2, seed):
@@ -236,29 +260,30 @@ def test_a_validate_cell_is_the_public_chain_on_any_core_count(monkeypatch, j_cl
     n = 5 if j_classes == 1000 else 300
     _force_cores(monkeypatch, cores)
     pools = _spy_pools(monkeypatch)
+    cells = [(ell, quant_variance(q, SPEC), derive_seed(j_classes, 201, qi, ell))
+             for (qi, q), ell in itertools.product(enumerate([0, 4, 16, 64]), [1, 20, 39])]
     interval = sys.getswitchinterval()
     if cores == 8:
         sys.setswitchinterval(1e-6)
     try:
-        for (qi, q), ell in itertools.product(enumerate([0, 4, 16, 64]), [1, 20, 39]):
-            seed = derive_seed(j_classes, 201, qi, ell)
-            sigma2 = quant_variance(q, SPEC)
-            cell = _within(60.0, lambda: simulator._cell_accuracy(profile, ell, n, sigma2, seed))
-            assert cell == _chain(profile, ell, n, sigma2, seed)
+        grid = _within(60.0, lambda: simulator._grid_accuracy(profile, n, cells))
     finally:
         sys.setswitchinterval(interval)
-    # one pool per cell, none for the chain: the noise draw, then one task per class
-    assert len(pools) == 12
-    for pool in pools:
-        assert pool.workers == min(cores, j_classes) and len(pool.tasks) == j_classes + 1
+    assert grid == [_chain(profile, ell, n, sigma2, seed) for ell, sigma2, seed in cells]
+    # one pool for the grid, none for the chain: per cell the noise draw, then one task per class
+    (pool,) = pools
+    assert pool.workers == min(cores, j_classes)
+    _assert_grid_order(pool, profile, [seed for _, _, seed in cells])
 
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_a_slow_noise_draw_holds_up_no_class_task_behind_it(monkeypatch, cores):
-    # tasks start in submission order and the noise draw is submitted first,
-    # so a class task waits only on a draw that is running or done, even on
-    # one worker, where a class task taken first would wait forever
+    # tasks start in submission order and each cell's noise draw is submitted
+    # before its classes, so a class task waits only on a draw that is
+    # running or done, even on one worker, where a class task taken first
+    # would wait forever
     _force_cores(monkeypatch, cores)
+    pools = _spy_pools(monkeypatch)
     draw = simulator._draw_noise
 
     def slow(*args):
@@ -266,8 +291,43 @@ def test_a_slow_noise_draw_holds_up_no_class_task_behind_it(monkeypatch, cores):
         return draw(*args)
 
     monkeypatch.setattr(simulator, "_draw_noise", slow)
-    cell = _within(10.0, lambda: simulator._cell_accuracy(PROFILE, 12.0, 300, 1e-3, seed=3))
-    assert cell == _chain(PROFILE, 12.0, 300, 1e-3, 3)
+    cells = [(12.0, 1e-3, 3), (25.0, 3e-3, 4)]
+    grid = _within(10.0, lambda: simulator._grid_accuracy(PROFILE, 300, cells))
+    assert grid == [_chain(PROFILE, ell, 300, sigma2, seed) for ell, sigma2, seed in cells]
+    (pool,) = pools
+    assert pool.workers == cores
+    _assert_grid_order(pool, PROFILE, [3, 4])
+
+
+@pytest.mark.parametrize("cores", [1, 2, 8])
+def test_a_validate_grid_keeps_at_most_one_noise_vector_more_than_its_workers(monkeypatch, cores):
+    # a noise vector lives until its cell's last class task ends, and the
+    # pool takes tasks in grid order: while one slow class draw holds the
+    # first cell's noise, each other worker holds at most one cell and one
+    # more is next in line, so the grid's memory does not grow with its size
+    cells = [(ell, quant_variance(q, SPEC), derive_seed(7, 201, qi, ell))
+             for (qi, q), ell in itertools.product(enumerate([4, 8, 12, 16]), [9, 19, 29, 37])]
+    expected = [_chain(PROFILE, ell, 200, sigma2, seed) for ell, sigma2, seed in cells]
+    _force_cores(monkeypatch, cores)
+    draw, sample, lock = simulator._draw_noise, simulator.sample_von_mises, threading.Lock()
+    alive, counts = [], []
+
+    def watched(*args):
+        noise = draw(*args)
+        with lock:
+            alive[:] = [ref for ref in alive if ref() is not None] + [weakref.ref(noise)]
+            counts.append(len(alive))
+        return noise
+
+    def slow(rng, mu, kappa, n):  # class 1 of the first cell
+        if rng.bit_generator.seed_seq.entropy == [cells[0][2], simulator._STREAM_GENERATE, 1]:
+            time.sleep(0.2)
+        return sample(rng, mu, kappa, n)
+
+    monkeypatch.setattr(simulator, "_draw_noise", watched)
+    monkeypatch.setattr(simulator, "sample_von_mises", slow)
+    assert _within(60.0, lambda: simulator._grid_accuracy(PROFILE, 200, cells)) == expected
+    assert len(counts) == 16 and max(counts) <= min(cores, 10) + 1
 
 
 @pytest.mark.parametrize("j_classes", [2, 10])
@@ -276,23 +336,24 @@ def test_a_validate_cell_is_the_public_chain_at_its_edges(monkeypatch, j_classes
     spiky = FeatureProfile(j_classes=j_classes, c1=1e9, c2=0.0, c3=1.0, c4=0.0, n_layers=39)
     assert kappa_bar(1.0, spiky) == KAPPA_MAX
     _force_cores(monkeypatch, 2)
-    for profile, n, sigma2 in itertools.product([PROFILE, spiky], [1, 7], [0.0, 1e-3, 3.0]):
-        for seed in range(3):
-            assert simulator._cell_accuracy(profile, 1.0, n, sigma2, seed) == _chain(
-                profile, 1.0, n, sigma2, seed
-            )
+    cells = [(1.0, sigma2, seed) for sigma2 in [0.0, 1e-3, 3.0] for seed in range(3)]
+    for profile, n in itertools.product([PROFILE, spiky], [1, 7]):
+        assert simulator._grid_accuracy(profile, n, cells) == [
+            _chain(profile, ell, n, sigma2, seed) for ell, sigma2, seed in cells
+        ]
 
 
 class DrawFailed(Exception):
     pass
 
 
-def _failing_draws(monkeypatch, failing):
-    """Make the simulator's draw of class ``failing`` (or of the noise) raise ``DrawFailed``."""
+def _failing_draws(monkeypatch, failing, seed=None):
+    """Make the simulator's draw of class ``failing`` (or of the noise) raise ``DrawFailed``;
+    given a ``seed``, only that draw on the streams of that seed."""
     sample, make = simulator.sample_von_mises, simulator.make_rng
 
     def failing_class(rng, mu, kappa, n):
-        if mu == PROFILE.centroids[failing - 1]:
+        if mu == PROFILE.centroids[failing - 1] and seed in (None, _seed_of(rng)):
             raise DrawFailed(failing)
         return sample(rng, mu, kappa, n)
 
@@ -300,13 +361,20 @@ def _failing_draws(monkeypatch, failing):
         def normal(self, *args, **kwargs):
             raise DrawFailed("noise")
 
-    def failing_noise(seed, *stream):
-        return FailingNoise() if stream == (simulator._STREAM_DISTORT,) else make(seed, *stream)
+    def failing_noise(cell_seed, *stream):
+        if stream == (simulator._STREAM_DISTORT,) and seed in (None, cell_seed):
+            return FailingNoise()
+        return make(cell_seed, *stream)
 
     if failing == "noise":
         monkeypatch.setattr(simulator, "make_rng", failing_noise)
     elif failing is not None:
         monkeypatch.setattr(simulator, "sample_von_mises", failing_class)
+
+
+def _seed_of(rng):
+    """The (non-negative) seed of a simulator stream."""
+    return rng.bit_generator.seed_seq.entropy[0]
 
 
 def _ends_without_a_thread(call, result_ok, failing):
@@ -336,19 +404,52 @@ def test_a_failing_class_draw_reaches_the_caller_and_leaves_no_thread(monkeypatc
     )
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("cells", [1, 3])
 @pytest.mark.parametrize("failing", [None, 1, 10, "noise"], ids=["none", "caller", "worker", "noise"])
 def test_a_failing_draw_in_a_validate_cell_reaches_the_caller_and_leaves_no_thread(
-    monkeypatch, failing
+    monkeypatch, failing, cells, cores
 ):
-    # class 1 or class 10 fails in its own task; every class task waits for
-    # the noise, so a failed noise draw must reach each of them
-    _force_cores(monkeypatch, 2)
-    _failing_draws(monkeypatch, failing)
+    # class 1 or class 10 of the only cell, or of the middle one of three,
+    # fails in its own task; every class task waits for the noise, so a
+    # failed noise draw must reach each of them.  The first failed task
+    # shuts the pool on its own worker and cancels every task still queued:
+    # after that only draws the other workers took off the queue before it
+    # may start, and one worker never starts the last cell
+    _force_cores(monkeypatch, cores)
+    grid = [(12.0, 1e-3, 5), (20.0, 1e-3, 6), (30.0, 1e-3, 7)][:cells]
+    _failing_draws(monkeypatch, failing, seed=grid[cells // 2][2])
+    events, draw, sample = [], simulator._draw_noise, simulator.sample_von_mises
+
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait, cancel_futures=cancel_futures)
+            if cancel_futures:
+                events.append("cancelled")
+
+    def noting_noise(variance, size, rng):
+        events.append(getattr(rng, "bit_generator", None) and _seed_of(rng))
+        return draw(variance, size, rng)
+
+    def noting_class(rng, mu, kappa, n):
+        events.append(_seed_of(rng))
+        return sample(rng, mu, kappa, n)
+
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(simulator, "_draw_noise", noting_noise)
+    monkeypatch.setattr(simulator, "sample_von_mises", noting_class)
     _ends_without_a_thread(
-        lambda: simulator._cell_accuracy(PROFILE, 12.0, 1_000, 1e-3, seed=5),
-        lambda est: est.n == 10_000,
+        lambda: simulator._grid_accuracy(PROFILE, 1_000, grid),
+        lambda ests: [est.n for est in ests] == [10_000] * cells,
         failing,
     )
+    if failing is None:
+        assert sorted(events) == sorted(seed for _, _, seed in grid for _ in range(11))
+    else:
+        after = events[events.index("cancelled"):]
+        assert len(after) - after.count("cancelled") <= cores - 1
+        if cores == 1 and cells == 3:
+            assert grid[2][2] not in events
 
 
 def test_importing_the_package_starts_no_thread():
@@ -921,14 +1022,15 @@ def test_sweep_reads_iterators_like_lists():
 
 @pytest.mark.parametrize("seed", ["7", True, 7.9, None], ids=repr)
 def test_seeds_must_be_integers_wherever_streams_are_made(seed, monkeypatch):
-    # a string, bool or float seed once drew the stream of int(seed); the
-    # validate cell's seed is judged before its pool is made
+    # a string, bool or float seed once drew the stream of int(seed); a
+    # validate grid judges the seed of its last cell before its pool is made
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", _no_pool)
     calls = [
         lambda: make_rng(seed),
         lambda: derive_seed(seed, 1),
         lambda: generate_dataset(PROFILE, 10.0, 3, seed),
-        lambda: simulator._cell_accuracy(PROFILE, 10.0, 3, 1e-3, seed),
+        lambda: simulator._grid_accuracy(PROFILE, 3, [(10.0, 1e-3, 1), (20.0, 0.0, 2),
+                                                      (10.0, 1e-3, seed)]),
         lambda: run_algorithm1(10, LINK, COMP, STEEP, SPEC, EXITS, 0.7, seed),
         lambda: sweep([10.0], LINK, COMP, STEEP, SPEC, [EXITS], [0.7], tasks=10, seed=seed),
     ]

@@ -17,9 +17,9 @@ are counted at ``_check_real``, the one rule behind them.
 The Simpson ladder levels ``accuracy_of_kappa`` builds are read from its
 cache's own miss count, from an empty cache.  Counts fixed by the design (one
 batch per sweep row, one draw per class per cell, one thread pool per sweep and
-per cell, counted where the simulator makes it) are pinned exactly.  Counts
-of numerical work are pinned as upper bounds at today's values: a change that
-lowers one tightens its pin, and a change that raises one says why.
+per validate grid, counted where the simulator makes it) are pinned exactly.
+Counts of numerical work are pinned as upper bounds at today's values: a change
+that lowers one tightens its pin, and a change that raises one says why.
 """
 
 import importlib
@@ -50,7 +50,7 @@ COUNTED = (
     ("circstats", "_check_real"),
     ("optimizer", "_discrete_plans"),
     ("simulator", "_simulate"),
-    ("simulator", "_cell_accuracy"),
+    ("simulator", "_grid_accuracy"),
     ("simulator", "_classify"),
     ("simulator", "_draw_noise"),
     ("simulator", "ThreadPoolExecutor"),
@@ -132,7 +132,7 @@ def test_the_readme_sweep_plans_once_per_target_and_simulates_once_per_row(count
     assert counts["ThreadPoolExecutor"] == 1
     assert counts["_simulate"] == counts["make_rng"] == 248
     assert counts["sample_von_mises"] == counts["_classify"] == counts["_draw_noise"] == feasible
-    assert counts["_cell_accuracy"] == 0
+    assert counts["_grid_accuracy"] == 0
     # one depth search per (p0, noise level), shared by the ceilings and the
     # discrete scans: per p0, the 14 ceilings below 9 dB each see their own
     # noise, and every ceiling from 9 dB on (q* >= 29.99 bits) and every
@@ -174,14 +174,16 @@ def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(co
 def test_a_validate_cell_draws_each_class_once_and_one_noise_stream(counts, tmp_path, cores,
                                                                      monkeypatch):
     # the same draws on any core count: one von Mises stream and draw per
-    # class, one noise stream per cell, and one labelling pass per class
+    # class, one noise stream per cell, and one labelling pass per class, all
+    # on one pool for the whole grid
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(cores)),
                         raising=False)
     args = ["validate", _config(tmp_path, n_per_class=50), "--grid", "8,32x9,37",
             "--out", str(tmp_path / "validate.csv")]
     assert main(args) in (0, 2)
     cells, j_classes = 4, 10
-    assert counts["_cell_accuracy"] == counts["_draw_noise"] == counts["ThreadPoolExecutor"] == cells
+    assert counts["_grid_accuracy"] == counts["ThreadPoolExecutor"] == 1
+    assert counts["_draw_noise"] == cells
     assert counts["sample_von_mises"] == counts["_classify"] == cells * j_classes
     assert counts["make_rng"] == cells * (j_classes + 1)
     assert counts["_simulate"] == counts["_discrete_plans"] == 0
