@@ -241,7 +241,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         limit = 3.0 * np.sqrt(analytic * (1.0 - analytic) / est.n)
         gap = abs(est.value - analytic)
         rows.append(ValidateRow(q, ell, analytic, est.value, est.ci_half_width, est.n,
-                                gap, limit, gap < limit))
+                                gap, limit, gap <= limit))
     _write_csv(args.out, rows)
     total = len(rows)
     failures = sum(not row.cell_pass for row in rows)

@@ -11,15 +11,16 @@ the same way, from :func:`~edgeplan.accuracy.accuracy_model` and the latency
 model, so their plans compare field by field.  The one exception is a plan
 that sends nothing (``q = 0``): it predicts chance accuracy ``1/J``, as the
 simulator scores it.  ``_discrete_plans`` is the one discrete planner, behind
-``solve_discrete`` and ``sweep``.  It uses the bisected continuous depth only
-to find where to start: the plan's exit is the first whose own accuracy meets
-the target.  The link enters a plan only through its bit-width, so plans
-change only at the threshold SNRs where the alphabet admits a new entry.
-The model sees the bit-width only through its quantization variance, and
-not at all once that noise rounds away at depth 1 (on the default config
-from 29.99 bits on).  So a planning call's ``_Target`` runs one depth search
-per (p0, *noise level*), shared by the ceilings and the discrete scans, and
-one accuracy evaluation per (noise level, depth).  Everything is pure;
+``solve_discrete`` and ``sweep``.  Its exit is the first whose own accuracy
+meets the target, scanned from the noise-free minimum depth: noise only
+lowers kappa, so while accuracy rises with kappa (to the last bit only for
+``1 - p0`` well above 1e-9) no bit-width meets the target shallower.  The
+link enters a plan only through its bit-width, so plans change only at the
+threshold SNRs where the alphabet admits a new entry.  The model sees the
+bit-width only through its quantization variance, and not at all once that
+noise rounds away at depth 1 (on the default config from 29.99 bits on).  So
+a planning call's ``_Target`` runs one depth search per (p0, *noise level*)
+and one accuracy evaluation per (noise level, depth).  Everything is pure;
 instances may be solved in parallel without coordination.
 """
 
@@ -198,10 +199,11 @@ def solve_discrete(
 
     Bit-width: largest alphabet entry within the latency budget.  Depth: the
     first exit whose ``accuracy_model`` meets ``p0``, scanning up from the
-    last exit below the bisected continuous minimum (the bisection carries
-    ~1e-6 slack, so that exit may still qualify).  Every feasible plan's exit
-    has thus been compared with ``p0`` directly.  When no exit qualifies or
-    no depth does, the plan parks at the deepest exit with zero EPR; when
+    last exit below the bisected noise-free minimum, a lower bound at every
+    bit-width (see :func:`_discrete_plans`; the bisection carries ~1e-6
+    slack, so that exit may still qualify).  Every feasible plan's exit has
+    thus been compared with ``p0`` directly.  When no exit qualifies or no
+    depth does, the plan parks at the deepest exit with zero EPR; when
     only 0 bits fit, nothing is sent, no depth is searched, and it parks
     there predicting chance, ``1/J``.  One call of ``_discrete_plans``, the
     one discrete planner, which plans several links and exit sets alike.
@@ -215,37 +217,31 @@ def _discrete_plans(
     comp: ComputeProfile,
     exit_sets: Sequence[ExitSet],
     target: _Target,
-    ceilings: Optional[Sequence[Plan]] = None,
 ) -> List[List[Plan]]:
     """The :func:`solve_discrete` plan for each link and each exit set, in order.
 
     The exit sets must have passed ``check_within``.  A link enters only
-    through its bit-width ``q*``: the continuous minimum depth is searched
-    once per noise level, and ``accuracy_model`` is evaluated once per
-    (noise level, exit layer), for the scans and the plans alike.  A link's
-    continuous ceiling, if given, is its scan start instead whenever its
-    bit-width is at least ``q*``: it then sees no more noise, so its depth is
-    at or below the link's own, and an infeasible one leaves the link
-    infeasible too.  At ``q* = 0`` nothing is sent, so every set parks at
-    its deepest exit, infeasible, at chance accuracy ``1/J``.
+    through its bit-width ``q*``, and ``accuracy_model`` is evaluated once
+    per (noise level, exit layer), for the scans and the plans alike.  Every
+    scan starts at the one noise-free minimum depth: ``_distorted`` never
+    exceeds ``kappa_bar``, so while accuracy rises with kappa no link meets
+    ``p0`` shallower, nor at all if no depth meets it without noise.  At
+    ``q* = 0`` nothing is sent, so every set parks at its deepest exit,
+    infeasible, at chance accuracy ``1/J``.
     """
     profile, p0 = target.profile, target.p0
     plans = []
-    for i, link in enumerate(links):
+    for link in links:
         q = float(max_bitwidth_discrete(link, target.spec))
         if q:
             noise = target.level(_quant_variance(q, target.spec))
-            ceiling = ceilings[i] if ceilings else None
-            if ceiling is not None and ceiling.q >= q:
-                ell_plus = ceiling.ell if ceiling.feasible else None
-            else:
-                ell_plus = target.depth(noise)
+            ell_plus = target.depth(0.0)
         row = []
         for exits in exit_sets:
             ell = None
             if q and ell_plus is not None:
-                # the bisected depth is a start, not a verdict: scan from the last
-                # exit below it for the first whose accuracy meets p0
+                # the noise-free depth is a start, not a verdict: scan from the last
+                # exit below it for the first whose accuracy meets p0 at this noise
                 start = max(sum(l < ell_plus for l in exits.layers) - 1, 0)
                 ell = next((l for l in exits.layers[start:]
                             if target.accuracy(noise, float(l)) >= p0), None)

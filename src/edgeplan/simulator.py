@@ -347,12 +347,12 @@ def sweep(
     Each point simulates ``tasks`` inferences under the :func:`solve_discrete`
     plan, as :func:`run_algorithm1` does, reports that plan with its Monte
     Carlo accuracy estimate, and adds the continuous ceiling's EPR.  The
-    ceilings are solved first, once per (target accuracy, SNR), and each
-    point's ceiling depth is where its discrete scans start, for every exit
-    set: one depth search per (target accuracy, noise level) serves the
-    whole sweep (see :mod:`edgeplan.optimizer`).  Only latency and EPR are
-    recomputed per SNR between two bit-width thresholds.  Each point draws
-    from a stream derived from its grid indices, so rows are
+    ceilings are solved first, once per (target accuracy, SNR); every
+    discrete scan starts at the noise-free minimum depth, below every
+    bit-width's exit (see :mod:`edgeplan.optimizer`), so one depth search
+    per (target accuracy, noise level) serves the whole sweep.  Only latency
+    and EPR are recomputed per SNR between two bit-width thresholds.  Each
+    point draws from a stream derived from its grid indices, so rows are
     order-independent.  Each iterable is read once; the seed, the exit sets
     and every target accuracy are judged before anything is planned.
     Planning runs on the calling thread; the rows are then simulated on a
@@ -372,8 +372,7 @@ def sweep(
     for exits in exit_variants:
         exits.check_within(profile)
     ceilings = [[_ceiling(point, comp, target) for point in points] for target in targets]
-    plans = [_discrete_plans(points, comp, exit_variants, target, cr)
-             for target, cr in zip(targets, ceilings)]
+    plans = [_discrete_plans(points, comp, exit_variants, target) for target in targets]
 
     def row(vi, pi, si):
         plan = plans[pi][si][vi]

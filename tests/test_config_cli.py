@@ -458,6 +458,18 @@ def test_validate_default_grid_on_shipped_config(default_validate):
     assert len(written.decode().splitlines()) == 17
 
 
+def test_validate_passes_a_cell_where_model_and_simulation_agree_exactly(tmp_path, capsys):
+    # two classes this far apart are always told apart: the model and every
+    # draw read accuracy 1.0, so the gap and its 3-sigma limit are both 0
+    raw = _base_config()
+    raw["feature_profile"].update(J=2, c1=300.0)
+    path = _small_config(tmp_path, feature_profile=raw["feature_profile"])
+    out_csv = tmp_path / "v.csv"
+    assert main(["validate", str(path), "--grid", "32x37", "--out", str(out_csv)]) == 0
+    assert "1/1 cells pass" in capsys.readouterr().out
+    assert out_csv.read_text().splitlines()[1] == "32,37,1,1,0,4000,0,0,1"
+
+
 def test_validate_perturbed_analytic_side_fails(tmp_path, capsys):
     path = _small_config(tmp_path)
     out_csv = tmp_path / "v.csv"

@@ -341,23 +341,31 @@ def test_discrete_plans_evaluate_each_exit_layer_once(monkeypatch):
     # several exit sets planned in one call share one accuracy evaluation per
     # (noise level, exit layer), and each plan is still the exhaustive optimum
     # for its set; links that share a bit-width (15 and 25 dB) share those
-    # evaluations
-    evaluated = []
+    # evaluations.  Every scan starts at the one noise-free depth: a call that
+    # sends bits searches once, at sigma2 == 0.0, whatever its links' noise
+    evaluated, searched = [], []
 
     def counted(sigma2, ell, profile):
         evaluated.append((sigma2, ell))
         return distorted(sigma2, ell, profile)
 
-    distorted = optimizer._distorted
+    def counted_search(sigma2, p0, profile):
+        searched.append(sigma2)
+        return search(sigma2, p0, profile)
+
+    distorted, search = optimizer._distorted, optimizer.min_depth_for_accuracy
     monkeypatch.setattr(optimizer, "_distorted", counted)
+    monkeypatch.setattr(optimizer, "min_depth_for_accuracy", counted_search)
     sets = [ExitSet(layers=(9, 37)), ExitSet(layers=(9, 19, 37)), ExitSet(layers=(37,)), EXITS]
     layers = {float(l) for exits in sets for l in exits.layers}
     links = [replace(LINK, snr=snr_db_to_linear(snr_db)) for snr_db in (-5.0, 5.0, 15.0, 25.0)]
     outcomes = set()
     for p0 in (0.3, 0.6, 0.8, 0.999):
         evaluated.clear()
+        searched.clear()
         target = optimizer._Target(PROFILE, SPEC, p0)
         plans = optimizer._discrete_plans(links, COMP, sets, target)
+        assert searched == [0.0]
         assert len(evaluated) == len(set(evaluated))
         assert {ell for _, ell in evaluated} <= layers
         levels = {target.level(quant_variance(plan.q, SPEC)) for row in plans for plan in row}
@@ -369,6 +377,11 @@ def test_discrete_plans_evaluate_each_exit_layer_once(monkeypatch):
                 assert plan.predicted_accuracy == accuracy_model(plan.q, plan.ell, PROFILE, SPEC)
                 outcomes.add(plan.feasible)
     assert outcomes == {True, False}
+    # with nothing sent there is nothing to search
+    searched.clear()
+    silent = replace(LINK, snr=snr_db_to_linear(-60.0))
+    assert optimizer._discrete_plans([silent], COMP, sets, target)[0][0].q == 0.0
+    assert searched == []
 
 
 def _largest_noise_free_variance(profile):

@@ -771,7 +771,7 @@ def test_sweep_rows_and_qualitative_trends():
 
 
 def test_sweep_rows_report_a_fresh_discrete_plan():
-    # two exit sets, so the ceilings sweep solves once are reused across them
+    # two exit sets, so the plans and ceilings sweep solves once per point serve both
     grid = [-5.0, 10.0, 25.0]
     variants = {exit_set_label(e): e for e in (EXITS, ExitSet(layers=(9, 37)))}
     rows = sweep(grid, LINK, COMP, STEEP, SPEC, list(variants.values()), [0.6, 0.999],
