@@ -9,8 +9,8 @@ Wald rule over a count of hits.  The public chain runs them serially as
 :func:`generate_dataset` (one stream per class, in class order),
 :func:`distort` (one noise stream) and :func:`empirical_accuracy`.
 ``validate`` scores its whole grid bit for bit as that chain with
-``_grid_accuracy``: one pool of every usable core runs each cell's noise draw,
-then one task per class, with no barrier between cells.
+``_grid_accuracy``: one pool of every usable core runs one task per cell,
+which reads the cell's noise stream class by class.
 :func:`run_algorithm1` runs the stages on one stream per batch, angles
 (drawn at mean 0, then shifted to their class centroids) before noise.
 :func:`sweep` plans serially with one depth search per (p0, noise level),
@@ -139,45 +139,43 @@ def _grid_accuracy(
 ) -> List[AccuracyEstimate]:
     """Each ``(ell, sigma2, seed)`` cell's ``empirical_accuracy(distort(generate_dataset(...)))``.
 
-    Every cell is checked first.  Then one pool of one worker per usable core
-    (at most J) runs, per cell in grid order, the noise draw as :func:`distort`
-    does and one task per class: it draws its class, adds its noise slice in
-    place, wraps, labels and counts the hits; the caller sums each cell's
-    counts in class order, bit for bit as the chain.  Tasks start in submission
-    order once all are submitted, so a class task waits only on a noise draw
-    running or done, no cell waits for the one before it, and at most
-    workers + 1 noise vectors are alive.  The first failure cancels every task
-    not yet started and reaches the caller.  The pool is joined on every exit.
+    Every cell is checked first; an empty grid makes no pool.  A pool of one
+    worker per usable core (at most one per cell) then runs one task per cell
+    in grid order: it makes the cell's noise stream as :func:`distort` does
+    and, class by class, draws the class and its ``n_per_class`` chunk of that
+    stream, adds, wraps, labels and counts the hits.  Chunks of one stream are
+    the bits of one draw, so each cell is the chain bit for bit, while a worker
+    holds under six arrays of ``n_per_class`` floats, whatever J and grid size.
+    A failing cell stops the others before their next class; the error of the
+    first failed cell in grid order reaches the caller; the pool is joined.
     """
     n_per_class = _check_int("n_per_class", n_per_class, 1)
     judged = [(_check_int("seed", seed), kappa_bar(ell, profile),
                _noise_variance(_check_real("sigma2", sigma2, 0.0), ell, profile))
               for ell, sigma2, seed in cells]
-    size = profile.j_classes * n_per_class
+    if not judged:
+        return []
+    failed = threading.Event()
 
-    def count(drawn, seed, kappa, j, mu):
+    def count(seed, kappa, variance):  # None once another cell has failed
+        hits = 0
         try:
-            angles = _draw_class(seed, j, mu, kappa, n_per_class)
-            noise = drawn.result()
-            if noise is not None:  # this class's slice, summed in place
-                angles = _add_noise(angles, noise[(j - 1) * n_per_class : j * n_per_class])
-            return np.count_nonzero(_classify(angles, profile) == j)
-        except BaseException:  # on this worker, before it can take another task
-            pool.shutdown(wait=False, cancel_futures=True)
+            stream = make_rng(seed, _STREAM_DISTORT)
+            for j, mu in enumerate(profile.centroids, start=1):
+                if failed.is_set():
+                    return None
+                angles = _draw_class(seed, j, mu, kappa, n_per_class)
+                angles = _add_noise(angles, _draw_noise(variance, n_per_class, stream))
+                hits += np.count_nonzero(_classify(angles, profile) == j)
+        except BaseException:
+            failed.set()
             raise
+        return hits
 
-    def submit(seed, kappa, variance):
-        drawn = pool.submit(_draw_noise, variance, size, make_rng(seed, _STREAM_DISTORT))
-        return [pool.submit(count, drawn, seed, kappa, j, mu)
-                for j, mu in enumerate(profile.centroids, start=1)]
-
-    gate = threading.Event()  # so no task starts, or shuts the pool, mid-submission
-    with ThreadPoolExecutor(min(_usable_cores(), profile.j_classes), initializer=gate.wait) as pool:
-        try:
-            grid = [submit(*cell) for cell in judged]
-        finally:
-            gate.set()
-        return [_score(sum(task.result() for task in tasks), size) for tasks in grid]
+    with ThreadPoolExecutor(min(_usable_cores(), len(judged))) as pool:
+        # a cell returns None only once another has raised, so no None is scored
+        grid = list(pool.map(count, *zip(*judged)))
+    return [_score(hits, profile.j_classes * n_per_class) for hits in grid]
 
 
 def _usable_cores() -> int:

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -146,20 +147,18 @@ def test_usable_cores_fall_back_to_the_cpu_count_without_an_affinity_mask(monkey
 
 
 def _spy_pools(monkeypatch):
-    """Record each pool the simulator makes: its workers, each task's function and arguments,
-    and each task's future."""
+    """Record each pool the simulator makes: its workers and each task's function and arguments."""
     pools = []
 
     class Pool(ThreadPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             super().__init__(max_workers, **kwargs)
-            self.workers, self.tasks, self.futures = max_workers, [], []
+            self.workers, self.tasks = max_workers, []
             pools.append(self)
 
         def submit(self, fn, *args):
             self.tasks.append((fn, args))
-            self.futures.append(super().submit(fn, *args))
-            return self.futures[-1]
+            return super().submit(fn, *args)
 
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", Pool)
     return pools
@@ -199,48 +198,46 @@ def test_generate_dataset_is_the_serial_oracle_on_any_core_count(monkeypatch, j_
     assert np.array_equal(ds.labels, np.repeat(np.arange(1, j_classes + 1), n))
 
 
-def _assert_grid_order(pool, profile, seeds):
-    """The grid's one pool took, for each cell in grid order, its noise draw and then one
-    task per class in class order, each class task of a cell waiting on that cell's noise."""
-    j_classes = profile.j_classes
-    assert len(pool.tasks) == len(seeds) * (j_classes + 1)
-    for k, seed in enumerate(seeds):
-        (noise, noise_args), *classes = pool.tasks[k * (j_classes + 1) : (k + 1) * (j_classes + 1)]
-        assert noise is simulator._draw_noise
-        assert noise_args[2].bit_generator.seed_seq.entropy == [seed, simulator._STREAM_DISTORT]
-        drawn = pool.futures[k * (j_classes + 1)]
-        assert [args[0] for _, args in classes] == [drawn] * j_classes
-        assert [args[1] for _, args in classes] == [seed] * j_classes
-        assert [args[3:] for _, args in classes] == list(zip(range(1, j_classes + 1),
-                                                             profile.centroids))
+def _assert_grid_order(pool, profile, cells):
+    """The grid's one pool took one task per cell, in grid order, each with the
+    cell's judged seed, concentration and noise variance."""
+    assert len({fn for fn, _ in pool.tasks}) == 1
+    assert [args for _, args in pool.tasks] == [
+        (seed, kappa_bar(ell, profile), simulator._noise_variance(sigma2, ell, profile))
+        for ell, sigma2, seed in cells]
 
 
-@pytest.mark.parametrize("cores", [1, 2])
-def test_the_pool_draws_the_noise_then_one_task_per_class(monkeypatch, cores):
-    # the caller makes only each cell's noise stream, in grid order; the
-    # grid's one pool draws cell 1's noise, then its classes 1-10 in class
-    # order, then cell 2's noise and classes, and starts no task before the
-    # caller has submitted them all
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_the_pool_runs_one_task_per_cell_in_grid_order(monkeypatch, cores):
+    # the caller makes no stream; each cell's task makes the cell's noise
+    # stream and then its class streams 1-10, in class order, on one worker
     _force_cores(monkeypatch, cores)
     pools = _spy_pools(monkeypatch)
     make, drawn = simulator.make_rng, []
 
     def recording(seed, *stream):
-        drawn.append((threading.get_ident(), seed, stream, len(pools[0].tasks)))
+        drawn.append((threading.get_ident(), seed, stream))
         return make(seed, *stream)
 
     monkeypatch.setattr(simulator, "make_rng", recording)
-    simulator._grid_accuracy(PROFILE, 50, [(12.0, 1e-3, 1), (30.0, 1e-2, 2)])
-    noise = (simulator._STREAM_DISTORT,)
-    classes = [(simulator._STREAM_GENERATE, j) for j in range(1, 11)]
-    here = [(seed, stream) for ident, seed, stream, _ in drawn if ident == threading.get_ident()]
-    assert here == [(1, noise), (2, noise)]
+    cells = [(12.0, 1e-3, 1), (30.0, 1e-2, 2)]
+    simulator._grid_accuracy(PROFILE, 50, cells)
+    streams = [(simulator._STREAM_DISTORT,)] + [(simulator._STREAM_GENERATE, j)
+                                               for j in range(1, 11)]
+    assert threading.get_ident() not in {ident for ident, _, _ in drawn}
+    for seed in (1, 2):
+        mine = [(ident, stream) for ident, cell_seed, stream in drawn if cell_seed == seed]
+        assert [stream for _, stream in mine] == streams
+        assert len({ident for ident, _ in mine}) == 1
     (pool,) = pools
-    assert pool.workers == cores
-    _assert_grid_order(pool, PROFILE, [1, 2])
-    expected = [(seed, stream) for seed in (1, 2) for stream in [noise] + classes]
-    assert sorted((seed, stream) for _, seed, stream, _ in drawn) == sorted(expected)
-    assert {submitted for _, _, stream, submitted in drawn if stream != noise} == {22}
+    assert pool.workers == min(cores, len(cells))
+    _assert_grid_order(pool, PROFILE, cells)
+
+
+def test_an_empty_validate_grid_makes_no_pool(monkeypatch):
+    # a pool of min(cores, 0) workers would raise ValueError
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", _no_pool)
+    assert simulator._grid_accuracy(PROFILE, 10, []) == []
 
 
 def _chain(profile, ell, n, sigma2, seed):
@@ -253,9 +250,8 @@ def _chain(profile, ell, n, sigma2, seed):
 @pytest.mark.parametrize("j_classes", [2, 3, 10, 1000])
 def test_a_validate_cell_is_the_public_chain_on_any_core_count(monkeypatch, j_classes, cores):
     # q = 0 leaves almost uniform angles, q = 64 all but none of the noise;
-    # 8 cores is more than J at J = 2 and 3, and runs with a 1 us switch
-    # interval so the class tasks' in-place writes to their slices of one
-    # noise vector interleave as often as they can
+    # at 8 cores, fewer than the 12 cells, a 1 us switch interval
+    # interleaves the cells' draws of their own streams as often as it can
     profile = FeatureProfile(j_classes=j_classes, c1=0.35, c2=0.5, c3=400.0, c4=0.08, n_layers=39)
     n = 5 if j_classes == 1000 else 300
     _force_cores(monkeypatch, cores)
@@ -270,64 +266,68 @@ def test_a_validate_cell_is_the_public_chain_on_any_core_count(monkeypatch, j_cl
     finally:
         sys.setswitchinterval(interval)
     assert grid == [_chain(profile, ell, n, sigma2, seed) for ell, sigma2, seed in cells]
-    # one pool for the grid, none for the chain: per cell the noise draw, then one task per class
+    # one pool for the grid, none for the chain: one task per cell
     (pool,) = pools
-    assert pool.workers == min(cores, j_classes)
-    _assert_grid_order(pool, profile, [seed for _, _, seed in cells])
-
-
-@pytest.mark.parametrize("cores", [1, 2])
-def test_a_slow_noise_draw_holds_up_no_class_task_behind_it(monkeypatch, cores):
-    # tasks start in submission order and each cell's noise draw is submitted
-    # before its classes, so a class task waits only on a draw that is
-    # running or done, even on one worker, where a class task taken first
-    # would wait forever
-    _force_cores(monkeypatch, cores)
-    pools = _spy_pools(monkeypatch)
-    draw = simulator._draw_noise
-
-    def slow(*args):
-        time.sleep(0.05)
-        return draw(*args)
-
-    monkeypatch.setattr(simulator, "_draw_noise", slow)
-    cells = [(12.0, 1e-3, 3), (25.0, 3e-3, 4)]
-    grid = _within(10.0, lambda: simulator._grid_accuracy(PROFILE, 300, cells))
-    assert grid == [_chain(PROFILE, ell, 300, sigma2, seed) for ell, sigma2, seed in cells]
-    (pool,) = pools
-    assert pool.workers == cores
-    _assert_grid_order(pool, PROFILE, [3, 4])
+    assert pool.workers == min(cores, len(cells))
+    _assert_grid_order(pool, profile, cells)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 8])
-def test_a_validate_grid_keeps_at_most_one_noise_vector_more_than_its_workers(monkeypatch, cores):
-    # a noise vector lives until its cell's last class task ends, and the
-    # pool takes tasks in grid order: while one slow class draw holds the
-    # first cell's noise, each other worker holds at most one cell and one
-    # more is next in line, so the grid's memory does not grow with its size
+def test_a_validate_grid_keeps_at_most_one_noise_chunk_per_worker(monkeypatch, cores):
+    # each cell draws its noise one class chunk at a time, and a worker drops
+    # a class's chunk before it draws the next, so the grid's noise memory
+    # grows neither with J nor with the grid's size
     cells = [(ell, quant_variance(q, SPEC), derive_seed(7, 201, qi, ell))
              for (qi, q), ell in itertools.product(enumerate([4, 8, 12, 16]), [9, 19, 29, 37])]
     expected = [_chain(PROFILE, ell, 200, sigma2, seed) for ell, sigma2, seed in cells]
     _force_cores(monkeypatch, cores)
-    draw, sample, lock = simulator._draw_noise, simulator.sample_von_mises, threading.Lock()
-    alive, counts = [], []
+    draw, lock = simulator._draw_noise, threading.Lock()
+    alive, counts, sizes = [], [], []
 
-    def watched(*args):
-        noise = draw(*args)
+    def watched(variance, size, rng):
+        noise = draw(variance, size, rng)
         with lock:
             alive[:] = [ref for ref in alive if ref() is not None] + [weakref.ref(noise)]
             counts.append(len(alive))
+            sizes.append(size)
         return noise
 
-    def slow(rng, mu, kappa, n):  # class 1 of the first cell
-        if rng.bit_generator.seed_seq.entropy == [cells[0][2], simulator._STREAM_GENERATE, 1]:
-            time.sleep(0.2)
-        return sample(rng, mu, kappa, n)
-
     monkeypatch.setattr(simulator, "_draw_noise", watched)
-    monkeypatch.setattr(simulator, "sample_von_mises", slow)
     assert _within(60.0, lambda: simulator._grid_accuracy(PROFILE, 200, cells)) == expected
-    assert len(counts) == 16 and max(counts) <= min(cores, 10) + 1
+    assert sizes == [200] * len(cells) * PROFILE.j_classes
+    assert max(counts) <= min(cores, len(cells))
+
+
+@pytest.mark.parametrize("cores", [1, 2, 8])
+def test_a_validate_grid_peaks_at_a_few_class_chunks_per_worker(monkeypatch, cores):
+    # numpy reports its buffers to tracemalloc; a class's angles, its noise
+    # chunk and the labelling's temporaries are about 4.5 chunks of n floats,
+    # where a noise vector of the whole cell would be J = 10 of them
+    n = 20_000
+    cells = [(ell, quant_variance(q, SPEC), derive_seed(11, 201, qi, ell))
+             for (qi, q), ell in itertools.product(enumerate([4, 8, 12, 16]), [9, 19, 29, 37])]
+    _force_cores(monkeypatch, cores)
+    tracemalloc.start()
+    try:
+        grid = simulator._grid_accuracy(PROFILE, n, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [est.n for est in grid] == [n * PROFILE.j_classes] * len(cells)
+    assert peak <= 6 * min(cores, len(cells)) * n * 8, peak
+
+
+@pytest.mark.parametrize("sd", [1e-9, 0.3, 50.0])
+def test_a_noise_stream_drawn_in_chunks_is_the_one_draw_bit_for_bit(sd):
+    # the premise of the validate cell's class-by-class noise: numpy's normal
+    # sampler on one Philox stream gives the same bits in consecutive chunks,
+    # even and uneven, as in one call
+    n, j_classes = 3_000, 10
+    whole = make_rng(5, simulator._STREAM_DISTORT).normal(0.0, sd, j_classes * n)
+    for chunks in ([n] * j_classes, [1, 7, 2_992, 13_000, 4_000, 9_999, 1]):
+        rng = make_rng(5, simulator._STREAM_DISTORT)
+        drawn = np.concatenate([rng.normal(0.0, sd, size) for size in chunks])
+        assert np.array_equal(drawn.view(np.int64), whole.view(np.int64))
 
 
 @pytest.mark.parametrize("j_classes", [2, 10])
@@ -410,32 +410,30 @@ def test_a_failing_class_draw_reaches_the_caller_and_leaves_no_thread(monkeypatc
 def test_a_failing_draw_in_a_validate_cell_reaches_the_caller_and_leaves_no_thread(
     monkeypatch, failing, cells, cores
 ):
-    # class 1 or class 10 of the only cell, or of the middle one of three,
-    # fails in its own task; every class task waits for the noise, so a
-    # failed noise draw must reach each of them.  The first failed task
-    # shuts the pool on its own worker and cancels every task still queued:
-    # after that only draws the other workers took off the queue before it
-    # may start, and one worker never starts the last cell
+    # class 1 or class 10 of the only cell, or of the middle one of three, or
+    # that cell's noise stream, fails in the cell's own task.  The failing
+    # cell flags the others: after the flag each cell still running may
+    # finish only the class it is on, the caller cancels every cell not yet
+    # started, and one worker never starts the last cell
     _force_cores(monkeypatch, cores)
     grid = [(12.0, 1e-3, 5), (20.0, 1e-3, 6), (30.0, 1e-3, 7)][:cells]
     _failing_draws(monkeypatch, failing, seed=grid[cells // 2][2])
     events, draw, sample = [], simulator._draw_noise, simulator.sample_von_mises
 
-    class Pool(ThreadPoolExecutor):
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            super().shutdown(wait, cancel_futures=cancel_futures)
-            if cancel_futures:
-                events.append("cancelled")
+    class Flag(threading.Event):
+        def set(self):
+            events.append("flagged")
+            super().set()
 
     def noting_noise(variance, size, rng):
-        events.append(getattr(rng, "bit_generator", None) and _seed_of(rng))
+        events.append(("noise", getattr(rng, "bit_generator", None) and _seed_of(rng)))
         return draw(variance, size, rng)
 
     def noting_class(rng, mu, kappa, n):
-        events.append(_seed_of(rng))
+        events.append(("class", _seed_of(rng)))
         return sample(rng, mu, kappa, n)
 
-    monkeypatch.setattr(simulator, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(simulator, "threading", types.SimpleNamespace(Event=Flag))
     monkeypatch.setattr(simulator, "_draw_noise", noting_noise)
     monkeypatch.setattr(simulator, "sample_von_mises", noting_class)
     _ends_without_a_thread(
@@ -444,12 +442,14 @@ def test_a_failing_draw_in_a_validate_cell_reaches_the_caller_and_leaves_no_thre
         failing,
     )
     if failing is None:
-        assert sorted(events) == sorted(seed for _, _, seed in grid for _ in range(11))
+        expected = [(kind, seed) for _, _, seed in grid for kind in ("class", "noise")]
+        assert sorted(events) == sorted(expected * 10)
     else:
-        after = events[events.index("cancelled"):]
-        assert len(after) - after.count("cancelled") <= cores - 1
+        assert events.count("flagged") == 1
+        after = events[events.index("flagged") + 1:]
+        assert sum(kind == "class" for kind, _ in after) <= min(cores, cells) - 1
         if cores == 1 and cells == 3:
-            assert grid[2][2] not in events
+            assert {("class", grid[2][2]), ("noise", grid[2][2])}.isdisjoint(events)
 
 
 def test_importing_the_package_starts_no_thread():

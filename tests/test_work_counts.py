@@ -178,16 +178,20 @@ def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(co
 def test_a_validate_cell_draws_each_class_once_and_one_noise_stream(counts, tmp_path, cores,
                                                                      monkeypatch):
     # the same draws on any core count: one von Mises stream and draw per
-    # class, one noise stream per cell, and one labelling pass per class, all
-    # on one pool for the whole grid
+    # class, one noise stream per cell drawn one class chunk at a time, and
+    # one labelling pass per class, all on one pool for the whole grid
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(cores)),
                         raising=False)
+    draw, sizes = simulator._draw_noise, []
+    monkeypatch.setattr(simulator, "_draw_noise",
+                        lambda variance, size, rng: sizes.append(size) or draw(variance, size, rng))
     args = ["validate", _config(tmp_path, n_per_class=50), "--grid", "8,32x9,37",
             "--out", str(tmp_path / "validate.csv")]
     assert main(args) in (0, 2)
     cells, j_classes = 4, 10
     assert counts["_grid_accuracy"] == counts["ThreadPoolExecutor"] == 1
-    assert counts["_draw_noise"] == cells
+    assert counts["_draw_noise"] == cells * j_classes
+    assert sizes == [50] * cells * j_classes
     assert counts["sample_von_mises"] == counts["_classify"] == cells * j_classes
     assert counts["make_rng"] == cells * (j_classes + 1)
     assert counts["_simulate"] == counts["_discrete_plans"] == 0
