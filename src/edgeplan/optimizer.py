@@ -10,24 +10,25 @@ three differ only in how they search; each fills in its chosen ``(q, ell)``
 the same way, from :func:`~edgeplan.accuracy.accuracy_model` and the latency
 model, so their plans compare field by field.  The one exception is a plan
 that sends nothing (``q = 0``): it predicts chance accuracy ``1/J``, as the
-simulator scores it.  ``_discrete_plans`` is the one discrete planner, behind
-``solve_discrete`` and ``sweep``.  Its exit is the first whose own accuracy
-meets the target, scanned from the noise-free minimum depth: noise only
-lowers kappa, so while accuracy rises with kappa (to the last bit only for
-``1 - p0`` well above 1e-9) no bit-width meets the target shallower.  The
-link enters a plan only through its bit-width, so plans change only at the
-threshold SNRs where the alphabet admits a new entry.  The model sees the
-bit-width only through its quantization variance, and not at all once that
-noise rounds away at depth 1 (on the default config from 29.99 bits on).  So
-a planning call's ``_Target`` runs one depth search per (p0, *noise level*)
-and one accuracy evaluation per (noise level, depth).  Everything is pure;
-instances may be solved in parallel without coordination.
+simulator scores it.  ``_Target`` is the one planning context, behind
+``solve_cr``, ``solve_discrete`` and ``sweep``.  A link enters a discrete plan
+only through its bit-width ``q*``, so plans change only at the threshold SNRs
+where the alphabet admits a new entry: the target chooses each exit once per
+(``q*``, exit set), and a link only prices that choice.  The exit is the
+first whose own accuracy meets the target, scanned from the noise-free minimum
+depth: noise only lowers kappa, so while accuracy rises with kappa (to the
+last bit only for ``1 - p0`` well above 1e-9) no bit-width meets the target
+shallower.  The model sees the bit-width only through its quantization
+variance, and not at all once that noise rounds away at depth 1 (on the
+default config from 29.99 bits on).  So a ``_Target`` runs one depth search
+per (p0, *noise level*) and one accuracy evaluation per (noise level, depth).
+Everything is pure; instances may be solved in parallel without coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .accuracy import (
     FeatureProfile,
@@ -127,7 +128,7 @@ def _plan(
 
 
 class _Target:
-    """The accuracy target of one planning call: (profile, spec, p0), ``p0`` checked once.
+    """The planning context of one target (profile, spec, p0), ``p0`` checked once.
 
     Keeps each depth search and accuracy by *noise level*: the quantization
     variance, or 0.0 where its shrink at depth 1 rounds to 1.  The key is
@@ -139,6 +140,7 @@ class _Target:
         self.profile, self.spec, self.p0 = profile, spec, profile.check_target(p0)
         self._depths = {}  # noise level -> min_depth_for_accuracy
         self._accuracies = {}  # (noise level, depth) -> accuracy_model
+        self._choices = {}  # (q, exit layers) -> choice
 
     def level(self, sigma2: float) -> float:
         """The noise level of a checked variance: 0.0 if its shrink at depth 1 is 1.0."""
@@ -158,6 +160,44 @@ class _Target:
             self._accuracies[key] = _accuracy(kappa, self.profile.j_classes)
         return self._accuracies[key]
 
+    def choice(self, q: float, exits: ExitSet) -> Tuple[float, float, bool]:
+        """The exit, its ``accuracy_model`` and feasibility at bit-width ``q``, made once.
+
+        The exit set must have passed ``check_within``.  The exit is the first
+        meeting ``p0``, scanned from the last exit below the noise-free minimum
+        depth, a lower bound at every bit-width; else the deepest, infeasible.
+        At ``q = 0`` nothing is sent: no depth is searched, and it predicts ``1/J``.
+        """
+        key = q, exits.layers
+        if key not in self._choices:
+            noise, ell = self.level(_quant_variance(q, self.spec)), None
+            if q and self.depth(0.0) is not None:
+                # the noise-free depth is a start, not a verdict: scan from the last
+                # exit below it for the first whose accuracy meets p0 at this noise
+                start = max(sum(l < self.depth(0.0) for l in exits.layers) - 1, 0)
+                ell = next((l for l in exits.layers[start:]
+                            if self.accuracy(noise, float(l)) >= self.p0), None)
+            feasible = ell is not None
+            ell = float(ell if feasible else exits.deepest)
+            # with nothing sent the tasks are guesses, as the simulator scores them
+            predicted = self.accuracy(noise, ell) if q else 1.0 / self.profile.j_classes
+            self._choices[key] = ell, predicted, feasible
+        return self._choices[key]
+
+    def plan(self, link: LinkState, comp: ComputeProfile, exits: ExitSet) -> Plan:
+        """:func:`solve_discrete` under this target, for a checked exit set."""
+        q = float(max_bitwidth_discrete(link, self.spec))
+        return _plan(q, *self.choice(q, exits), link, comp)
+
+    def ceiling(self, link: LinkState, comp: ComputeProfile) -> Plan:
+        """:func:`solve_cr` under this target."""
+        q_star = max_bitwidth_continuous(link)
+        noise = self.level(quant_variance(q_star, self.spec))
+        ell_star = self.depth(noise)
+        feasible = ell_star is not None
+        ell = float(ell_star if feasible else self.profile.n_layers)
+        return _plan(q_star, ell, self.accuracy(noise, ell), feasible, link, comp)
+
 
 def solve_cr(
     link: LinkState,
@@ -174,17 +214,7 @@ def solve_cr(
     When no depth qualifies the plan parks at the last model layer with zero
     EPR.
     """
-    return _ceiling(link, comp, _Target(profile, spec, p0))
-
-
-def _ceiling(link: LinkState, comp: ComputeProfile, target: _Target) -> Plan:
-    """:func:`solve_cr` under a checked target."""
-    q_star = max_bitwidth_continuous(link)
-    noise = target.level(quant_variance(q_star, target.spec))
-    ell_star = target.depth(noise)
-    feasible = ell_star is not None
-    ell = float(ell_star if feasible else target.profile.n_layers)
-    return _plan(q_star, ell, target.accuracy(noise, ell), feasible, link, comp)
+    return _Target(profile, spec, p0).ceiling(link, comp)
 
 
 def solve_discrete(
@@ -200,58 +230,19 @@ def solve_discrete(
     Bit-width: largest alphabet entry within the latency budget.  Depth: the
     first exit whose ``accuracy_model`` meets ``p0``, scanning up from the
     last exit below the bisected noise-free minimum, a lower bound at every
-    bit-width (see :func:`_discrete_plans`; the bisection carries ~1e-6
-    slack, so that exit may still qualify).  Every feasible plan's exit has
-    thus been compared with ``p0`` directly.  When no exit qualifies or no
-    depth does, the plan parks at the deepest exit with zero EPR; when
-    only 0 bits fit, nothing is sent, no depth is searched, and it parks
-    there predicting chance, ``1/J``.  One call of ``_discrete_plans``, the
-    one discrete planner, which plans several links and exit sets alike.
+    bit-width (the bisection carries ~1e-6 slack, so that exit may still
+    qualify).  Every feasible plan's exit has thus been compared with ``p0``
+    directly.  When no exit qualifies or no depth does, the plan parks at the
+    deepest exit with zero EPR; when only 0 bits fit, nothing is sent, no
+    depth is searched, and it parks there predicting chance, ``1/J``.  The
+    exit is ``_Target.choice`` at that bit-width, which ``sweep`` shares.
     """
     exits.check_within(profile)
-    return _discrete_plans([link], comp, [exits], _Target(profile, spec, p0))[0][0]
+    return _Target(profile, spec, p0).plan(link, comp, exits)
 
 
-def _discrete_plans(
-    links: Sequence[LinkState],
-    comp: ComputeProfile,
-    exit_sets: Sequence[ExitSet],
-    target: _Target,
-) -> List[List[Plan]]:
-    """The :func:`solve_discrete` plan for each link and each exit set, in order.
-
-    The exit sets must have passed ``check_within``.  A link enters only
-    through its bit-width ``q*``, and ``accuracy_model`` is evaluated once
-    per (noise level, exit layer), for the scans and the plans alike.  Every
-    scan starts at the one noise-free minimum depth: ``_distorted`` never
-    exceeds ``kappa_bar``, so while accuracy rises with kappa no link meets
-    ``p0`` shallower, nor at all if no depth meets it without noise.  At
-    ``q* = 0`` nothing is sent, so every set parks at its deepest exit,
-    infeasible, at chance accuracy ``1/J``.
-    """
-    profile, p0 = target.profile, target.p0
-    plans = []
-    for link in links:
-        q = float(max_bitwidth_discrete(link, target.spec))
-        if q:
-            noise = target.level(_quant_variance(q, target.spec))
-            ell_plus = target.depth(0.0)
-        row = []
-        for exits in exit_sets:
-            ell = None
-            if q and ell_plus is not None:
-                # the noise-free depth is a start, not a verdict: scan from the last
-                # exit below it for the first whose accuracy meets p0 at this noise
-                start = max(sum(l < ell_plus for l in exits.layers) - 1, 0)
-                ell = next((l for l in exits.layers[start:]
-                            if target.accuracy(noise, float(l)) >= p0), None)
-            feasible = ell is not None
-            ell = ell if feasible else exits.deepest
-            # with nothing sent the tasks are guesses, as the simulator scores them
-            predicted = target.accuracy(noise, float(ell)) if q else 1.0 / profile.j_classes
-            row.append(_plan(q, ell, predicted, feasible, link, comp))
-        plans.append(row)
-    return plans
+# brute_force's relative EPR tie: with no compute time every q earns the Shannon rate
+_EPR_TIE = 1e-12
 
 
 def brute_force(
@@ -265,29 +256,27 @@ def brute_force(
     """Exhaustive EPR maximization over the alphabet-by-exit grid.
 
     Checks the latency and accuracy constraints pair by pair and keeps the
-    EPR maximizer, breaking ties toward larger bit-width and then shallower
-    depth.  Shares :func:`solve_discrete`'s input rules and infeasible
-    convention, the chance accuracy at q = 0 included, under its own latency
-    test.
+    EPR maximizer.  EPRs within ``_EPR_TIE`` of the best, relative, tie, and
+    a tie goes to the larger bit-width and then the shallower depth.  Shares
+    :func:`solve_discrete`'s input rules and infeasible convention, the chance
+    accuracy at q = 0 included, under its own latency test.
     """
     exits.check_within(profile)
     p0 = profile.check_target(p0)
     # positive entries within the budget; with none, the plan parks at 0 bits
     admitted = [q for q in spec.bit_alphabet if q > 0 and comm_latency(q, link) <= link.t_max_s]
-    best_key = best_accuracy = None
+    met = []  # (epr, q, -ell, accuracy) of each pair that meets p0
     for q in admitted:
         for ell in exits.layers:
             accuracy = accuracy_model(q, float(ell), profile, spec)
-            if accuracy < p0:
-                continue
-            key = (epr(q, float(ell), link, comp), q, -ell)
-            if best_key is None or key > best_key:
-                best_key, best_accuracy = key, accuracy
-    if best_key is None:
+            if accuracy >= p0:
+                met.append((epr(q, float(ell), link, comp), q, -ell, accuracy))
+    if not met:
         q_star = float(max(admitted, default=0))
         # with nothing sent the tasks are guesses, as the simulator scores them
         accuracy = (accuracy_model(q_star, float(exits.deepest), profile, spec) if q_star
                     else 1.0 / profile.j_classes)
         return _plan(q_star, exits.deepest, accuracy, False, link, comp)
-    _, q, neg_ell = best_key
-    return _plan(q, -neg_ell, best_accuracy, True, link, comp)
+    tied = max(m[0] for m in met) * (1.0 - _EPR_TIE)
+    _, q, neg_ell, accuracy = max((m for m in met if m[0] >= tied), key=lambda m: m[1:3])
+    return _plan(q, -neg_ell, accuracy, True, link, comp)

@@ -13,7 +13,7 @@ Wald rule over a count of hits.  The public chain runs them serially as
 which reads the cell's noise stream class by class.
 :func:`run_algorithm1` runs the stages on one stream per batch, angles
 (drawn at mean 0, then shifted to their class centroids) before noise.
-:func:`sweep` plans serially with one depth search per (p0, noise level),
+:func:`sweep` plans serially, one exit choice per (p0, bit-width, exit set),
 then simulates its rows on every usable core with the batch step
 ``_simulate`` that :func:`run_algorithm1` also runs; its CSV bytes do not
 depend on the core count.
@@ -38,7 +38,7 @@ import numpy as np
 from .accuracy import FeatureProfile, QuantizerSpec, grad_energy, kappa_bar, quant_variance
 from .circstats import (AngularSampleSet, FieldError, _check_finite, _check_int, _check_real,
                         _wrap, sample_von_mises)
-from .optimizer import ExitSet, Plan, _ceiling, _discrete_plans, _Target, solve_discrete
+from .optimizer import ExitSet, Plan, _Target, solve_discrete
 from .rng import derive_seed, make_rng
 from .system import ComputeProfile, LinkState, snr_db_to_linear
 
@@ -344,12 +344,12 @@ def sweep(
 
     Each point simulates ``tasks`` inferences under the :func:`solve_discrete`
     plan, as :func:`run_algorithm1` does, reports that plan with its Monte
-    Carlo accuracy estimate, and adds the continuous ceiling's EPR.  The
-    ceilings are solved first, once per (target accuracy, SNR); every
-    discrete scan starts at the noise-free minimum depth, below every
-    bit-width's exit (see :mod:`edgeplan.optimizer`), so one depth search
-    per (target accuracy, noise level) serves the whole sweep.  Only latency
-    and EPR are recomputed per SNR between two bit-width thresholds.  Each
+    Carlo accuracy estimate, and adds the continuous ceiling's EPR.  One
+    ``_Target`` per target accuracy solves the ceilings, once per SNR, and
+    chooses each exit set's exit once per bit-width: a point between two
+    bit-width thresholds only prices that choice.  Every discrete scan starts
+    at the noise-free minimum depth (see :mod:`edgeplan.optimizer`), so one
+    depth search per (target accuracy, noise level) serves the sweep.  Each
     point draws from a stream derived from its grid indices, so rows are
     order-independent.  Each iterable is read once; the seed, the exit sets
     and every target accuracy are judged before anything is planned.
@@ -369,8 +369,9 @@ def sweep(
     seed = _check_int("seed", seed)
     for exits in exit_variants:
         exits.check_within(profile)
-    ceilings = [[_ceiling(point, comp, target) for point in points] for target in targets]
-    plans = [_discrete_plans(points, comp, exit_variants, target) for target in targets]
+    ceilings = [[target.ceiling(point, comp) for point in points] for target in targets]
+    plans = [[[target.plan(point, comp, exits) for exits in exit_variants] for point in points]
+             for target in targets]
 
     def row(vi, pi, si):
         plan = plans[pi][si][vi]

@@ -338,11 +338,12 @@ def test_cr_dominates_on_random_instances():
 
 
 def test_discrete_plans_evaluate_each_exit_layer_once(monkeypatch):
-    # several exit sets planned in one call share one accuracy evaluation per
-    # (noise level, exit layer), and each plan is still the exhaustive optimum
-    # for its set; links that share a bit-width (15 and 25 dB) share those
-    # evaluations.  Every scan starts at the one noise-free depth: a call that
-    # sends bits searches once, at sigma2 == 0.0, whatever its links' noise
+    # several exit sets planned under one target share one accuracy evaluation
+    # per (noise level, exit layer), and each plan is still the exhaustive
+    # optimum for its set; links that share a bit-width (15 and 25 dB) share
+    # those evaluations.  Every scan starts at the one noise-free depth: a
+    # target that sends bits searches once, at sigma2 == 0.0, whatever its
+    # links' noise
     evaluated, searched = [], []
 
     def counted(sigma2, ell, profile):
@@ -364,7 +365,7 @@ def test_discrete_plans_evaluate_each_exit_layer_once(monkeypatch):
         evaluated.clear()
         searched.clear()
         target = optimizer._Target(PROFILE, SPEC, p0)
-        plans = optimizer._discrete_plans(links, COMP, sets, target)
+        plans = [[target.plan(link, COMP, exits) for exits in sets] for link in links]
         assert searched == [0.0]
         assert len(evaluated) == len(set(evaluated))
         assert {ell for _, ell in evaluated} <= layers
@@ -380,8 +381,43 @@ def test_discrete_plans_evaluate_each_exit_layer_once(monkeypatch):
     # with nothing sent there is nothing to search
     searched.clear()
     silent = replace(LINK, snr=snr_db_to_linear(-60.0))
-    assert optimizer._discrete_plans([silent], COMP, sets, target)[0][0].q == 0.0
+    target = optimizer._Target(PROFILE, SPEC, 0.6)
+    assert all(target.plan(silent, COMP, exits).q == 0.0 for exits in sets)
     assert searched == []
+
+
+def test_a_kept_exit_choice_prices_like_a_fresh_one():
+    # links that share a bit-width share one exit choice per set under one
+    # target; each link still gets the plan a fresh target would make it
+    rng = np.random.default_rng(20261022)
+    kept = 0
+    for _ in range(40):
+        inst = random_instance(rng)
+        sets = [inst["exits"], ExitSet(layers=(9, 19, 29, 37))]
+        target = optimizer._Target(inst["profile"], inst["spec"], inst["p0"])
+        links = [replace(inst["link"], snr=snr_db_to_linear(snr_db))
+                 for snr_db in np.arange(-5.0, 30.0, 1.0)]
+        for link in links:
+            for exits in sets:
+                fresh = solve_discrete(**{**inst, "link": link, "exits": exits})
+                assert target.plan(link, inst["comp"], exits) == fresh
+        kept += len(links) * len(sets) - len(target._choices)
+    assert kept >= 1_000
+
+
+def test_brute_force_ties_epr_within_rounding_under_zero_compute():
+    # with no compute latency every admitted bit-width earns the Shannon rate,
+    # up to rounding, so the EPR tie goes to the largest bit-width and then the
+    # shallowest exit, as the decomposition plans; without the tie, 1-ulp
+    # rounding picks 33 of these 200, the first (scenario 11) q 21 for q 25
+    rng = np.random.default_rng(5)
+    zero = ComputeProfile(b1=0.0, b2=0.0)
+    plans = []
+    for _ in range(200):
+        inst = {**random_instance(rng), "comp": zero}
+        plans.append(solve_discrete(**inst))
+        assert brute_force(**inst) == plans[-1]
+    assert (plans[11].q, plans[11].ell, plans[11].feasible) == (25.0, 12.0, True)
 
 
 def _largest_noise_free_variance(profile):

@@ -1045,9 +1045,9 @@ def test_bad_seed_or_exit_set_costs_no_planning(monkeypatch):
     # seed once cost a whole planning pass before its FieldError, and a bad
     # last p0 the searches of every p0 before it
     calls = []
-    search, ceiling = optimizer.min_depth_for_accuracy, simulator._ceiling
+    search, ceiling = optimizer.min_depth_for_accuracy, optimizer._Target.ceiling
     monkeypatch.setattr(optimizer, "min_depth_for_accuracy", lambda *a: calls.append(a) or search(*a))
-    monkeypatch.setattr(simulator, "_ceiling", lambda *a: calls.append(a) or ceiling(*a))
+    monkeypatch.setattr(optimizer._Target, "ceiling", lambda *a: calls.append(a) or ceiling(*a))
     grid, p0s = [-5.0, 10.0, 25.0], [0.6, 0.7]
     bad_inputs = [
         ("seed", lambda: sweep(grid, LINK, COMP, STEEP, SPEC, [EXITS], p0s, tasks=10, seed="7")),

@@ -6,13 +6,14 @@ workflow makes does not.  Each counted function is wrapped, in every
 ``edgeplan`` module namespace that bound it by name (as
 ``perfbench/tracer.py`` wraps its targets), by a counter that worker threads
 may share.  The kernels, the planner and the simulator are counted where they
-do the work (``_ratio``, ``_accuracy``, ``_discrete_plans``, ``_simulate``,
-``_classify``, ...), not at public wrappers that hot callers bypass; a test
-pins that each kernel's public wrapper calls its core once.  The depth search
-is counted at ``min_depth_for_accuracy``, which has no private core, with each
-of its bisections tallied by whether a certified band spared it evaluations,
-so a search that falls back to evaluating every step shows; the argument checks
-are counted at ``_check_real``, the one rule behind them.
+do the work (``_ratio``, ``_accuracy``, ``_simulate``, ``_classify``, ...),
+not at public wrappers that hot callers bypass; a test pins that each
+kernel's public wrapper calls its core once.  The depth search is counted at
+``min_depth_for_accuracy``, which has no private core, with each of its
+bisections tallied by whether a certified band spared it evaluations, so a
+search that falls back to evaluating every step shows; the argument checks are
+counted at ``_check_real``, the one rule behind them.  The exit choices are
+counted as the planning targets keep them, one per (bit-width, exit set).
 
 The Simpson ladder levels ``accuracy_of_kappa`` builds are read from its
 cache's own miss count, from an empty cache.  Counts fixed by the design (one
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeplan import accuracy, circstats, simulator
+from edgeplan import accuracy, circstats, optimizer, simulator
 from edgeplan.cli import main
 from edgeplan.optimizer import solve_discrete
 
@@ -48,7 +49,6 @@ COUNTED = (
     ("accuracy", "_distorted"),
     ("accuracy", "min_depth_for_accuracy"),
     ("circstats", "_check_real"),
-    ("optimizer", "_discrete_plans"),
     ("simulator", "_simulate"),
     ("simulator", "_grid_accuracy"),
     ("simulator", "_classify"),
@@ -93,6 +93,23 @@ def searches(monkeypatch):
     return record_depth_bisections(monkeypatch)
 
 
+@pytest.fixture
+def targets(monkeypatch):
+    """Every ``optimizer._Target`` made, in order; each keeps the exit choices it made."""
+    made, init = [], optimizer._Target.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(optimizer._Target, "__init__", recording)
+    return made
+
+
+def _choices(targets):
+    return sum(len(target._choices) for target in targets)
+
+
 def test_each_public_kernel_calls_its_core_once(counts):
     # the gate counts the cores, so a public wrapper that did the work itself
     # would hide it; one call of each wrapper must be one call of its core
@@ -116,7 +133,7 @@ def _config(tmp_path, **monte_carlo):
 
 
 def test_the_readme_sweep_plans_once_per_target_and_simulates_once_per_row(counts, searches,
-                                                                           tmp_path):
+                                                                           targets, tmp_path):
     # 31 SNR points x 4 exit sets x 2 targets; tasks per row move no planner count
     args = ["sweep", _config(tmp_path, tasks=200), "--snr-db=-5:25:1",
             "--exits-variants", "9,37;9,19,37;9,19,29,37;9,19,29,34,37", "--p0-list", "0.6,0.7",
@@ -128,11 +145,14 @@ def test_the_readme_sweep_plans_once_per_target_and_simulates_once_per_row(count
     assert feasible == 236
     # one stream and one batch per row, on one pool; only a feasible batch
     # draws and classifies
-    assert counts["_discrete_plans"] == 2
     assert counts["ThreadPoolExecutor"] == 1
     assert counts["_simulate"] == counts["make_rng"] == 248
     assert counts["sample_von_mises"] == counts["_classify"] == counts["_draw_noise"] == feasible
     assert counts["_grid_accuracy"] == 0
+    # one target per p0, and one exit choice per (p0, bit-width, exit set):
+    # a row between two bit-width thresholds only prices its choice
+    assert len(targets) == 2
+    assert _choices(targets) == 128
     # one depth search per (p0, noise level): per p0, the 14 ceilings below
     # 9 dB each see their own noise, and every ceiling from 9 dB on
     # (q* >= 29.99 bits) and every discrete scan share the noise-free one
@@ -151,12 +171,14 @@ def test_the_readme_sweep_plans_once_per_target_and_simulates_once_per_row(count
     assert accuracy._cached_level.cache_info().misses <= 5
 
 
-def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(counts, searches):
+def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(counts, searches,
+                                                                              targets):
     # the plan_stream unit: scenarios drawn one after another from one generator
     rng = np.random.default_rng(20260809)
     for _ in range(300):
         solve_discrete(**random_instance(rng))
-    assert counts["_discrete_plans"] == 300
+    # one target and one exit choice per plan: nothing is shared between scenarios
+    assert len(targets) == _choices(targets) == 300
     assert counts["sample_von_mises"] == counts["_simulate"] == counts["ThreadPoolExecutor"] == 0
     # 297 depth searches, all noise-free (3 plans send nothing); the 225 past
     # their end checks each bisect inside a certified band, and none falls
@@ -175,8 +197,8 @@ def test_random_plans_evaluate_the_accuracy_kernels_a_bounded_number_of_times(co
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
-def test_a_validate_cell_draws_each_class_once_and_one_noise_stream(counts, tmp_path, cores,
-                                                                     monkeypatch):
+def test_a_validate_cell_draws_each_class_once_and_one_noise_stream(counts, targets, tmp_path,
+                                                                     cores, monkeypatch):
     # the same draws on any core count: one von Mises stream and draw per
     # class, one noise stream per cell drawn one class chunk at a time, and
     # one labelling pass per class, all on one pool for the whole grid
@@ -194,5 +216,5 @@ def test_a_validate_cell_draws_each_class_once_and_one_noise_stream(counts, tmp_
     assert sizes == [50] * cells * j_classes
     assert counts["sample_von_mises"] == counts["_classify"] == cells * j_classes
     assert counts["make_rng"] == cells * (j_classes + 1)
-    assert counts["_simulate"] == counts["_discrete_plans"] == 0
+    assert counts["_simulate"] == _choices(targets) == 0
     assert counts["_accuracy"] <= cells
